@@ -8,8 +8,9 @@ solvers, stability and bifurcation analysis, scenario runners, and a CLI.
 from .model import (COMPARTMENTS, DomainError, ForceOfInfection,
                     HIV_INFECTED_INDICES, INFECTED_INDICES, N_COMPARTMENTS,
                     PARAMETER_FIELDS, Parameters, TB_INFECTED_INDICES,
-                    force_of_infection, full_rhs, hiv_submodel_rhs,
-                    tb_submodel_rhs, total_population, validate_parameters)
+                    force_of_infection, full_jacobian, full_rhs,
+                    hiv_submodel_rhs, tb_submodel_rhs, total_population,
+                    validate_parameters)
 from .dynamics import (IntegrationError, InvariantViolation, Trajectory,
                        integrate, invariant_monitor,
                        steady_state_by_integration)
@@ -31,7 +32,8 @@ __all__ = [
     "COMPARTMENTS", "N_COMPARTMENTS", "PARAMETER_FIELDS",
     "INFECTED_INDICES", "TB_INFECTED_INDICES", "HIV_INFECTED_INDICES",
     "Parameters", "ForceOfInfection", "DomainError",
-    "force_of_infection", "full_rhs", "hiv_submodel_rhs", "tb_submodel_rhs",
+    "force_of_infection", "full_rhs", "full_jacobian", "hiv_submodel_rhs",
+    "tb_submodel_rhs",
     "total_population", "validate_parameters",
     "Trajectory", "InvariantViolation", "IntegrationError",
     "integrate", "invariant_monitor", "steady_state_by_integration",

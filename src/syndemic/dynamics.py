@@ -91,8 +91,9 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     is capped so each one is landed on exactly. A component that dips into
     (-abs_tol, 0) after a step is clamped to zero; a dip at or below -abs_tol
     rejects the step outright (a drop that large is solver failure, not
-    roundoff). Raises IntegrationError with the last good time and state if
-    the step size underflows.
+    roundoff), and so does a trial stage at which rhs raises DomainError.
+    Raises IntegrationError with the last good time and state if the step
+    size underflows.
     """
     y = np.asarray(state0, dtype=float).copy()
     if not t1 > t0:
@@ -139,17 +140,22 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
             fsal_valid = True
 
         k = [f]
-        for i in range(1, 7):
-            yi = y + h * sum(_A[i][j] * k[j] for j in range(i))
-            k.append(np.asarray(rhs(t + _C[i] * h, yi), dtype=float))
-        n_evals += 6
-        y_new = y + h * sum(_B5[j] * k[j] for j in range(7))
-        err_vec = h * sum(_E[j] * k[j] for j in range(7))
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-
-        too_negative = bool(np.any(y_new <= -abs_tol))
-        step_accepted = err <= 1.0 and not too_negative
+        try:
+            for i in range(1, 7):
+                yi = y + h * sum(_A[i][j] * k[j] for j in range(i))
+                n_evals += 1
+                k.append(np.asarray(rhs(t + _C[i] * h, yi), dtype=float))
+        except DomainError:
+            # a trial stage left the model's domain (e.g. a nonpositive
+            # population): reject the step and halve it, as for a deep dip
+            halve, step_accepted = True, False
+        else:
+            y_new = y + h * sum(_B5[j] * k[j] for j in range(7))
+            err_vec = h * sum(_E[j] * k[j] for j in range(7))
+            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            halve = bool(np.any(y_new <= -abs_tol))
+            step_accepted = err <= 1.0 and not halve
         if step_accepted:
             t += h
             clamped = (y_new < 0.0)
@@ -166,7 +172,7 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
             err_prev = max(err, 1e-10)
         else:
             rejected += 1
-            fac = 0.5 if too_negative else _SAFETY * err ** -0.2
+            fac = 0.5 if halve else _SAFETY * err ** -0.2
         h *= min(max(fac, _FAC_MIN), _FAC_MAX)
         if h < _H_MIN and not step_accepted:
             raise IntegrationError("step size underflow", t, y)

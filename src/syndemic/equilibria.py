@@ -1,28 +1,32 @@
 """Equilibria of the full model and its two single-disease submodels.
 
-The disease-free state is closed form. The TB-free state has both a closed
-form (under a caller-supplied reference population) and a self-consistent
-numeric solve; the HIV-free and fully endemic states are found by damped
-Newton iteration seeded from a long integration. Every solver takes an
-optional n_ref pinning the incidence denominator; the benchmark tables were
-generated under pinned denominators, while None gives the self-consistent
-time-varying convention.
+The disease-free state is closed form, and so is the TB-free state under a
+caller-supplied reference population. The numeric solves (TB-free, HIV-free
+and fully endemic) share one path: short relaxations, each polished by damped
+Newton on the closed-form Jacobian. Every solver takes an optional n_ref
+pinning the incidence denominator; the benchmark tables were generated under
+pinned denominators, while None gives the self-consistent convention.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .dynamics import steady_state_by_integration
-from .model import (DomainError, HIV_INFECTED_INDICES, INFECTED_INDICES,
-                    Parameters, TB_INFECTED_INDICES, full_rhs,
-                    hiv_submodel_rhs, tb_submodel_rhs, total_population)
+from .dynamics import integrate
+from .model import (DomainError, HIV_INFECTED_INDICES, Parameters,
+                    TB_INFECTED_INDICES, full_jacobian, full_rhs,
+                    total_population)
 from .reproduction import ReproductionNumbers, r0, r1_closed, r2_closed
-from .stability import ConvergenceError, fd_jacobian
+from .stability import DEFAULT_TOL_EIG, ConvergenceError
 
-_INTERIOR_EPS = 1e-6          # boundary-classification threshold, persons
+# An infected group is present above this total, in persons: far above what a
+# Newton stop at ||f|| <= 1e-10 N leaves in an absent group, far below one.
+_PRESENT_EPS = 1e-2
+_RELAX_CHUNKS = (10.0, 20.0, 40.0, 80.0, 160.0, 190.0)   # years, 500 in all
+_KINDS = {(False, False): "disease-free", (False, True): "tb-free",
+          (True, False): "hiv-free", (True, True): "syndemic"}   # (TB, HIV)
 
 
 @dataclass
@@ -34,6 +38,9 @@ class EquilibriumReport:
     exists: bool
     converged: bool
     n_ref: Optional[float] = None
+    # numeric solves only: years_relaxed, newton_iterations, jacobian_builds,
+    # gate_rejected (a root was refused as not locally stable)
+    stats: dict = field(default_factory=dict)
 
 
 def residual(state, params: Parameters,
@@ -47,61 +54,92 @@ def residual(state, params: Parameters,
 
 
 def _damped_newton(fun: Callable[[np.ndarray], np.ndarray],
-                   x0,
-                   tol: Union[float, Callable[[np.ndarray], float]],
-                   max_iter: int = 200,
+                   jac: Callable[[np.ndarray], np.ndarray],
+                   x0, tol: float, max_iter: int = 200,
                    max_halvings: int = 20) -> np.ndarray:
-    """Newton iteration with step halving on residual increase.
-
-    tol is an absolute bound on ||fun(x)||_2, either a number or a callable
-    of the current iterate (used to scale the bound with population size).
+    """Newton iteration with step halving on residual increase, until
+    ||fun(x)||_2 <= tol; a trial point outside the domain is a failed halving.
     """
     x = np.asarray(x0, dtype=float).copy()
     f = np.asarray(fun(x), dtype=float)
     fnorm = float(np.linalg.norm(f))
     for _ in range(max_iter):
-        bound = tol(x) if callable(tol) else tol
-        if fnorm <= bound:
+        if fnorm <= tol:
             return x
-        jac = fd_jacobian(fun, x)
         try:
-            dx = np.linalg.solve(jac, -f)
+            dx = np.linalg.solve(jac(x), -f)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular jacobian in newton iteration",
                                    last_iterate=x) from exc
         step = 1.0
         for _ in range(max_halvings + 1):
             x_try = x + step * dx
-            f_try = np.asarray(fun(x_try), dtype=float)
+            step *= 0.5
+            try:
+                f_try = np.asarray(fun(x_try), dtype=float)
+            except DomainError:
+                continue
             fnorm_try = float(np.linalg.norm(f_try))
             if fnorm_try < fnorm:
                 x, f, fnorm = x_try, f_try, fnorm_try
                 break
-            step *= 0.5
         else:
             raise ConvergenceError("newton step rejected after 20 halvings",
                                    last_iterate=x)
-    bound = tol(x) if callable(tol) else tol
-    if fnorm <= bound:
+    if fnorm <= tol:
         return x
     raise ConvergenceError("newton iteration cap reached", last_iterate=x)
 
 
-def _population_tol(x: np.ndarray) -> float:
-    return 1e-10 * max(1.0, float(np.abs(x).sum()))
+def _relax_then_newton(fun: Callable[[np.ndarray], np.ndarray],
+                       jac: Callable[[np.ndarray], np.ndarray],
+                       seed) -> Tuple[np.ndarray, dict]:
+    """Root of fun reached from seed, and the solve's stats.
 
+    The seed is integrated in doubling chunks (_RELAX_CHUNKS); after each,
+    Newton polishes it to ||fun|| <= 1e-10 N. A root from a short relaxation
+    can be an unstable equilibrium (most often the disease-free one), so it
+    is accepted only when feasible with every eigenvalue of jac(root) below
+    -DEFAULT_TOL_EIG in real part. After the last chunk any feasible root is.
+    """
+    y = np.asarray(seed, dtype=float).copy()
+    abs_tol = 1e-8 * max(1.0, float(np.abs(y).sum()))   # as for a 1e-6 settle
+    stats = {"years_relaxed": 0.0, "newton_iterations": 0,
+             "jacobian_builds": 0, "gate_rejected": False}
 
-def _check_feasible(sol: np.ndarray) -> np.ndarray:
-    if np.any(sol < -1e-6):
-        raise ConvergenceError("newton converged to an infeasible state",
-                               last_iterate=sol)
-    return np.where(np.abs(sol) < 1e-12, 0.0, np.maximum(sol, 0.0))
+    def newton_jac(x):
+        stats["newton_iterations"] += 1
+        stats["jacobian_builds"] += 1
+        return jac(x)
+
+    def relax(y, span):
+        stats["years_relaxed"] += span
+        return integrate(lambda t, x: fun(x), y, 0.0, span,
+                         abs_tol=abs_tol).final
+
+    def polish(y):
+        root = _damped_newton(fun, newton_jac, y, 1e-10 * max(1.0, y.sum()))
+        if np.any(root < -1e-6):
+            raise ConvergenceError("newton converged to an infeasible state",
+                                   last_iterate=root)
+        return np.where(np.abs(root) < 1e-12, 0.0, np.maximum(root, 0.0))
+
+    for span in _RELAX_CHUNKS[:-1]:
+        y = relax(y, span)
+        try:
+            root = polish(y)
+        except ConvergenceError:
+            continue
+        stats["jacobian_builds"] += 1
+        if np.linalg.eigvals(jac(root)).real.max() < -DEFAULT_TOL_EIG:
+            return root, stats
+        stats["gate_rejected"] = True
+    return polish(relax(y, _RELAX_CHUNKS[-1])), stats
 
 
 def disease_free(params: Parameters) -> EquilibriumReport:
     """The no-disease fixed point: everyone susceptible at Lambda/mu."""
-    state = np.zeros(10)
-    state[0] = params.Lambda / params.mu
+    state = _embed(params.Lambda / params.mu, [0])
     return EquilibriumReport(kind="disease-free", state=state,
                              residual=residual(state, params),
                              repro=r0(params), exists=True, converged=True)
@@ -128,10 +166,8 @@ def tb_free_closed(params: Parameters, nH: float) -> TbFreeClosedForm:
         return TbFreeClosedForm(s=p.Lambda / p.mu, i_h=0.0, a=0.0, exists=False)
     d4 = p.alpha1 + p.mu + p.dA
     i_h = (r2 - 1.0) * p.mu * nH * d4 / (p.beta2 * (d4 + p.eta * p.rho1))
-    return TbFreeClosedForm(s=p.Lambda / (p.mu * r2),
-                            i_h=i_h,
-                            a=p.rho1 / d4 * i_h,
-                            exists=True)
+    return TbFreeClosedForm(s=p.Lambda / (p.mu * r2), i_h=i_h,
+                            a=p.rho1 / d4 * i_h, exists=True)
 
 
 def _embed(values: np.ndarray, indices) -> np.ndarray:
@@ -140,102 +176,65 @@ def _embed(values: np.ndarray, indices) -> np.ndarray:
     return state
 
 
+def _submodel_equilibrium(params: Parameters, n_ref: Optional[float],
+                          indices, threshold, seed_fractions
+                          ) -> EquilibriumReport:
+    # The model restricted to the compartments in indices, all others zero;
+    # its Jacobian is the matching slice of the full one.
+    s0 = params.Lambda / params.mu
+    state, stats = _embed(s0, [0]), {}
+    if threshold(params, n_ref) > 1.0:
+        cols = np.ix_(indices, indices)
+        sol, stats = _relax_then_newton(
+            lambda y: full_rhs(_embed(y, indices), params, n_ref)[indices],
+            lambda y: full_jacobian(_embed(y, indices), params, n_ref)[cols],
+            np.asarray(seed_fractions) * s0)
+        state = _embed(sol, indices)
+    kind = _classify_kind(state)
+    return EquilibriumReport(kind=kind, state=state,
+                             residual=residual(state, params, n_ref),
+                             repro=r0(params, n_ref),
+                             exists=kind != "disease-free", converged=True,
+                             n_ref=n_ref, stats=stats)
+
+
 def tb_free_numeric(params: Parameters,
                     n_ref: Optional[float] = None) -> EquilibriumReport:
-    """HIV/AIDS-only equilibrium of the 3-compartment submodel.
-
-    Newton on (S, I_H, A), seeded from a 500-year integration, embedded into
-    a full 10-state with zeros elsewhere. Subthreshold transmission returns
-    the submodel disease-free state without iterating.
+    """HIV/AIDS-only equilibrium of the (S, I_H, A) submodel, embedded into
+    a full 10-state with zeros elsewhere. Subthreshold transmission (R2 <= 1)
+    returns the disease-free state without iterating.
     """
-    p = params
-    s0 = p.Lambda / p.mu
-    rep = r0(p, n_ref)
-    if r2_closed(p, n_ref) <= 1.0:
-        state = _embed(np.array([s0, 0.0, 0.0]), [0, 4, 5])
-        return EquilibriumReport(kind="disease-free", state=state,
-                                 residual=residual(state, p, n_ref),
-                                 repro=rep, exists=False, converged=True,
-                                 n_ref=n_ref)
-
-    def fun(y3, _p=p, _n=n_ref):
-        return hiv_submodel_rhs(y3, _p, _n)
-
-    seed0 = np.array([0.95, 0.04, 0.01]) * s0
-    seed, _ = steady_state_by_integration(p, seed0, horizon=500.0, settle_tol=1e-6,
-                                          rhs=lambda t, y: fun(y))
-    sol = _check_feasible(_damped_newton(fun, seed, _population_tol))
-    state = _embed(sol, [0, 4, 5])
-    return EquilibriumReport(kind="tb-free", state=state,
-                             residual=residual(state, p, n_ref),
-                             repro=rep, exists=True, converged=True,
-                             n_ref=n_ref)
+    return _submodel_equilibrium(params, n_ref, [0, 4, 5], r2_closed,
+                                 (0.95, 0.04, 0.01))
 
 
 def hiv_free(params: Parameters,
              n_ref: Optional[float] = None) -> EquilibriumReport:
-    """TB-only equilibrium of the 4-compartment submodel.
-
-    Same scheme as tb_free_numeric, gated on the TB reproduction number.
-    """
-    p = params
-    s0 = p.Lambda / p.mu
-    rep = r0(p, n_ref)
-    if r1_closed(p, n_ref) <= 1.0:
-        state = _embed(np.array([s0, 0.0, 0.0, 0.0]), [0, 1, 2, 3])
-        return EquilibriumReport(kind="disease-free", state=state,
-                                 residual=residual(state, p, n_ref),
-                                 repro=rep, exists=False, converged=True,
-                                 n_ref=n_ref)
-
-    def fun(y4, _p=p, _n=n_ref):
-        return tb_submodel_rhs(y4, _p, _n)
-
-    seed0 = np.array([0.90, 0.07, 0.02, 0.01]) * s0
-    seed, _ = steady_state_by_integration(p, seed0, horizon=500.0, settle_tol=1e-6,
-                                          rhs=lambda t, y: fun(y))
-    sol = _check_feasible(_damped_newton(fun, seed, _population_tol))
-    state = _embed(sol, [0, 1, 2, 3])
-    exists = bool(np.max(state[list(TB_INFECTED_INDICES)]) > _INTERIOR_EPS)
-    return EquilibriumReport(kind="hiv-free" if exists else "disease-free",
-                             state=state,
-                             residual=residual(state, p, n_ref),
-                             repro=rep, exists=exists, converged=True,
-                             n_ref=n_ref)
+    """TB-only equilibrium of the 4-compartment submodel; as tb_free_numeric,
+    gated on the TB reproduction number."""
+    return _submodel_equilibrium(params, n_ref, [0, 1, 2, 3], r1_closed,
+                                 (0.90, 0.07, 0.02, 0.01))
 
 
 def _classify_kind(state: np.ndarray) -> str:
-    infected = state[list(INFECTED_INDICES)]
-    if float(np.max(infected)) < _INTERIOR_EPS:
-        return "disease-free"
-    if float(np.max(state[list(TB_INFECTED_INDICES)])) < _INTERIOR_EPS:
-        return "tb-free"
-    if float(np.max(state[list(HIV_INFECTED_INDICES)])) < _INTERIOR_EPS:
-        return "hiv-free"
-    return "syndemic"
+    tb, hiv = (float(state[list(group)].sum()) > _PRESENT_EPS
+               for group in (TB_INFECTED_INDICES, HIV_INFECTED_INDICES))
+    return _KINDS[tb, hiv]
 
 
 def syndemic(params: Parameters, seed,
              n_ref: Optional[float] = None) -> EquilibriumReport:
-    """Full 10-compartment equilibrium by damped Newton.
+    """Full 10-compartment equilibrium by relax-then-Newton from the seed.
 
-    The seed is first relaxed by a 500-year integration so Newton starts in
-    the attracting equilibrium's basin. Convergence onto a boundary state
-    (some infected component below 1e-6) is reported with the boundary kind,
-    not as syndemic.
+    A root where an infected group totals at most _PRESENT_EPS persons is
+    reported with the boundary kind, not as syndemic.
     """
-    p = params
-    seed = np.asarray(seed, dtype=float)
-    if seed.shape != (10,):
+    if np.shape(seed) != (10,):
         raise DomainError("seed must have 10 components")
-    relaxed, _ = steady_state_by_integration(p, seed, horizon=500.0, settle_tol=1e-6,
-                                             n_ref=n_ref)
-
-    def fun(y, _p=p, _n=n_ref):
-        return full_rhs(y, _p, _n)
-
-    sol = _check_feasible(_damped_newton(fun, relaxed, _population_tol))
+    sol, stats = _relax_then_newton(lambda y: full_rhs(y, params, n_ref),
+                                    lambda y: full_jacobian(y, params, n_ref),
+                                    seed)
     return EquilibriumReport(kind=_classify_kind(sol), state=sol,
-                             residual=residual(sol, p, n_ref),
-                             repro=r0(p, n_ref), exists=True, converged=True,
-                             n_ref=n_ref)
+                             residual=residual(sol, params, n_ref),
+                             repro=r0(params, n_ref), exists=True,
+                             converged=True, n_ref=n_ref, stats=stats)

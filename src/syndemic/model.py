@@ -153,6 +153,57 @@ def full_rhs(state, params: Parameters,
     ])
 
 
+def full_jacobian(state, params: Parameters,
+                  n_ref: Optional[float] = None) -> np.ndarray:
+    """Exact 10x10 Jacobian of ``full_rhs`` at the given state.
+
+    full_rhs is f(y) = A y + Lambda e_S + lambdaT CT y + lambdaH CH y, with A
+    (lin) the linear flows and CT, CH (ct, ch) the coefficients of the two
+    infection pressures, so J = A + lambdaT CT + lambdaH CH +
+    (CT y) dlambdaT^T + (CH y) dlambdaH^T. The gradient of lambda = beta (w . y) / N is
+    beta w / N, less lambda / N in every entry when N is the instantaneous
+    total rather than the pinned ``n_ref``. The sub-model Jacobians are its
+    slices over their index sets.
+    """
+    y = _as_state(state)
+    p = params
+    lin = np.diag([
+        -p.mu, -(p.k1 + p.tau1 + p.mu), -(p.tau2 + p.dT + p.mu), -p.mu,
+        -(p.rho1 + p.mu), -(p.alpha1 + p.mu + p.dA), -(p.k2 + p.tau4 + p.mu),
+        -(p.tau3 + p.rho2 + p.mu + p.dT), -(p.rho3 + p.mu),
+        -(p.alpha2 + p.mu + p.dTA),
+    ])
+    lin[2, 1] = p.k1
+    lin[3, 1], lin[3, 2] = p.tau1, p.tau2
+    lin[4, 5] = p.alpha1
+    lin[5, 4] = p.rho1
+    lin[7, 6], lin[7, 9] = p.k2, p.alpha2
+    lin[8, 6], lin[8, 7] = p.tau4, p.tau3
+    lin[9, 7], lin[9, 8] = p.rho2, p.rho3
+    if p.beta1 == 0.0 and p.beta2 == 0.0:
+        return lin
+    n = _denominator(y, n_ref)
+    ct = np.zeros((10, 10))           # d(rhs) / d(lambdaT), as a map of y
+    ct[0, 0], ct[1, 0], ct[1, 3], ct[3, 3] = -1.0, 1.0, p.beta1p, -p.beta1p
+    ct[4, 4], ct[7, 4] = -p.psi, p.psi
+    ct[6, 8], ct[8, 8] = p.beta2p, -p.beta2p
+    ch = np.zeros((10, 10))           # d(rhs) / d(lambdaH), as a map of y
+    ch[0, 0], ch[4, 0] = -1.0, 1.0
+    ch[2, 2], ch[7, 2] = -p.delta, p.delta
+    ch[3, 3], ch[4, 3] = -1.0, 1.0
+    w_t = np.array([0, 0, 1, 0, 0, 0, 0, 1, 0, 1], dtype=float)
+    w_h = np.array([0, 0, 0, 0, 1, p.eta, 1, 1, 1, p.eta])
+    lam_t = p.beta1 * float(w_t @ y) / n
+    lam_h = p.beta2 * float(w_h @ y) / n
+    grad_t = p.beta1 * w_t / n
+    grad_h = p.beta2 * w_h / n
+    if n_ref is None:
+        grad_t = grad_t - lam_t / n
+        grad_h = grad_h - lam_h / n
+    return (lin + lam_t * ct + lam_h * ch
+            + np.outer(ct @ y, grad_t) + np.outer(ch @ y, grad_h))
+
+
 # Sub-models are the full system restricted to a zero-padded state, so the
 # restriction property holds bit-for-bit by construction.
 
@@ -187,7 +238,10 @@ def tb_submodel_rhs(state4, params: Parameters,
 
 def validate_parameters(params: Parameters) -> list[str]:
     """Return every violated parameter constraint; empty list when valid."""
-    bad = []
+    bad = [f"{name} must be finite" for name in PARAMETER_FIELDS
+           if not np.isfinite(getattr(params, name))]
+    if bad:
+        return bad
     if not params.Lambda > 0:
         bad.append("Lambda > 0 required")
     if not params.mu > 0:

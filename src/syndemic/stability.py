@@ -1,9 +1,11 @@
 """Linearization, spectra, equilibrium classification, and the transcritical
 bifurcation analysis of the HIV-only submodel.
 
-Jacobians are built by central finite differences with one Richardson
-extrapolation level; the 3x3 submodel linearization used in the bifurcation
-analysis is also hand-coded and the two routes are required to agree.
+The linearization of the full model is the closed-form Jacobian of
+model.full_jacobian. Central finite differences with one Richardson
+extrapolation level remain as the independent route: the bifurcation
+analysis requires its hand-coded 3x3 submodel linearization and
+closed-form coefficients to agree with them.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .model import (DomainError, Parameters, force_of_infection, full_rhs,
-                    hiv_submodel_rhs)
+from .model import (DomainError, Parameters, force_of_infection,
+                    full_jacobian, hiv_submodel_rhs)
 
 DEFAULT_TOL_EIG = 1e-7
 
@@ -56,7 +58,7 @@ def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
 def jacobian(state, params: Parameters,
              n_ref: Optional[float] = None) -> np.ndarray:
     """10x10 linearization of the full model at the given state."""
-    return fd_jacobian(lambda y: full_rhs(y, params, n_ref), state)
+    return full_jacobian(state, params, n_ref)
 
 
 def eigenvalues(m) -> List[complex]:
@@ -99,7 +101,7 @@ class StabilityReport:
     eigenvalues: List[complex]
     classification: str
     dominant_real: float
-    method: str = "central-fd jacobian, Richardson, QR eigenvalues"
+    method: str = "closed-form jacobian, QR eigenvalues"
 
 
 def stability_report(state, params: Parameters,

@@ -113,6 +113,23 @@ def test_equilibrium_syndemic_row(capsys):
     assert float(fields[1]) == pytest.approx(4766.2, abs=1.0)
 
 
+def test_equilibrium_extreme_transmission_solves(capsys):
+    # a Runge-Kutta trial stage leaves the domain during the relaxation
+    assert main(["equilibrium", "--kind", "syndemic", "--beta1", "1e4",
+                 "--beta2", "50"]) == 0
+    fields = capsys.readouterr().out.splitlines()[1].split(",")
+    state = np.array([float(v) for v in fields[1:11]])
+    assert np.all(state >= 0.0)
+    assert float(fields[11]) <= 1e-8
+
+
+def test_non_finite_rate_is_an_input_error(capsys):
+    assert main(["r0", "--beta1", "nan", "--beta2", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert "beta1 must be finite" in captured.err
+    assert "R1" not in captured.out
+
+
 def test_stability_command_at_state_file(tmp_path, capsys):
     path = tmp_path / "state.txt"
     path.write_text(" ".join(["49980"] + ["0"] * 9))

@@ -141,6 +141,26 @@ def test_random_starts_stay_in_domain():
         assert traj.states.sum(axis=1).max() <= bound + 1e-6 * max(1.0, y0.sum())
 
 
+def test_pinned_integration_work_counters():
+    # deterministic work of a 20-year pinned run, pinned within a band so
+    # that a change in work shows; wall time is not gated
+    traj = integrate(lambda t, y: full_rhs(y, BASE, 50000.0), START, 0.0, 20.0)
+    assert 96 <= traj.stats["accepted"] <= 106               # 101 measured
+    assert 577 <= traj.stats["rhs_evals"] <= 637             # 607 measured
+
+
+def test_out_of_domain_stage_rejects_the_step():
+    def rhs(t, y):
+        if y[0] <= 0.0:
+            raise DomainError("outside the domain")
+        return -5.0 * y
+
+    traj = integrate(rhs, np.array([1.0]), 0.0, 20.0, rel_tol=1e-8,
+                     abs_tol=1e-12)
+    assert traj.stats["rejected"] > 0
+    assert 0.0 < traj.final[0] < 1e-40
+
+
 def test_step_statistics_recorded():
     traj = integrate(lambda t, y: full_rhs(y, BASE), START, 0.0, 20.0)
     assert traj.stats["accepted"] > 0

@@ -170,6 +170,42 @@ def test_subcritical_relaxation_lands_on_dfe():
     assert report.state[0] == pytest.approx(S0, rel=1e-6)
 
 
+@pytest.mark.parametrize("beta1,beta2,n_ref,kind", [
+    # R1 = 0.626, R2 = 0.551: no infected equilibrium exists
+    (2.7, 0.03, 50000.0, "disease-free"),
+    # past the TB threshold, at the HIV invasion boundary
+    (10.0, 0.13, 50000.0, "hiv-free"),
+    (10.0, 0.13, None, "hiv-free"),
+])
+def test_kind_label_does_not_depend_on_newton_stop(beta1, beta2, n_ref, kind):
+    # Newton stops at ||f|| <= 1e-10 N, which leaves up to a few 1e-6
+    # persons in a group that is absent at the root
+    report = syndemic(Parameters(beta1=beta1, beta2=beta2), START, n_ref=n_ref)
+    assert report.kind == kind
+
+
+def test_stability_gate_refuses_the_unstable_disease_free_root():
+    # Newton from the 10-year relaxation lands on the disease-free root,
+    # which is unstable at R2 > 1; the next chunk reaches the endemic one
+    p = Parameters(beta1=6.0, beta2=0.137)
+    report = tb_free_numeric(p, n_ref=S0)
+    assert report.stats["gate_rejected"]
+    assert report.stats["years_relaxed"] == 30.0
+    closed = tb_free_closed(p, S0)
+    assert np.allclose(report.state[[0, 4, 5]], (closed.s, closed.i_h, closed.a),
+                       rtol=1e-8)
+
+
+def test_syndemic_solve_work_counters():
+    # deterministic work, pinned within a band; wall time is not gated
+    report = syndemic(Parameters(beta1=6.0, beta2=0.1), START, n_ref=50000.0)
+    stats = report.stats
+    assert stats["years_relaxed"] == 10.0
+    assert 9 <= stats["newton_iterations"] <= 15          # 12 measured
+    assert stats["jacobian_builds"] == stats["newton_iterations"] + 1
+    assert not stats["gate_rejected"]
+
+
 def test_tb_free_monotone_in_transmission():
     values = [tb_free_closed(Parameters(beta1=6.0, beta2=b), S0).i_h
               for b in (0.07, 0.09, 0.099)]
@@ -191,12 +227,26 @@ def test_residual_zero_at_equilibrium():
 
 def test_damped_newton_solves_smooth_system():
     sol = _damped_newton(lambda x: np.array([x[0] ** 2 - 4.0]),
+                         lambda x: np.array([[2.0 * x[0]]]),
                          np.array([3.0]), tol=1e-12)
     assert sol[0] == pytest.approx(2.0, rel=1e-10)
+
+
+def test_damped_newton_halves_out_of_domain_trial():
+    def fun(x):
+        if x[0] <= 0.0:
+            raise DomainError("log of a nonpositive number")
+        return np.array([np.log(x[0])])
+
+    # the full first step from 10 lands at -13
+    sol = _damped_newton(fun, lambda x: np.array([[1.0 / x[0]]]),
+                         np.array([10.0]), tol=1e-12)
+    assert sol[0] == pytest.approx(1.0, rel=1e-10)
 
 
 def test_damped_newton_reports_failure_with_last_iterate():
     with pytest.raises(ConvergenceError) as exc:
         _damped_newton(lambda x: np.array([x[0] ** 2 + 1.0]),
+                       lambda x: np.array([[2.0 * x[0]]]),
                        np.array([1.0]), tol=1e-12)
     assert exc.value.last_iterate is not None

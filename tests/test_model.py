@@ -6,9 +6,11 @@ import pytest
 
 from syndemic.model import (COMPARTMENTS, DomainError, INFECTED_INDICES,
                             N_COMPARTMENTS, Parameters, force_of_infection,
-                            full_rhs, hiv_submodel_rhs, tb_submodel_rhs,
-                            total_population, validate_parameters)
+                            full_jacobian, full_rhs, hiv_submodel_rhs,
+                            tb_submodel_rhs, total_population,
+                            validate_parameters)
 from syndemic.scenarios import INITIAL_FRACTIONS, INITIAL_POPULATION
+from syndemic.stability import fd_jacobian
 
 BASE = Parameters(beta1=6.0, beta2=0.1)
 START = INITIAL_FRACTIONS * INITIAL_POPULATION
@@ -127,6 +129,54 @@ def test_validate_parameters_flags_violations(field, value, fragment):
     bad = dataclasses.replace(BASE, **{field: value})
     problems = validate_parameters(bad)
     assert any(fragment in p for p in problems)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_validate_parameters_rejects_non_finite(value):
+    for field in ("beta1", "mu", "eta"):
+        problems = validate_parameters(dataclasses.replace(BASE, **{field: value}))
+        assert problems == [f"{field} must be finite"]
+
+
+def test_full_jacobian_matches_finite_differences():
+    # Interior states only: at a compartment near zero the fixed 1e-6 probe
+    # step makes the finite-difference estimate, not the closed form, lose
+    # digits to roundoff.
+    rng = np.random.default_rng(7)
+    for _ in range(120):
+        p = Parameters(beta1=float(rng.uniform(0.5, 50.0)),
+                       beta2=float(rng.uniform(0.005, 0.5)))
+        frac = rng.uniform(0.01, 1.0, N_COMPARTMENTS)
+        y = frac / frac.sum() * float(rng.uniform(1e3, 1e5))
+        for n_ref in (None, 50000.0):
+            exact = full_jacobian(y, p, n_ref)
+            fd = fd_jacobian(lambda x: full_rhs(x, p, n_ref), y)
+            assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("indices,sub_rhs", [
+    ([0, 4, 5], hiv_submodel_rhs),
+    ([0, 1, 2, 3], tb_submodel_rhs),
+])
+def test_submodel_jacobians_are_slices_of_full_jacobian(indices, sub_rhs):
+    rng = np.random.default_rng(11)
+    for n_ref in (None, 50000.0):
+        for _ in range(10):
+            y_sub = rng.uniform(0.01, 1.0, len(indices)) * 10000.0
+            y = np.zeros(N_COMPARTMENTS)
+            y[indices] = y_sub
+            exact = full_jacobian(y, BASE, n_ref)[np.ix_(indices, indices)]
+            fd = fd_jacobian(lambda x: sub_rhs(x, BASE, n_ref), y_sub)
+            assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(exact))
+
+
+def test_full_jacobian_without_transmission_is_the_linear_flow():
+    quiet = dataclasses.replace(BASE, beta1=0.0, beta2=0.0)
+    j = full_jacobian(np.zeros(10), quiet)
+    # the right-hand side is affine here, so column k is f(e_k) - f(0)
+    f0 = full_rhs(np.zeros(10), quiet)
+    for k, e_k in enumerate(np.eye(N_COMPARTMENTS)):
+        assert np.allclose(j[:, k], full_rhs(e_k, quiet) - f0, rtol=0, atol=1e-12)
 
 
 def test_wrong_state_length_rejected():

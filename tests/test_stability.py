@@ -146,6 +146,16 @@ def test_trace_closed_form_matches_numeric():
     assert det == pytest.approx(1.8081514078230172e-06, rel=1e-3)
 
 
+@pytest.mark.parametrize("params", [SUB, SUPER,
+                                    Parameters(beta1=6.0, beta2=0.03),
+                                    Parameters(beta1=40.0, beta2=0.4, mu=0.02)])
+def test_trace_closed_form_matches_closed_form_jacobian(params):
+    dfe = np.zeros(10)
+    dfe[0] = params.Lambda / params.mu
+    trace, _ = dfe_trace_det(params)
+    assert trace == pytest.approx(np.trace(jacobian(dfe, params)), abs=1e-12)
+
+
 def test_trace_det_sign_patterns():
     # det changes sign with the dominant threshold, trace stays negative
     _, det_mixed = dfe_trace_det(Parameters(beta1=6.0, beta2=0.03))

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import Trajectory, integrate
+from .dynamics import IntegrationError, Trajectory, integrate
 from .equilibria import (disease_free, hiv_free, syndemic, tb_free_numeric)
 from .model import (COMPARTMENTS, PARAMETER_FIELDS, Parameters, full_rhs,
                     validate_parameters)
@@ -28,7 +28,8 @@ from .scenarios import (INITIAL_FRACTIONS, INITIAL_POPULATION,
                         run_dfe_stability, run_syndemic_stability,
                         run_table2, run_table3, run_treatment_impact,
                         write_scenario_csv)
-from .stability import bifurcation_analysis, classify, eigenvalues, jacobian
+from .stability import (ConvergenceError, bifurcation_analysis, classify,
+                        eigenvalues, jacobian)
 
 _OPTION_KEYS = ("horizon", "rel_tol", "abs_tol", "n_ref", "out")
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -530,6 +531,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ConvergenceError, IntegrationError) as exc:
+        # a solver failed on valid input; 1 means failed scenario assertions
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -139,19 +139,20 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
             n_evals += 1
             fsal_valid = True
 
-        k = [f]
+        k = np.empty((7, y.size))
+        k[0] = f
         try:
             for i in range(1, 7):
-                yi = y + h * sum(_A[i][j] * k[j] for j in range(i))
+                yi = y + h * (_A[i] @ k[:i])
                 n_evals += 1
-                k.append(np.asarray(rhs(t + _C[i] * h, yi), dtype=float))
+                k[i] = rhs(t + _C[i] * h, yi)
         except DomainError:
             # a trial stage left the model's domain (e.g. a nonpositive
             # population): reject the step and halve it, as for a deep dip
             halve, step_accepted = True, False
         else:
-            y_new = y + h * sum(_B5[j] * k[j] for j in range(7))
-            err_vec = h * sum(_E[j] * k[j] for j in range(7))
+            y_new = y + h * (_B5 @ k)
+            err_vec = h * (_E @ k)
             scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
             err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
             halve = bool(np.any(y_new <= -abs_tol))

@@ -2,8 +2,9 @@
 
 The disease-free state is closed form, and so is the TB-free state under a
 caller-supplied reference population. The numeric solves (TB-free, HIV-free
-and fully endemic) share one path: short relaxations, each polished by damped
-Newton on the closed-form Jacobian. Every solver takes an optional n_ref
+and fully endemic) share one path: pseudo-transient continuation on the
+closed-form Jacobian, backward-Euler steps along the flow whose size grows
+until they are Newton steps. Every solver takes an optional n_ref
 pinning the incidence denominator; the benchmark tables were generated under
 pinned denominators, while None gives the self-consistent convention.
 """
@@ -14,7 +15,6 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .dynamics import integrate
 from .model import (DomainError, HIV_INFECTED_INDICES, Parameters,
                     TB_INFECTED_INDICES, full_jacobian, full_rhs,
                     total_population)
@@ -22,9 +22,15 @@ from .reproduction import ReproductionNumbers, r0, r1_closed, r2_closed
 from .stability import DEFAULT_TOL_EIG, ConvergenceError
 
 # An infected group is present above this total, in persons: far above what a
-# Newton stop at ||f|| <= 1e-10 N leaves in an absent group, far below one.
+# residual of ||f|| <= 1e-10 N can leave in an absent group, far below one.
 _PRESENT_EPS = 1e-2
-_RELAX_CHUNKS = (10.0, 20.0, 40.0, 80.0, 160.0, 190.0)   # years, 500 in all
+# Pseudo-transient continuation; the tolerances are relative to N(seed).
+_DT0 = 1.0               # years, the first pseudo-time step
+_DT_GROWTH = 1.3         # least growth of the pseudo-time step per accepted one
+_NEWTON_TOL = 1e-10      # ||f|| at which the steps become full Newton steps
+_STEP_TOL = 1e-13        # max |dx| of the Newton step that ends the solve
+_DIP_TOL = 1e-8          # deepest dip below 0 that is clamped, not rejected
+_MAX_ITERATIONS = 500    # accepted plus rejected steps
 _KINDS = {(False, False): "disease-free", (False, True): "tb-free",
           (True, False): "hiv-free", (True, True): "syndemic"}   # (TB, HIV)
 
@@ -38,8 +44,7 @@ class EquilibriumReport:
     exists: bool
     converged: bool
     n_ref: Optional[float] = None
-    # numeric solves only: years_relaxed, newton_iterations, jacobian_builds,
-    # gate_rejected (a root was refused as not locally stable)
+    # numeric solves only: steps, rejected, jacobian_builds, locally_stable
     stats: dict = field(default_factory=dict)
 
 
@@ -53,88 +58,67 @@ def residual(state, params: Parameters,
     return float(np.linalg.norm(full_rhs(y, params, n_ref))) / n
 
 
-def _damped_newton(fun: Callable[[np.ndarray], np.ndarray],
-                   jac: Callable[[np.ndarray], np.ndarray],
-                   x0, tol: float, max_iter: int = 200,
-                   max_halvings: int = 20) -> np.ndarray:
-    """Newton iteration with step halving on residual increase, until
-    ||fun(x)||_2 <= tol; a trial point outside the domain is a failed halving.
+def _ptc(fun: Callable[[np.ndarray], np.ndarray],
+         jac: Callable[[np.ndarray], np.ndarray],
+         seed) -> Tuple[np.ndarray, dict]:
+    """Root of fun reached from seed by pseudo-transient continuation, and
+    the solve's stats.
+
+    Each step is backward Euler on x' = fun(x) with one Jacobian,
+    (I/dt - J) dx = fun(x), so the iterate follows the flow towards the
+    attractor the seed lies in. After an accepted step dt grows by
+    ||f_old|| / ||f_new||, at least by _DT_GROWTH; a trial that leaves the
+    domain or dips below -_DIP_TOL N is rejected and retried at dt / 4, and
+    smaller dips are clamped to 0. Once ||fun|| <= _NEWTON_TOL N the steps
+    are full Newton steps (1/dt = 0), until one is at most _STEP_TOL N: a
+    residual test alone stops far from the root where J is nearly singular.
+    The root is returned whether or not it passes the local-stability test
+    (every eigenvalue of jac(root) below -DEFAULT_TOL_EIG in real part);
+    stats records the outcome.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(seed, dtype=float).copy()
+    n = max(1.0, float(np.abs(x).sum()))
     f = np.asarray(fun(x), dtype=float)
     fnorm = float(np.linalg.norm(f))
-    for _ in range(max_iter):
-        if fnorm <= tol:
-            return x
+    eye, dt, newton = np.eye(x.size), _DT0, fnorm <= _NEWTON_TOL * n
+    stats = {"steps": 0, "rejected": 0, "jacobian_builds": 0,
+             "locally_stable": False}
+    j = None
+    for _ in range(_MAX_ITERATIONS):
+        if j is None:
+            j = jac(x)
+            stats["jacobian_builds"] += 1
         try:
-            dx = np.linalg.solve(jac(x), -f)
+            dx = np.linalg.solve((0.0 if newton else 1.0 / dt) * eye - j, f)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("singular jacobian in newton iteration",
+            raise ConvergenceError("singular jacobian in pseudo-transient step",
                                    last_iterate=x) from exc
-        step = 1.0
-        for _ in range(max_halvings + 1):
-            x_try = x + step * dx
-            step *= 0.5
-            try:
-                f_try = np.asarray(fun(x_try), dtype=float)
-            except DomainError:
-                continue
-            fnorm_try = float(np.linalg.norm(f_try))
-            if fnorm_try < fnorm:
-                x, f, fnorm = x_try, f_try, fnorm_try
-                break
-        else:
-            raise ConvergenceError("newton step rejected after 20 halvings",
-                                   last_iterate=x)
-    if fnorm <= tol:
-        return x
-    raise ConvergenceError("newton iteration cap reached", last_iterate=x)
-
-
-def _relax_then_newton(fun: Callable[[np.ndarray], np.ndarray],
-                       jac: Callable[[np.ndarray], np.ndarray],
-                       seed) -> Tuple[np.ndarray, dict]:
-    """Root of fun reached from seed, and the solve's stats.
-
-    The seed is integrated in doubling chunks (_RELAX_CHUNKS); after each,
-    Newton polishes it to ||fun|| <= 1e-10 N. A root from a short relaxation
-    can be an unstable equilibrium (most often the disease-free one), so it
-    is accepted only when feasible with every eigenvalue of jac(root) below
-    -DEFAULT_TOL_EIG in real part. After the last chunk any feasible root is.
-    """
-    y = np.asarray(seed, dtype=float).copy()
-    abs_tol = 1e-8 * max(1.0, float(np.abs(y).sum()))   # as for a 1e-6 settle
-    stats = {"years_relaxed": 0.0, "newton_iterations": 0,
-             "jacobian_builds": 0, "gate_rejected": False}
-
-    def newton_jac(x):
-        stats["newton_iterations"] += 1
-        stats["jacobian_builds"] += 1
-        return jac(x)
-
-    def relax(y, span):
-        stats["years_relaxed"] += span
-        return integrate(lambda t, x: fun(x), y, 0.0, span,
-                         abs_tol=abs_tol).final
-
-    def polish(y):
-        root = _damped_newton(fun, newton_jac, y, 1e-10 * max(1.0, y.sum()))
-        if np.any(root < -1e-6):
-            raise ConvergenceError("newton converged to an infeasible state",
-                                   last_iterate=root)
-        return np.where(np.abs(root) < 1e-12, 0.0, np.maximum(root, 0.0))
-
-    for span in _RELAX_CHUNKS[:-1]:
-        y = relax(y, span)
+        x_try = x + dx
         try:
-            root = polish(y)
-        except ConvergenceError:
+            if not x_try.min() >= -_DIP_TOL * n:
+                raise DomainError("trial step leaves the nonnegative orthant")
+            x_try = np.maximum(x_try, 0.0)
+            f_try = np.asarray(fun(x_try), dtype=float)
+            fnorm_try = float(np.linalg.norm(f_try))
+            if not np.isfinite(fnorm_try):
+                raise DomainError("non-finite right-hand side")
+        except DomainError:
+            stats["rejected"] += 1
+            dt, newton = dt / 4.0, False
             continue
-        stats["jacobian_builds"] += 1
-        if np.linalg.eigvals(jac(root)).real.max() < -DEFAULT_TOL_EIG:
+        stats["steps"] += 1
+        if newton and np.abs(dx).max() <= _STEP_TOL * n:
+            root = np.where(x_try < 1e-12, 0.0, x_try)
+            stats["jacobian_builds"] += 1
+            stats["locally_stable"] = bool(
+                np.linalg.eigvals(jac(root)).real.max() < -DEFAULT_TOL_EIG)
             return root, stats
-        stats["gate_rejected"] = True
-    return polish(relax(y, _RELAX_CHUNKS[-1])), stats
+        if fnorm_try > 0.0:
+            dt *= max(fnorm / fnorm_try, _DT_GROWTH)
+        x, f, fnorm, j = x_try, f_try, fnorm_try, None
+        newton = fnorm <= _NEWTON_TOL * n
+    raise ConvergenceError("pseudo-transient iteration cap reached",
+                           last_iterate=x)
 
 
 def disease_free(params: Parameters) -> EquilibriumReport:
@@ -185,7 +169,7 @@ def _submodel_equilibrium(params: Parameters, n_ref: Optional[float],
     state, stats = _embed(s0, [0]), {}
     if threshold(params, n_ref) > 1.0:
         cols = np.ix_(indices, indices)
-        sol, stats = _relax_then_newton(
+        sol, stats = _ptc(
             lambda y: full_rhs(_embed(y, indices), params, n_ref)[indices],
             lambda y: full_jacobian(_embed(y, indices), params, n_ref)[cols],
             np.asarray(seed_fractions) * s0)
@@ -224,17 +208,19 @@ def _classify_kind(state: np.ndarray) -> str:
 
 def syndemic(params: Parameters, seed,
              n_ref: Optional[float] = None) -> EquilibriumReport:
-    """Full 10-compartment equilibrium by relax-then-Newton from the seed.
+    """Full 10-compartment equilibrium by pseudo-transient continuation from
+    the seed.
 
     A root where an infected group totals at most _PRESENT_EPS persons is
-    reported with the boundary kind, not as syndemic.
+    reported with the boundary kind, not as syndemic, and exists is true
+    only for a syndemic root.
     """
     if np.shape(seed) != (10,):
         raise DomainError("seed must have 10 components")
-    sol, stats = _relax_then_newton(lambda y: full_rhs(y, params, n_ref),
-                                    lambda y: full_jacobian(y, params, n_ref),
-                                    seed)
-    return EquilibriumReport(kind=_classify_kind(sol), state=sol,
+    sol, stats = _ptc(lambda y: full_rhs(y, params, n_ref),
+                      lambda y: full_jacobian(y, params, n_ref), seed)
+    kind = _classify_kind(sol)
+    return EquilibriumReport(kind=kind, state=sol,
                              residual=residual(sol, params, n_ref),
-                             repro=r0(params, n_ref), exists=True,
+                             repro=r0(params, n_ref), exists=kind == "syndemic",
                              converged=True, n_ref=n_ref, stats=stats)

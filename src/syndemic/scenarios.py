@@ -439,7 +439,7 @@ def run_treatment_impact(params: Optional[Parameters] = None,
         _record(result, "untreated arm recovered-coinfection stays zero",
                 0.0, r_th_max, 1e-9)
         with_i = result.trajectories["with-treatment"]
-        crossing = _first_crossing(with_i, wo, component=7, after=0.1)
+        crossing = _first_crossing(with_i, wo, grid, component=7, after=0.1)
         result.comparisons["coinfected crossover year"] = crossing
         if deaths == "off":
             result.assertions.append(AssertionRecord(
@@ -452,13 +452,16 @@ def run_treatment_impact(params: Optional[Parameters] = None,
 
 
 def _first_crossing(with_traj: Trajectory, without_traj: Trajectory,
-                    component: int, after: float) -> float:
-    """First reported time where the untreated arm falls below the treated."""
-    times = with_traj.times
-    a = with_traj.states[:, component]
-    b = without_traj.states[:, component]
-    for t, va, vb in zip(times, a, b):
-        if t > after and vb < va:
+                    times: Sequence[float], component: int,
+                    after: float) -> float:
+    """First report time where the untreated arm falls below the treated.
+
+    The arms take different adaptive steps, so they are compared at the
+    shared report times, never step by step.
+    """
+    for t in times:
+        if (t > after and without_traj.at(t)[component]
+                < with_traj.at(t)[component]):
             return float(t)
     return math.inf
 

@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
+import syndemic.cli
 from syndemic.cli import (ConfigError, DEFAULT_CONFIG, RunConfig, emit_svg,
                           format_config, main, parse_config)
-from syndemic.dynamics import Trajectory
+from syndemic.dynamics import IntegrationError, Trajectory
+from syndemic.stability import ConvergenceError
 
 
 def test_default_config_parses():
@@ -114,7 +116,7 @@ def test_equilibrium_syndemic_row(capsys):
 
 
 def test_equilibrium_extreme_transmission_solves(capsys):
-    # a Runge-Kutta trial stage leaves the domain during the relaxation
+    # stiff: early pseudo-transient trial steps leave the domain
     assert main(["equilibrium", "--kind", "syndemic", "--beta1", "1e4",
                  "--beta2", "50"]) == 0
     fields = capsys.readouterr().out.splitlines()[1].split(",")
@@ -165,6 +167,23 @@ def test_scenario_exit_codes(tmp_path):
     assert main(["scenario", "--name", "table2", "--out", str(tmp_path)]) == 0
     assert main(["scenario", "--name", "table3", "--out", str(tmp_path)]) == 1
     assert (tmp_path / "table3__summary.csv").exists()
+
+
+@pytest.mark.parametrize("solver,error,argv", [
+    ("syndemic", ConvergenceError("pseudo-transient iteration cap reached"),
+     ["equilibrium", "--kind", "syndemic"]),
+    ("integrate", IntegrationError("step size underflow", 0.0, np.zeros(10)),
+     ["simulate", "--horizon", "1"]),
+])
+def test_solver_failure_exits_3(solver, error, argv, monkeypatch, tmp_path,
+                                capsys):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(syndemic.cli, solver, fail)
+    monkeypatch.setenv("SYNDEMIC_OUT_DIR", str(tmp_path))
+    assert main(argv + ["--beta1", "6", "--beta2", "0.1"]) == 3
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_out_dir_environment_override(tmp_path, monkeypatch, capsys):

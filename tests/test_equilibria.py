@@ -1,14 +1,15 @@
-"""Equilibrium solvers: closed forms, relaxation plus Newton, dual routes."""
+"""Equilibrium solvers: closed forms, pseudo-transient continuation, dual
+routes."""
 import numpy as np
 import pytest
 from scipy.optimize import fsolve
 
-from syndemic.equilibria import (EquilibriumReport, _damped_newton,
-                                 disease_free, hiv_free, residual, syndemic,
-                                 tb_free_closed, tb_free_numeric)
+from syndemic.equilibria import (EquilibriumReport, _ptc, disease_free,
+                                 hiv_free, residual, syndemic, tb_free_closed,
+                                 tb_free_numeric)
 from syndemic.model import DomainError, Parameters, full_rhs
 from syndemic.scenarios import INITIAL_FRACTIONS, INITIAL_POPULATION
-from syndemic.stability import ConvergenceError
+from syndemic.stability import ConvergenceError, bifurcation_analysis
 
 S0 = 714.0 / (1.0 / 70.0)
 START = INITIAL_FRACTIONS * INITIAL_POPULATION
@@ -176,34 +177,57 @@ def test_subcritical_relaxation_lands_on_dfe():
     # past the TB threshold, at the HIV invasion boundary
     (10.0, 0.13, 50000.0, "hiv-free"),
     (10.0, 0.13, None, "hiv-free"),
+    (6.0, 0.1, 50000.0, "syndemic"),
 ])
 def test_kind_label_does_not_depend_on_newton_stop(beta1, beta2, n_ref, kind):
-    # Newton stops at ||f|| <= 1e-10 N, which leaves up to a few 1e-6
-    # persons in a group that is absent at the root
+    # a residual stop at ||f|| <= 1e-10 N can leave a few 1e-6 persons in a
+    # group that is absent at the root; exists holds for a syndemic root only
     report = syndemic(Parameters(beta1=beta1, beta2=beta2), START, n_ref=n_ref)
     assert report.kind == kind
+    assert report.exists == (kind == "syndemic")
 
 
-def test_stability_gate_refuses_the_unstable_disease_free_root():
-    # Newton from the 10-year relaxation lands on the disease-free root,
-    # which is unstable at R2 > 1; the next chunk reaches the endemic one
+def test_tb_free_numeric_reaches_the_endemic_root():
+    # R2 > 1: the disease-free root is unstable and must not be returned
     p = Parameters(beta1=6.0, beta2=0.137)
     report = tb_free_numeric(p, n_ref=S0)
-    assert report.stats["gate_rejected"]
-    assert report.stats["years_relaxed"] == 30.0
+    assert report.stats["locally_stable"]
     closed = tb_free_closed(p, S0)
     assert np.allclose(report.state[[0, 4, 5]], (closed.s, closed.i_h, closed.a),
                        rtol=1e-8)
+
+
+@pytest.mark.parametrize("excess", [1e-3, 1e-4, 1e-5])
+def test_tb_free_numeric_accurate_near_threshold(excess):
+    # R2 - 1 = excess: the Jacobian at the root is nearly singular, so a
+    # small residual does not mean a small error
+    beta_star = bifurcation_analysis(Parameters(beta1=6.0, beta2=0.1)).beta_star
+    p = Parameters(beta1=6.0, beta2=beta_star * (1.0 + excess))
+    report = tb_free_numeric(p, n_ref=S0)
+    closed = tb_free_closed(p, S0)
+    assert report.kind == "tb-free"
+    assert np.allclose(report.state[[0, 4, 5]], (closed.s, closed.i_h, closed.a),
+                       rtol=1e-8, atol=0.0)
 
 
 def test_syndemic_solve_work_counters():
     # deterministic work, pinned within a band; wall time is not gated
     report = syndemic(Parameters(beta1=6.0, beta2=0.1), START, n_ref=50000.0)
     stats = report.stats
-    assert stats["years_relaxed"] == 10.0
-    assert 9 <= stats["newton_iterations"] <= 15          # 12 measured
-    assert stats["jacobian_builds"] == stats["newton_iterations"] + 1
-    assert not stats["gate_rejected"]
+    assert 10 <= stats["steps"] <= 16                     # 13 measured
+    assert stats["rejected"] == 0
+    assert stats["jacobian_builds"] == stats["steps"] + 1
+    assert stats["locally_stable"]
+
+
+def test_extreme_transmission_solve_work_counters():
+    # `syndemic equilibrium --beta1 1e4 --beta2 50` is stiff: an explicit
+    # integrator needs over 14,000 steps to relax it
+    report = syndemic(Parameters(beta1=1e4, beta2=50.0), START)
+    stats = report.stats
+    assert stats["steps"] + stats["rejected"] <= 60       # 35 + 9 measured
+    assert stats["locally_stable"]
+    assert report.residual < 1e-10
 
 
 def test_tb_free_monotone_in_transmission():
@@ -225,28 +249,33 @@ def test_residual_zero_at_equilibrium():
         residual(np.zeros(10), p)
 
 
-def test_damped_newton_solves_smooth_system():
-    sol = _damped_newton(lambda x: np.array([x[0] ** 2 - 4.0]),
-                         lambda x: np.array([[2.0 * x[0]]]),
-                         np.array([3.0]), tol=1e-12)
+# _ptc follows x' = fun(x), so each test system has its root as an attractor
+
+def test_ptc_solves_smooth_system():
+    sol, stats = _ptc(lambda x: 4.0 - x ** 2,
+                      lambda x: np.array([[-2.0 * x[0]]]), np.array([3.0]))
     assert sol[0] == pytest.approx(2.0, rel=1e-10)
+    assert stats["locally_stable"]
 
 
-def test_damped_newton_halves_out_of_domain_trial():
+def test_ptc_rejects_out_of_domain_trial():
+    out_of_domain = []
+
     def fun(x):
-        if x[0] <= 0.0:
+        if x[0] <= 1.0:
+            out_of_domain.append(x[0])
             raise DomainError("log of a nonpositive number")
-        return np.array([np.log(x[0])])
+        return np.array([-np.log(x[0] - 1.0)])
 
-    # the full first step from 10 lands at -13
-    sol = _damped_newton(fun, lambda x: np.array([[1.0 / x[0]]]),
-                         np.array([10.0]), tol=1e-12)
-    assert sol[0] == pytest.approx(1.0, rel=1e-10)
+    # as the pseudo-time step grows, one trial from 100 overshoots to 0.50
+    sol, stats = _ptc(fun, lambda x: np.array([[-1.0 / (x[0] - 1.0)]]),
+                      np.array([100.0]))
+    assert sol[0] == pytest.approx(2.0, rel=1e-10)
+    assert out_of_domain and stats["rejected"] == len(out_of_domain)
 
 
-def test_damped_newton_reports_failure_with_last_iterate():
+def test_ptc_reports_failure_with_last_iterate():
     with pytest.raises(ConvergenceError) as exc:
-        _damped_newton(lambda x: np.array([x[0] ** 2 + 1.0]),
-                       lambda x: np.array([[2.0 * x[0]]]),
-                       np.array([1.0]), tol=1e-12)
+        _ptc(lambda x: -(x ** 2 + 1.0),
+             lambda x: np.array([[-2.0 * x[0]]]), np.array([1.0]))
     assert exc.value.last_iterate is not None

@@ -26,8 +26,8 @@ from .model import (COMPARTMENTS, PARAMETER_FIELDS, Parameters, full_rhs,
 from .reproduction import ngm_decomposition, r0
 from .scenarios import (INITIAL_FRACTIONS, INITIAL_POPULATION,
                         run_dfe_stability, run_syndemic_stability,
-                        run_table2, run_table3, run_treatment_impact,
-                        write_scenario_csv)
+                        atomic_write, run_table2, run_table3,
+                        run_treatment_impact, write_scenario_csv)
 from .stability import (ConvergenceError, bifurcation_analysis, classify,
                         eigenvalues, jacobian)
 
@@ -308,13 +308,6 @@ def _grid_trajectory(traj: Trajectory, grid: np.ndarray) -> Trajectory:
                       params=traj.params, stats=traj.stats)
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     params = cfg.parameters()
@@ -331,8 +324,8 @@ def _cmd_simulate(args) -> int:
     for t, y in zip(reduced.times, reduced.states):
         rows.append(",".join([f"{t:.8g}"] + [f"{v:.8g}" for v in y]
                              + [f"{y.sum():.8g}"]))
-    _write_text(out / "trajectory.csv", "\n".join(rows) + "\n")
-    _write_text(out / "trajectory.svg", emit_svg(reduced, COMPARTMENTS))
+    atomic_write(out / "trajectory.csv", "\n".join(rows) + "\n")
+    atomic_write(out / "trajectory.svg", emit_svg(reduced, COMPARTMENTS))
     final = reduced.final
     print(f"integrated {horizon:.8g} years, {traj.stats['accepted']} steps")
     print(f"N({horizon:.8g}) = {final.sum():.8g}")
@@ -453,7 +446,7 @@ def _cmd_sweep(args) -> int:
                     f"{numbers.r0:.8g}")
     out = _out_dir(args, cfg)
     path = out / args.report
-    _write_text(path, "\n".join(rows) + "\n")
+    atomic_write(path, "\n".join(rows) + "\n")
     print(f"wrote {path}")
     return 0
 

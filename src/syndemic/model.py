@@ -13,7 +13,7 @@ All right-hand sides are pure functions returning fresh arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -153,6 +153,27 @@ def full_rhs(state, params: Parameters,
     ])
 
 
+def infection_maps(params: Parameters) -> Tuple[np.ndarray, ...]:
+    """Coefficient maps and weights of the two infection pressures.
+
+    Returns (CT, CH, w_T, w_H): CT y and CH y are the derivatives of
+    ``full_rhs`` with respect to lambdaT and lambdaH, and lambda = beta (w . y)
+    / N for each pressure.
+    """
+    p = params
+    ct = np.zeros((10, 10))           # d(rhs) / d(lambdaT), as a map of y
+    ct[0, 0], ct[1, 0], ct[1, 3], ct[3, 3] = -1.0, 1.0, p.beta1p, -p.beta1p
+    ct[4, 4], ct[7, 4] = -p.psi, p.psi
+    ct[6, 8], ct[8, 8] = p.beta2p, -p.beta2p
+    ch = np.zeros((10, 10))           # d(rhs) / d(lambdaH), as a map of y
+    ch[0, 0], ch[4, 0] = -1.0, 1.0
+    ch[2, 2], ch[7, 2] = -p.delta, p.delta
+    ch[3, 3], ch[4, 3] = -1.0, 1.0
+    w_t = np.array([0, 0, 1, 0, 0, 0, 0, 1, 0, 1], dtype=float)
+    w_h = np.array([0, 0, 0, 0, 1, p.eta, 1, 1, 1, p.eta])
+    return ct, ch, w_t, w_h
+
+
 def full_jacobian(state, params: Parameters,
                   n_ref: Optional[float] = None) -> np.ndarray:
     """Exact 10x10 Jacobian of ``full_rhs`` at the given state.
@@ -183,16 +204,7 @@ def full_jacobian(state, params: Parameters,
     if p.beta1 == 0.0 and p.beta2 == 0.0:
         return lin
     n = _denominator(y, n_ref)
-    ct = np.zeros((10, 10))           # d(rhs) / d(lambdaT), as a map of y
-    ct[0, 0], ct[1, 0], ct[1, 3], ct[3, 3] = -1.0, 1.0, p.beta1p, -p.beta1p
-    ct[4, 4], ct[7, 4] = -p.psi, p.psi
-    ct[6, 8], ct[8, 8] = p.beta2p, -p.beta2p
-    ch = np.zeros((10, 10))           # d(rhs) / d(lambdaH), as a map of y
-    ch[0, 0], ch[4, 0] = -1.0, 1.0
-    ch[2, 2], ch[7, 2] = -p.delta, p.delta
-    ch[3, 3], ch[4, 3] = -1.0, 1.0
-    w_t = np.array([0, 0, 1, 0, 0, 0, 0, 1, 0, 1], dtype=float)
-    w_h = np.array([0, 0, 0, 0, 1, p.eta, 1, 1, 1, p.eta])
+    ct, ch, w_t, w_h = infection_maps(p)
     lam_t = p.beta1 * float(w_t @ y) / n
     lam_h = p.beta2 * float(w_h @ y) / n
     grad_t = p.beta1 * w_t / n

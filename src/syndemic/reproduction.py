@@ -1,4 +1,6 @@
-"""Reproduction numbers, by closed form and by a next-generation matrix.
+"""Reproduction numbers: the hand-written closed forms R1 and R2, and the
+next-generation matrix (van den Driessche & Watmough 2002), built in closed
+form from the infection maps and the Jacobian of the model module.
 
 The closed forms carry an explicit reference-population argument because the
 published benchmark values mix two conventions: the table sweeps use the
@@ -13,8 +15,8 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .model import (DomainError, INFECTED_INDICES, Parameters,
-                    force_of_infection, full_rhs)
-from .stability import eigenvalues, fd_jacobian
+                    full_jacobian, infection_maps)
+from .stability import eigenvalues
 
 
 class ReproductionNumbers(NamedTuple):
@@ -72,49 +74,31 @@ class NextGenDecomposition:
     rho: float
 
 
-def _infection_gains(y: np.ndarray, params: Parameters) -> np.ndarray:
-    """New-infection inflow for each compartment (zero outside infected).
-
-    Counted as new infections: both routes out of S and the reinfection
-    routes out of the recovered classes, plus the two cross-infections of
-    already singly-infected people. Progression, treatment, and death flows
-    are transitions.
-    """
-    lam = force_of_infection(y, params)
-    g = np.zeros(10)
-    g[1] = lam.lambdaT * y[0] + params.beta1p * lam.lambdaT * y[3]
-    g[4] = lam.lambdaH * (y[0] + y[3])
-    g[6] = params.beta2p * lam.lambdaT * y[8]
-    g[7] = params.delta * lam.lambdaH * y[2] + params.psi * lam.lambdaT * y[4]
-    return g
-
-
 def ngm_decomposition(params: Parameters) -> NextGenDecomposition:
-    """Next-generation matrices at the disease-free state.
+    """Next-generation matrices at the disease-free state, in closed form.
 
-    F and V are the derivatives of the new-infection and transition parts of
-    the infected block, by central finite differences over the 8 infected
-    coordinates. rho must reproduce max(r1, r2) at the disease-free
-    population scale; the test suite enforces that agreement.
+    There both pressures vanish, so new infections enter only through their
+    gradients beta w / N (N = Lambda / mu): on the infected block,
+    F = (CT y) (beta1 w_T / N)^T + (CH y) (beta2 w_H / N)^T, from the same
+    infection maps as model.full_jacobian, and the transitions are the rest
+    of that Jacobian block, V = F - J. rho reproduces max(r1, r2) at the
+    disease-free scale; the tests check that, and F and V against finite
+    differences of a flow-list reading of the model.
     """
-    idx = np.array(INFECTED_INDICES)
+    p = params
+    idx = np.ix_(INFECTED_INDICES, INFECTED_INDICES)
+    n = p.Lambda / p.mu
     dfe = np.zeros(10)
-    dfe[0] = params.Lambda / params.mu
-
-    def embed(z: np.ndarray) -> np.ndarray:
-        y = dfe.copy()
-        y[idx] = z
-        return y
-
-    gains = fd_jacobian(lambda z: _infection_gains(embed(z), params)[idx],
-                        dfe[idx])
-    jac_inf = fd_jacobian(lambda z: full_rhs(embed(z), params)[idx], dfe[idx])
-    f_mat = gains
-    v_mat = gains - jac_inf
+    dfe[0] = n
+    ct, ch, w_t, w_h = infection_maps(p)
+    gains = (np.outer(ct @ dfe, p.beta1 * w_t / n)
+             + np.outer(ch @ dfe, p.beta2 * w_h / n))
+    f_mat = gains[idx]
+    v_mat = f_mat - full_jacobian(dfe, p)[idx]
     try:
         k_mat = f_mat @ np.linalg.inv(v_mat)
     except np.linalg.LinAlgError as exc:
         raise DomainError("transition matrix is singular") from exc
-    return NextGenDecomposition(infected_indices=tuple(int(i) for i in idx),
+    return NextGenDecomposition(infected_indices=INFECTED_INDICES,
                                 F=f_mat, V=v_mat,
                                 rho=spectral_radius(k_mat))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
 import os
 import tempfile
@@ -466,19 +467,27 @@ def _first_crossing(with_traj: Trajectory, without_traj: Trajectory,
     return math.inf
 
 
-def _atomic_write(path: Path, rows: Sequence[Sequence], header: Sequence[str]) -> None:
+def atomic_write(path: Path, text: str) -> None:
+    """Write text to path through a temporary file in the same directory,
+    renamed over the target; on any failure the temporary file is removed."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _format(x: float) -> str:
@@ -504,7 +513,8 @@ def write_scenario_csv(result: ScenarioResult, out_dir) -> List[Path]:
         rows = [[_format(t)] + [_format(v) for v in y] + [_format(y.sum())]
                 for t, y in pairs]
         path = out / f"{result.spec.name}__{key}.csv"
-        _atomic_write(path, rows, ["time_years", *COMPARTMENTS, "total"])
+        atomic_write(path, _csv_text(["time_years", *COMPARTMENTS, "total"],
+                                     rows))
         written.append(path)
     summary_rows = [[a.name, _format(a.expected), _format(a.actual),
                      _format(a.tolerance), a.status]
@@ -512,7 +522,7 @@ def write_scenario_csv(result: ScenarioResult, out_dir) -> List[Path]:
     for name, value in result.comparisons.items():
         summary_rows.append([name, "", _format(value), "", "info"])
     path = out / f"{result.spec.name}__summary.csv"
-    _atomic_write(path, summary_rows,
-                  ["name", "expected", "actual", "tolerance", "status"])
+    atomic_write(path, _csv_text(["name", "expected", "actual", "tolerance",
+                                  "status"], summary_rows))
     written.append(path)
     return written

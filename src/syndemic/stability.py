@@ -3,9 +3,9 @@ bifurcation analysis of the HIV-only submodel.
 
 The linearization of the full model is the closed-form Jacobian of
 model.full_jacobian. Central finite differences with one Richardson
-extrapolation level remain as the independent route: the bifurcation
-analysis requires its hand-coded 3x3 submodel linearization and
-closed-form coefficients to agree with them.
+extrapolation level (fd_jacobian) are only the independent route of the
+bifurcation analysis, which requires its hand-coded 3x3 linearization and
+closed-form coefficients to agree with them, and of the tests.
 """
 from __future__ import annotations
 
@@ -68,8 +68,8 @@ def eigenvalues(m) -> List[complex]:
     is verified by a minimum-singular-value residual check.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("matrix must be square")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DomainError("matrix must be square and non-empty")
     if a.shape[0] > 16:
         raise DomainError("matrix dimension capped at 16")
     if not np.all(np.isfinite(a)):
@@ -77,10 +77,9 @@ def eigenvalues(m) -> List[complex]:
     vals = np.linalg.eigvals(a)
     scale = max(float(np.linalg.norm(a, 2)), 1.0)
     eye = np.eye(a.shape[0])
-    for lam in vals:
-        smin = float(np.linalg.svd(a - lam * eye, compute_uv=False)[-1])
-        if smin > 1e-7 * scale:
-            raise ConvergenceError("eigenvalue failed the residual check")
+    smin = np.linalg.svd(a - vals[:, None, None] * eye, compute_uv=False)[:, -1]
+    if np.any(smin > 1e-7 * scale):
+        raise ConvergenceError("eigenvalue failed the residual check")
     order = np.lexsort((-vals.imag, -vals.real))
     return [complex(v) for v in vals[order]]
 
@@ -216,10 +215,10 @@ def bifurcation_analysis(params: Parameters) -> BifurcationReport:
     second = (4.0 * second_diff(h / 2.0) - second_diff(h)) / 3.0
     a_fd = float(v @ second)
     kappa = 1e-5
-    jp = fd_jacobian(lambda y: hiv_submodel_rhs(
-        y, dataclasses.replace(p, beta2=bstar + kappa)), dfe3)
-    jm = fd_jacobian(lambda y: hiv_submodel_rhs(
-        y, dataclasses.replace(p, beta2=bstar - kappa)), dfe3)
+    p_plus = dataclasses.replace(p, beta2=bstar + kappa)
+    p_minus = dataclasses.replace(p, beta2=bstar - kappa)
+    jp = fd_jacobian(lambda y: hiv_submodel_rhs(y, p_plus), dfe3)
+    jm = fd_jacobian(lambda y: hiv_submodel_rhs(y, p_minus), dfe3)
     b_fd = float(v @ ((jp - jm) / (2.0 * kappa)) @ w)
 
     for closed, fd, name in ((a, a_fd, "a"), (b, b_fd, "b")):

@@ -1,6 +1,8 @@
 """Shared fixtures. The scenario runners integrate for hundreds of model
 years, so each one executes once per session and is reused by the unit
 tests and the acceptance gate alike."""
+import sys
+
 import pytest
 
 from syndemic.scenarios import (run_dfe_stability, run_syndemic_stability,
@@ -45,3 +47,23 @@ def treatment_aids_on():
 @pytest.fixture(scope="session")
 def treatment_coinfection_off():
     return run_treatment_impact(family="coinfection", deaths="off")
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Wrap a package function with a call counter, in every module that
+    bound it by name, and return the list the calls append to."""
+    def install(module, name):
+        original = getattr(module, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if (modname.partition(".")[0] == "syndemic"
+                    and getattr(mod, name, None) is original):
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+    return install

@@ -1,4 +1,6 @@
 """Command-line surface: config parsing, subcommands, exit codes, SVG."""
+import os
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,23 @@ def test_sweep_writes_report(tmp_path, capsys):
     assert rows[0] == "beta1,r1,r2,r0"
     assert len(rows) == 4
     assert float(rows[1].split(",")[1]) == pytest.approx(0.99788, abs=1e-4)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--param", "beta1", "--values", "4.3,6"],
+    ["simulate", "--horizon", "1"],
+    ["scenario", "--name", "table2"],
+])
+def test_failed_write_leaves_no_temporary_file(argv, tmp_path, monkeypatch,
+                                               capsys):
+    def fail(src, dst):
+        raise OSError(f"cannot rename {src} to {dst}")
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert main(argv + ["--beta1", "6", "--beta2", "0.1",
+                        "--out", str(tmp_path)]) == 2
+    assert "error: cannot rename" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_rejects_unknown_parameter(tmp_path, capsys):

@@ -4,11 +4,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+import syndemic.model
+import syndemic.stability
 from syndemic.model import (DomainError, INFECTED_INDICES, Parameters,
+                            force_of_infection, full_rhs,
                             validate_parameters)
 from syndemic.reproduction import (ngm_decomposition, r0, r1_closed,
                                    r2_closed, spectral_radius)
-from syndemic.stability import jacobian
+from syndemic.stability import fd_jacobian
 
 S0 = 714.0 / (1.0 / 70.0)
 
@@ -79,7 +82,16 @@ def test_ngm_matches_closed_forms_on_reference_sets(beta1, beta2):
     p = Parameters(beta1=beta1, beta2=beta2)
     decomp = ngm_decomposition(p)
     expected = r0(p).r0
-    assert decomp.rho == pytest.approx(expected, rel=1e-8)
+    assert decomp.rho == pytest.approx(expected, rel=1e-12)
+
+
+def test_ngm_matches_closed_forms_on_transmission_grid():
+    # The (beta1, beta2) grid of the threshold-analysis benchmark workload.
+    for beta1 in np.geomspace(0.5, 50.0, 20):
+        for beta2 in np.geomspace(0.005, 0.5, 20):
+            p = Parameters(beta1=float(beta1), beta2=float(beta2))
+            assert ngm_decomposition(p).rho == pytest.approx(r0(p).r0,
+                                                             rel=1e-12)
 
 
 def _random_parameters(rng):
@@ -99,13 +111,16 @@ def _random_parameters(rng):
         **draw)
 
 
-def test_ngm_matches_closed_forms_on_random_draws():
+def _random_draws():
     rng = np.random.default_rng(31415)
-    for _ in range(20):
-        p = _random_parameters(rng)
+    return [_random_parameters(rng) for _ in range(20)]
+
+
+def test_ngm_matches_closed_forms_on_random_draws():
+    for p in _random_draws():
         assert validate_parameters(p) == []
         decomp = ngm_decomposition(p)
-        assert decomp.rho == pytest.approx(r0(p).r0, rel=1e-6)
+        assert decomp.rho == pytest.approx(r0(p).r0, rel=1e-12)
 
 
 def test_decomposition_sign_structure():
@@ -118,15 +133,68 @@ def test_decomposition_sign_structure():
     assert np.min(np.diag(decomp.V)) > 0.0
 
 
-def test_decomposition_reproduces_infected_jacobian_block():
-    p = Parameters(beta1=6.0, beta2=0.1)
-    decomp = ngm_decomposition(p)
-    dfe = np.zeros(10)
-    dfe[0] = S0
-    full = jacobian(dfe, p)
+# Independent route: the new-infection flows read off the equations as a
+# flow list, and both matrices differentiated numerically.
+
+def _infection_gains(y, params):
+    """New-infection inflow for each compartment (zero outside infected).
+
+    Counted as new infections: both routes out of S and the reinfection
+    routes out of the recovered classes, plus the two cross-infections of
+    already singly-infected people. Progression, treatment, and death flows
+    are transitions.
+    """
+    lam = force_of_infection(y, params)
+    g = np.zeros(10)
+    g[1] = lam.lambdaT * y[0] + params.beta1p * lam.lambdaT * y[3]
+    g[4] = lam.lambdaH * (y[0] + y[3])
+    g[6] = params.beta2p * lam.lambdaT * y[8]
+    g[7] = params.delta * lam.lambdaH * y[2] + params.psi * lam.lambdaT * y[4]
+    return g
+
+
+def _infected_block_derivative(fun, params):
     idx = list(INFECTED_INDICES)
-    block = full[np.ix_(idx, idx)]
-    assert np.max(np.abs((decomp.F - decomp.V) - block)) < 1e-6
+    dfe = np.zeros(10)
+    dfe[0] = params.Lambda / params.mu
+
+    def embed(z):
+        y = dfe.copy()
+        y[idx] = z
+        return y
+
+    return fd_jacobian(lambda z: fun(embed(z), params)[idx], dfe[idx])
+
+
+CROSS_CHECK_SETS = ([Parameters(beta1=b1, beta2=b2) for b1, b2 in PAIRED_SETS]
+                    + _random_draws())
+
+
+def test_new_infection_matrix_matches_flow_list_differences():
+    for p in CROSS_CHECK_SETS:
+        f_mat = ngm_decomposition(p).F
+        numeric = _infected_block_derivative(_infection_gains, p)
+        assert np.max(np.abs(f_mat - numeric)) <= 1e-6 * np.max(np.abs(f_mat))
+
+
+def test_decomposition_reproduces_infected_jacobian_block():
+    for p in CROSS_CHECK_SETS:
+        decomp = ngm_decomposition(p)
+        numeric = _infected_block_derivative(full_rhs, p)
+        assert (np.max(np.abs((decomp.F - decomp.V) - numeric))
+                <= 1e-6 * np.max(np.abs(decomp.F)))
+
+
+def test_decomposition_needs_no_differences_or_rhs_calls(count_calls):
+    fd_calls = count_calls(syndemic.stability, "fd_jacobian")
+    rhs_calls = count_calls(syndemic.model, "full_rhs")
+    ngm_decomposition(Parameters(beta1=6.0, beta2=0.1))
+    assert (len(fd_calls), len(rhs_calls)) == (0, 0)
+    # the counters do see calls made through the package
+    syndemic.stability.fd_jacobian(
+        lambda y: syndemic.model.full_rhs(y, Parameters(beta1=6.0, beta2=0.1)),
+        np.full(10, 1000.0))
+    assert len(fd_calls) == 1 and len(rhs_calls) == 41
 
 
 @pytest.mark.parametrize("matrix,expected", [

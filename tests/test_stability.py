@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import syndemic.stability
 from syndemic.model import (DomainError, Parameters, full_rhs,
                             hiv_submodel_rhs)
 from syndemic.reproduction import r2_closed
@@ -21,6 +22,10 @@ SUPER = Parameters(beta1=6.0, beta2=0.1)
 BETA_STAR = 0.05444651061036972
 COEFF_A = -1.718695316540857e-05
 COEFF_B = 1.0598768702103896
+# The finite-difference route's values, pinned bit for bit: each depends on
+# the exact probes and steps, so any change to that route shows here.
+COEFF_A_FD = -1.7186953165400488e-05
+COEFF_B_FD = 1.05987687020947
 
 
 def _dfe():
@@ -81,7 +86,24 @@ def test_eigenvalues_input_guards():
     with pytest.raises(DomainError):
         eigenvalues(np.ones((2, 3)))
     with pytest.raises(DomainError):
+        eigenvalues(np.zeros((0, 0)))
+    with pytest.raises(DomainError):
         eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("position", [0, -1])
+def test_eigenvalue_failing_residual_check_raises(position, monkeypatch):
+    m = jacobian(_dfe(), SUPER)
+    true_eigvals = np.linalg.eigvals
+
+    def one_value_off(a):
+        vals = true_eigvals(a).astype(complex)
+        vals[position] += 1e-3 * np.linalg.norm(a, 2)
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvals", one_value_off)
+    with pytest.raises(ConvergenceError, match="residual check"):
+        eigenvalues(m)
 
 
 def test_eigenvalue_residuals_on_random_matrices():
@@ -189,6 +211,25 @@ def test_threshold_analysis_frozen_values():
     assert rep.w[2] == pytest.approx(1.0)
     assert abs(rep.a - rep.a_fd) <= 1e-6 * abs(rep.a)
     assert abs(rep.b - rep.b_fd) <= 1e-6 * abs(rep.b)
+
+
+@pytest.mark.parametrize("beta1,beta2", [(6.0, 0.1), (2.7, 0.03),
+                                         (13.0, 0.06), (4.3, 0.1),
+                                         (50.0, 0.1)])
+def test_threshold_analysis_difference_route_is_pinned(beta1, beta2):
+    # beta2 is replaced by the threshold rate and TB plays no part, so every
+    # row gives the same coefficients.
+    rep = bifurcation_analysis(Parameters(beta1=beta1, beta2=beta2))
+    assert (rep.a, rep.b) == (COEFF_A, COEFF_B)
+    assert (rep.a_fd, rep.b_fd) == (COEFF_A_FD, COEFF_B_FD)
+
+
+def test_threshold_analysis_difference_route_probe_count(count_calls):
+    # 6 probes along w for the second derivative, and two 3-coordinate
+    # Richardson Jacobians of 13 probes each for the beta2 derivative.
+    probes = count_calls(syndemic.stability, "hiv_submodel_rhs")
+    bifurcation_analysis(SUPER)
+    assert len(probes) == 32
 
 
 def test_threshold_analysis_random_draws_agree_with_differences():

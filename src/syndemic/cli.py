@@ -24,10 +24,8 @@ from .equilibria import (disease_free, hiv_free, syndemic, tb_free_numeric)
 from .model import (COMPARTMENTS, PARAMETER_FIELDS, Parameters, full_rhs,
                     validate_parameters)
 from .reproduction import ngm_decomposition, r0
-from .scenarios import (INITIAL_FRACTIONS, INITIAL_POPULATION,
-                        run_dfe_stability, run_syndemic_stability,
-                        atomic_write, run_table2, run_table3,
-                        run_treatment_impact, write_scenario_csv)
+from .scenarios import (INITIAL_FRACTIONS, INITIAL_POPULATION, SCENARIOS,
+                        atomic_write, write_scenario_csv)
 from .stability import (ConvergenceError, bifurcation_analysis, classify,
                         eigenvalues, jacobian)
 
@@ -187,7 +185,12 @@ def _number(token: str, lineno: int) -> float:
 
 
 def format_config(cfg: RunConfig) -> str:
-    """Serialize a RunConfig; parse_config(format_config(c)) == c."""
+    """Serialize a RunConfig; parse_config(format_config(c)) == c.
+
+    A string option (n_ref, out) that the line format cannot hold, because
+    it contains ``#`` or a line break or has surrounding whitespace, is a
+    ConfigError rather than a file that reads back differently.
+    """
     lines: List[str] = []
     for key in sorted(cfg.assignments):
         lines.append(f"{key} = {cfg.assignments[key]!r}")
@@ -199,9 +202,14 @@ def format_config(cfg: RunConfig) -> str:
     defaults = RunConfig()
     for key in _OPTION_KEYS:
         value = getattr(cfg, key)
-        if value != getattr(defaults, key):
-            lines.append(f"{key} = {value!r}" if isinstance(value, float)
-                         else f"{key} = {value}")
+        if value == getattr(defaults, key):
+            continue
+        if isinstance(value, str) and ("#" in value or value != value.strip()
+                                       or len(value.splitlines()) > 1):
+            raise ConfigError(f"{key} {value!r} cannot be written to a "
+                              "config line")
+        lines.append(f"{key} = {value!r}" if isinstance(value, float)
+                     else f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -365,9 +373,9 @@ def _cmd_equilibrium(args) -> int:
         report = hiv_free(params, n_ref=n_ref)
     else:
         report = syndemic(params, cfg.initial_state(), n_ref=n_ref)
-    print("kind," + ",".join(COMPARTMENTS) + ",residual,converged")
+    print("kind," + ",".join(COMPARTMENTS) + ",residual")
     print(",".join([report.kind] + [f"{v:.8g}" for v in report.state]
-                   + [f"{report.residual:.8g}", str(report.converged).lower()]))
+                   + [f"{report.residual:.8g}"]))
     return 0
 
 
@@ -404,19 +412,7 @@ def _cmd_scenario(args) -> int:
     explicit = (getattr(args, "config", None) or args.beta1 is not None
                 or args.beta2 is not None)
     params = cfg.parameters() if explicit else None
-    name = args.name
-    if name == "table2":
-        result = run_table2(params)
-    elif name == "table3":
-        result = run_table3(params)
-    elif name == "dfe-stability":
-        result = run_dfe_stability(params)
-    elif name == "syndemic-stability":
-        result = run_syndemic_stability(params)
-    else:
-        family = name[len("treatment-"):]
-        result = run_treatment_impact(params, family=family,
-                                      deaths=args.deaths)
+    result = SCENARIOS[args.name](params, args.deaths)
     out = _out_dir(args, cfg)
     files = write_scenario_csv(result, out)
     for record in result.assertions:
@@ -491,10 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scenario", help="run a canned experiment")
     common(sp)
-    sp.add_argument("--name", required=True,
-                    choices=["table2", "table3", "dfe-stability",
-                             "syndemic-stability", "treatment-tb",
-                             "treatment-aids", "treatment-coinfection"])
+    sp.add_argument("--name", required=True, choices=list(SCENARIOS))
     sp.add_argument("--deaths", choices=["on", "off"], default="on",
                     help="disease-induced death switch for treatment runs")
     sp.add_argument("--out", help="output directory")

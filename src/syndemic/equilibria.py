@@ -15,9 +15,10 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .model import (DomainError, HIV_INFECTED_INDICES, Parameters,
-                    TB_INFECTED_INDICES, full_jacobian, full_rhs,
-                    total_population)
+from .model import (_HIV_SUB_INDICES, _TB_SUB_INDICES, DomainError,
+                    HIV_INFECTED_INDICES, Parameters, TB_INFECTED_INDICES,
+                    full_jacobian, full_rhs, hiv_submodel_rhs,
+                    tb_submodel_rhs, total_population)
 from .reproduction import ReproductionNumbers, r0, r1_closed, r2_closed
 from .stability import DEFAULT_TOL_EIG, ConvergenceError
 
@@ -42,7 +43,6 @@ class EquilibriumReport:
     residual: float               # ||rhs|| / N, 1/year
     repro: ReproductionNumbers
     exists: bool
-    converged: bool
     n_ref: Optional[float] = None
     # numeric solves only: steps, rejected, jacobian_builds, locally_stable
     stats: dict = field(default_factory=dict)
@@ -126,7 +126,7 @@ def disease_free(params: Parameters) -> EquilibriumReport:
     state = _embed(params.Lambda / params.mu, [0])
     return EquilibriumReport(kind="disease-free", state=state,
                              residual=residual(state, params),
-                             repro=r0(params), exists=True, converged=True)
+                             repro=r0(params), exists=True)
 
 
 class TbFreeClosedForm(NamedTuple):
@@ -161,16 +161,16 @@ def _embed(values: np.ndarray, indices) -> np.ndarray:
 
 
 def _submodel_equilibrium(params: Parameters, n_ref: Optional[float],
-                          indices, threshold, seed_fractions
+                          sub_rhs, indices, threshold, seed_fractions
                           ) -> EquilibriumReport:
-    # The model restricted to the compartments in indices, all others zero;
-    # its Jacobian is the matching slice of the full one.
+    # sub_rhs is the model restricted to the compartments in indices, all
+    # others zero; its Jacobian is the matching slice of the full one.
     s0 = params.Lambda / params.mu
     state, stats = _embed(s0, [0]), {}
     if threshold(params, n_ref) > 1.0:
         cols = np.ix_(indices, indices)
         sol, stats = _ptc(
-            lambda y: full_rhs(_embed(y, indices), params, n_ref)[indices],
+            lambda y: sub_rhs(y, params, n_ref),
             lambda y: full_jacobian(_embed(y, indices), params, n_ref)[cols],
             np.asarray(seed_fractions) * s0)
         state = _embed(sol, indices)
@@ -178,8 +178,8 @@ def _submodel_equilibrium(params: Parameters, n_ref: Optional[float],
     return EquilibriumReport(kind=kind, state=state,
                              residual=residual(state, params, n_ref),
                              repro=r0(params, n_ref),
-                             exists=kind != "disease-free", converged=True,
-                             n_ref=n_ref, stats=stats)
+                             exists=kind != "disease-free", n_ref=n_ref,
+                             stats=stats)
 
 
 def tb_free_numeric(params: Parameters,
@@ -188,7 +188,8 @@ def tb_free_numeric(params: Parameters,
     a full 10-state with zeros elsewhere. Subthreshold transmission (R2 <= 1)
     returns the disease-free state without iterating.
     """
-    return _submodel_equilibrium(params, n_ref, [0, 4, 5], r2_closed,
+    return _submodel_equilibrium(params, n_ref, hiv_submodel_rhs,
+                                 _HIV_SUB_INDICES, r2_closed,
                                  (0.95, 0.04, 0.01))
 
 
@@ -196,7 +197,8 @@ def hiv_free(params: Parameters,
              n_ref: Optional[float] = None) -> EquilibriumReport:
     """TB-only equilibrium of the 4-compartment submodel; as tb_free_numeric,
     gated on the TB reproduction number."""
-    return _submodel_equilibrium(params, n_ref, [0, 1, 2, 3], r1_closed,
+    return _submodel_equilibrium(params, n_ref, tb_submodel_rhs,
+                                 _TB_SUB_INDICES, r1_closed,
                                  (0.90, 0.07, 0.02, 0.01))
 
 
@@ -223,4 +225,4 @@ def syndemic(params: Parameters, seed,
     return EquilibriumReport(kind=kind, state=sol,
                              residual=residual(sol, params, n_ref),
                              repro=r0(params, n_ref), exists=kind == "syndemic",
-                             converged=True, n_ref=n_ref, stats=stats)
+                             n_ref=n_ref, stats=stats)

@@ -8,12 +8,16 @@ AIDS with active TB). Two per-capita infection pressures couple everything:
 a TB pressure driven by the active-TB classes and an HIV pressure driven by
 the HIV-positive classes, AIDS classes weighted up by a modifier.
 
-All right-hand sides are pure functions returning fresh arrays.
+The model is written once, as the flow list _FLOWS. flow_matrices turns it
+into the matrices that the right-hand side, its Jacobian, the infection
+pressures and the next-generation matrices all read. All right-hand sides
+are pure functions returning fresh arrays.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -107,20 +111,74 @@ def _denominator(y: np.ndarray, n_ref: Optional[float]) -> float:
     return n
 
 
+S, LT, IT, RT, IH, A, LTH, ITH, RTH, AT = range(N_COMPARTMENTS)
+
+# Every flow of the model, each written once: (map, source, target, rate). A
+# flow leaves its source at the per-capita rate and enters its target, or
+# leaves the population when the target is None. Map 0 holds the linear
+# flows A; maps 1 and 2 hold CT and CH, whose flows run at the pressure
+# lambdaT or lambdaH times the rate. A rate is a Parameters field or 1.
+_FLOWS = (
+    (1, S, LT, 1.0), (2, S, IH, 1.0), (0, S, None, "mu"),
+    (0, LT, IT, "k1"), (0, LT, RT, "tau1"), (0, LT, None, "mu"),
+    (0, IT, RT, "tau2"), (0, IT, None, "dT"), (0, IT, None, "mu"),
+    (2, IT, ITH, "delta"),
+    (1, RT, LT, "beta1p"), (2, RT, IH, 1.0), (0, RT, None, "mu"),
+    (0, IH, A, "rho1"), (1, IH, ITH, "psi"), (0, IH, None, "mu"),
+    (0, A, IH, "alpha1"), (0, A, None, "mu"), (0, A, None, "dA"),
+    (0, LTH, ITH, "k2"), (0, LTH, RTH, "tau4"), (0, LTH, None, "mu"),
+    (0, ITH, RTH, "tau3"), (0, ITH, AT, "rho2"), (0, ITH, None, "mu"),
+    (0, ITH, None, "dT"),
+    (1, RTH, LTH, "beta2p"), (0, RTH, AT, "rho3"), (0, RTH, None, "mu"),
+    (0, AT, ITH, "alpha2"), (0, AT, None, "mu"), (0, AT, None, "dTA"),
+)
+
+
+def _incidence() -> np.ndarray:
+    # row i: flow i at rate 1, as the flattened (3, 10, 10) maps
+    m = np.zeros((len(_FLOWS), 3, N_COMPARTMENTS, N_COMPARTMENTS))
+    for i, (k, source, target, _) in enumerate(_FLOWS):
+        m[i, k, source, source] = -1.0
+        if target is not None:
+            m[i, k, target, source] = 1.0
+    return m.reshape(len(_FLOWS), -1)
+
+
+_INCIDENCE = _incidence()
+
+
+@functools.lru_cache(maxsize=64)
+def flow_matrices(params: Parameters):
+    """The model as matrices (b, maps, weights), with
+    f(y) = b + A y + lambdaT CT y + lambdaH CH y, maps = (A, CT, CH) built
+    from _FLOWS, and (lambdaT, lambdaH) = weights @ y / N: lambdaT weighs the
+    active-TB classes by beta1, lambdaH every HIV-positive class by beta2,
+    the AIDS classes by eta times that. Cached per Parameters and read-only,
+    so callers copy before handing an array out.
+    """
+    p = params
+    values = vars(p)
+    rates = np.array([values.get(rate, rate) for _, _, _, rate in _FLOWS])
+    maps = (rates @ _INCIDENCE).reshape(3, N_COMPARTMENTS, N_COMPARTMENTS)
+    b = np.zeros(N_COMPARTMENTS)
+    b[S] = p.Lambda
+    b1, b2, b2a = p.beta1, p.beta2, p.beta2 * p.eta
+    weights = np.array([[0.0, 0.0, b1, 0.0, 0.0, 0.0, 0.0, b1, 0.0, b1],
+                        [0.0, 0.0, 0.0, 0.0, b2, b2a, b2, b2, b2, b2a]])
+    for array in (b, maps, weights):
+        array.setflags(write=False)
+    return b, maps, weights
+
+
 def force_of_infection(state, params: Parameters,
                        n_ref: Optional[float] = None) -> ForceOfInfection:
-    """Evaluate the TB and HIV infection pressures at the given state.
-
-    lambdaT weighs the active-TB classes; lambdaH weighs every HIV-positive
-    class, with the AIDS classes scaled by eta. Both are divided by the
-    instantaneous total population, or by ``n_ref`` when given.
-    """
+    """Evaluate the TB and HIV infection pressures at the given state: the
+    weights of ``flow_matrices`` applied to it, divided by the instantaneous
+    total population, or by ``n_ref`` when given."""
     y = _as_state(state)
-    n = _denominator(y, n_ref)
-    s, lt, it, rt, ih, a, lth, ith, rth, at = y
-    lam_t = params.beta1 * (it + ith + at) / n
-    lam_h = params.beta2 * (ih + ith + lth + rth + params.eta * (a + at)) / n
-    return ForceOfInfection(lam_t, lam_h)
+    _, _, weights = flow_matrices(params)
+    lam = weights @ y / _denominator(y, n_ref)
+    return ForceOfInfection(float(lam[0]), float(lam[1]))
 
 
 def full_rhs(state, params: Parameters,
@@ -132,88 +190,35 @@ def full_rhs(state, params: Parameters,
     test suite checks to machine precision.
     """
     y = _as_state(state)
-    p = params
-    if p.beta1 == 0.0 and p.beta2 == 0.0:
-        lam_t = lam_h = 0.0
-    else:
-        lam_t, lam_h = force_of_infection(y, p, n_ref)
-    s, lt, it, rt, ih, a, lth, ith, rth, at = y
-    return np.array([
-        p.Lambda - (lam_t + lam_h + p.mu) * s,
-        lam_t * s + p.beta1p * lam_t * rt - (p.k1 + p.tau1 + p.mu) * lt,
-        p.k1 * lt - (p.tau2 + p.dT + p.mu + p.delta * lam_h) * it,
-        p.tau1 * lt + p.tau2 * it - (p.beta1p * lam_t + lam_h + p.mu) * rt,
-        lam_h * s + lam_h * rt - (p.rho1 + p.psi * lam_t + p.mu) * ih + p.alpha1 * a,
-        p.rho1 * ih - (p.alpha1 + p.mu + p.dA) * a,
-        p.beta2p * lam_t * rth - (p.k2 + p.tau4 + p.mu) * lth,
-        p.delta * lam_h * it + p.psi * lam_t * ih + p.alpha2 * at + p.k2 * lth
-        - (p.tau3 + p.rho2 + p.mu + p.dT) * ith,
-        p.tau3 * ith + p.tau4 * lth - (p.beta2p * lam_t + p.rho3 + p.mu) * rth,
-        p.rho2 * ith + p.rho3 * rth - (p.alpha2 + p.mu + p.dTA) * at,
-    ])
-
-
-def infection_maps(params: Parameters) -> Tuple[np.ndarray, ...]:
-    """Coefficient maps and weights of the two infection pressures.
-
-    Returns (CT, CH, w_T, w_H): CT y and CH y are the derivatives of
-    ``full_rhs`` with respect to lambdaT and lambdaH, and lambda = beta (w . y)
-    / N for each pressure.
-    """
-    p = params
-    ct = np.zeros((10, 10))           # d(rhs) / d(lambdaT), as a map of y
-    ct[0, 0], ct[1, 0], ct[1, 3], ct[3, 3] = -1.0, 1.0, p.beta1p, -p.beta1p
-    ct[4, 4], ct[7, 4] = -p.psi, p.psi
-    ct[6, 8], ct[8, 8] = p.beta2p, -p.beta2p
-    ch = np.zeros((10, 10))           # d(rhs) / d(lambdaH), as a map of y
-    ch[0, 0], ch[4, 0] = -1.0, 1.0
-    ch[2, 2], ch[7, 2] = -p.delta, p.delta
-    ch[3, 3], ch[4, 3] = -1.0, 1.0
-    w_t = np.array([0, 0, 1, 0, 0, 0, 0, 1, 0, 1], dtype=float)
-    w_h = np.array([0, 0, 0, 0, 1, p.eta, 1, 1, 1, p.eta])
-    return ct, ch, w_t, w_h
+    b, maps, weights = flow_matrices(params)
+    if params.beta1 == 0.0 and params.beta2 == 0.0:
+        return b + maps[0] @ y
+    lam = weights @ y / _denominator(y, n_ref)
+    z = maps @ y
+    return b + z[0] + lam @ z[1:]
 
 
 def full_jacobian(state, params: Parameters,
                   n_ref: Optional[float] = None) -> np.ndarray:
     """Exact 10x10 Jacobian of ``full_rhs`` at the given state.
 
-    full_rhs is f(y) = A y + Lambda e_S + lambdaT CT y + lambdaH CH y, with A
-    (lin) the linear flows and CT, CH (ct, ch) the coefficients of the two
-    infection pressures, so J = A + lambdaT CT + lambdaH CH +
-    (CT y) dlambdaT^T + (CH y) dlambdaH^T. The gradient of lambda = beta (w . y) / N is
-    beta w / N, less lambda / N in every entry when N is the instantaneous
-    total rather than the pinned ``n_ref``. The sub-model Jacobians are its
-    slices over their index sets.
+    With f(y) = b + A y + lambdaT CT y + lambdaH CH y (``flow_matrices``),
+    J = A + lambdaT CT + lambdaH CH + (CT y) dlambdaT^T + (CH y) dlambdaH^T.
+    The gradient of lambda = beta (w . y) / N is beta w / N, less lambda / N
+    in every entry when N is the instantaneous total rather than the pinned
+    ``n_ref``. The sub-model Jacobians are its slices over their index sets.
     """
     y = _as_state(state)
-    p = params
-    lin = np.diag([
-        -p.mu, -(p.k1 + p.tau1 + p.mu), -(p.tau2 + p.dT + p.mu), -p.mu,
-        -(p.rho1 + p.mu), -(p.alpha1 + p.mu + p.dA), -(p.k2 + p.tau4 + p.mu),
-        -(p.tau3 + p.rho2 + p.mu + p.dT), -(p.rho3 + p.mu),
-        -(p.alpha2 + p.mu + p.dTA),
-    ])
-    lin[2, 1] = p.k1
-    lin[3, 1], lin[3, 2] = p.tau1, p.tau2
-    lin[4, 5] = p.alpha1
-    lin[5, 4] = p.rho1
-    lin[7, 6], lin[7, 9] = p.k2, p.alpha2
-    lin[8, 6], lin[8, 7] = p.tau4, p.tau3
-    lin[9, 7], lin[9, 8] = p.rho2, p.rho3
-    if p.beta1 == 0.0 and p.beta2 == 0.0:
-        return lin
+    _, maps, weights = flow_matrices(params)
+    if params.beta1 == 0.0 and params.beta2 == 0.0:
+        return maps[0].copy()
     n = _denominator(y, n_ref)
-    ct, ch, w_t, w_h = infection_maps(p)
-    lam_t = p.beta1 * float(w_t @ y) / n
-    lam_h = p.beta2 * float(w_h @ y) / n
-    grad_t = p.beta1 * w_t / n
-    grad_h = p.beta2 * w_h / n
+    lam = weights @ y / n
+    grad = weights / n
     if n_ref is None:
-        grad_t = grad_t - lam_t / n
-        grad_h = grad_h - lam_h / n
-    return (lin + lam_t * ct + lam_h * ch
-            + np.outer(ct @ y, grad_t) + np.outer(ch @ y, grad_h))
+        grad = grad - lam[:, None] / n
+    return (maps[0] + lam[0] * maps[1] + lam[1] * maps[2]
+            + (maps[1:] @ y).T @ grad)
 
 
 # Sub-models are the full system restricted to a zero-padded state, so the
@@ -223,6 +228,15 @@ _HIV_SUB_INDICES = np.array([0, 4, 5])
 _TB_SUB_INDICES = np.array([0, 1, 2, 3])
 
 
+def _restricted_rhs(y_sub, indices, params: Parameters,
+                    n_ref: Optional[float]) -> np.ndarray:
+    y_sub = _as_state(y_sub, len(indices))
+    _denominator(y_sub, n_ref)  # zero population rejected even with beta = 0
+    y = np.zeros(N_COMPARTMENTS)
+    y[indices] = y_sub
+    return full_rhs(y, params, n_ref)[indices]
+
+
 def hiv_submodel_rhs(state3, params: Parameters,
                      n_ref: Optional[float] = None) -> np.ndarray:
     """Derivative of the 3-compartment HIV-only system (S, pre-AIDS, AIDS).
@@ -230,22 +244,14 @@ def hiv_submodel_rhs(state3, params: Parameters,
     Equivalent to the full system with every TB compartment held at zero;
     the denominator is then S + I_H + A.
     """
-    y3 = _as_state(state3, 3)
-    _denominator(y3, n_ref)  # zero population rejected even with beta2 = 0
-    y = np.zeros(N_COMPARTMENTS)
-    y[_HIV_SUB_INDICES] = y3
-    return full_rhs(y, params, n_ref)[_HIV_SUB_INDICES]
+    return _restricted_rhs(state3, _HIV_SUB_INDICES, params, n_ref)
 
 
 def tb_submodel_rhs(state4, params: Parameters,
                     n_ref: Optional[float] = None) -> np.ndarray:
     """Derivative of the 4-compartment TB-only system (S, latent, active,
     recovered), the full system with every HIV compartment at zero."""
-    y4 = _as_state(state4, 4)
-    _denominator(y4, n_ref)
-    y = np.zeros(N_COMPARTMENTS)
-    y[_TB_SUB_INDICES] = y4
-    return full_rhs(y, params, n_ref)[_TB_SUB_INDICES]
+    return _restricted_rhs(state4, _TB_SUB_INDICES, params, n_ref)
 
 
 def validate_parameters(params: Parameters) -> list[str]:

@@ -1,6 +1,6 @@
 """Reproduction numbers: the hand-written closed forms R1 and R2, and the
 next-generation matrix (van den Driessche & Watmough 2002), built in closed
-form from the infection maps and the Jacobian of the model module.
+form from the flow matrices and the Jacobian of the model module.
 
 The closed forms carry an explicit reference-population argument because the
 published benchmark values mix two conventions: the table sweeps use the
@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .model import (DomainError, INFECTED_INDICES, Parameters,
-                    full_jacobian, infection_maps)
+                    flow_matrices, full_jacobian)
 from .stability import eigenvalues
 
 
@@ -80,7 +80,7 @@ def ngm_decomposition(params: Parameters) -> NextGenDecomposition:
     There both pressures vanish, so new infections enter only through their
     gradients beta w / N (N = Lambda / mu): on the infected block,
     F = (CT y) (beta1 w_T / N)^T + (CH y) (beta2 w_H / N)^T, from the same
-    infection maps as model.full_jacobian, and the transitions are the rest
+    flow matrices as model.full_jacobian, and the transitions are the rest
     of that Jacobian block, V = F - J. rho reproduces max(r1, r2) at the
     disease-free scale; the tests check that, and F and V against finite
     differences of a flow-list reading of the model.
@@ -90,10 +90,8 @@ def ngm_decomposition(params: Parameters) -> NextGenDecomposition:
     n = p.Lambda / p.mu
     dfe = np.zeros(10)
     dfe[0] = n
-    ct, ch, w_t, w_h = infection_maps(p)
-    gains = (np.outer(ct @ dfe, p.beta1 * w_t / n)
-             + np.outer(ch @ dfe, p.beta2 * w_h / n))
-    f_mat = gains[idx]
+    _, maps, weights = flow_matrices(p)
+    f_mat = ((maps[1:] @ dfe).T @ (weights / n))[idx]
     v_mat = f_mat - full_jacobian(dfe, p)[idx]
     try:
         k_mat = f_mat @ np.linalg.inv(v_mat)

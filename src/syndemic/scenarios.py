@@ -21,12 +21,12 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .dynamics import Trajectory, integrate
-from .equilibria import (EquilibriumReport, hiv_free, syndemic,
+from .equilibria import (EquilibriumReport, disease_free, hiv_free, syndemic,
                          tb_free_closed, tb_free_numeric)
 from .model import (COMPARTMENTS, INFECTED_INDICES, Parameters,
                     full_rhs, total_population)
@@ -131,10 +131,6 @@ def initial_state() -> np.ndarray:
     return INITIAL_FRACTIONS * INITIAL_POPULATION
 
 
-def default_parameters(beta1: float, beta2: float) -> Parameters:
-    return Parameters(beta1=beta1, beta2=beta2)
-
-
 def _record(result: ScenarioResult, name: str, expected: float, actual: float,
             tolerance: float) -> None:
     result.assertions.append(AssertionRecord(
@@ -155,7 +151,7 @@ def run_table2(params: Optional[Parameters] = None) -> ScenarioResult:
     pinned at the disease-free population, the convention the reference
     values were generated under. A zero-transmission sanity row is appended.
     """
-    base = params if params is not None else default_parameters(0.0, 0.0)
+    base = params if params is not None else Parameters(0.0, 0.0)
     n_ref = base.Lambda / base.mu
     spec = ScenarioSpec(name="table2", params=base,
                         overrides={"beta1": sorted(TB_SWEEP_REFERENCE)},
@@ -194,7 +190,7 @@ def run_table3(params: Optional[Parameters] = None) -> ScenarioResult:
     result does not pass. Criterion 2 of tests/test_acceptance.py scores
     those rows against the implied values instead.
     """
-    base = params if params is not None else default_parameters(0.0, 0.0)
+    base = params if params is not None else Parameters(0.0, 0.0)
     n_h = base.Lambda / base.mu
     spec = ScenarioSpec(name="table3", params=base,
                         overrides={"beta2": sorted(HIV_SWEEP_REFERENCE)},
@@ -228,15 +224,17 @@ def run_table3(params: Optional[Parameters] = None) -> ScenarioResult:
     return result
 
 
-def _perturbed_starts(n: int, rng: np.random.Generator) -> List[np.ndarray]:
-    """Initial censuses with infected fractions jittered by up to 10%."""
-    starts = []
-    for _ in range(n):
+def _perturbed_starts(n: int) -> Dict[str, np.ndarray]:
+    """The standard census ("base") and n censuses ("perturbed-1", ...) with
+    the infected fractions jittered by up to 10%."""
+    rng = np.random.default_rng(_PERTURBATION_SEED)
+    starts = {"base": initial_state()}
+    for i in range(1, n + 1):
         fractions = INITIAL_FRACTIONS.copy()
         jitter = 1.0 + rng.uniform(-0.1, 0.1, size=len(INFECTED_INDICES))
         fractions[list(INFECTED_INDICES)] *= jitter
         fractions /= fractions.sum()
-        starts.append(fractions * INITIAL_POPULATION)
+        starts[f"perturbed-{i}"] = fractions * INITIAL_POPULATION
     return starts
 
 
@@ -250,29 +248,21 @@ def run_dfe_stability(params: Optional[Parameters] = None,
     drains at the slow demographic rate, which is why the horizon is longer
     than the infected decay alone would need.
     """
-    base = params if params is not None else default_parameters(2.7, 0.03)
+    base = params if params is not None else Parameters(2.7, 0.03)
     horizon = 500.0
     spec = ScenarioSpec(name="dfe-stability", params=base,
                         initial_state=initial_state(), horizon=horizon)
     result = ScenarioResult(spec=spec)
-    rng = np.random.default_rng(_PERTURBATION_SEED)
-    starts = {"base": initial_state()}
-    for i, s in enumerate(_perturbed_starts(n_perturbed, rng), start=1):
-        starts[f"perturbed-{i}"] = s
-
-    def rhs(t, y):
-        return full_rhs(y, base)
-
-    for key, y0 in starts.items():
-        traj = integrate(rhs, y0, 0.0, horizon, params=base)
+    for key, y0 in _perturbed_starts(n_perturbed).items():
+        traj = integrate(lambda t, y: full_rhs(y, base), y0, 0.0, horizon,
+                         params=base)
         result.trajectories[key] = traj
         result.terminal_states[key] = traj.final
         infected_max = float(np.max(traj.final[list(INFECTED_INDICES)]))
         _record(result, f"{key} infected below 1 person at {horizon:g}y",
                 0.0, infected_max, 1.0)
 
-    dfe = np.zeros(10)
-    dfe[0] = base.Lambda / base.mu
+    dfe = disease_free(base).state
     dominant = max(e.real for e in eigenvalues(jacobian(dfe, base)))
     result.comparisons["disease-free dominant eigenvalue"] = dominant
     result.assertions.append(AssertionRecord(
@@ -298,24 +288,17 @@ def run_syndemic_stability(params: Optional[Parameters] = None,
     state was generated under; the pinned-system linearization at the
     settled state must be stable.
     """
-    base = params if params is not None else default_parameters(6.0, 0.1)
+    base = params if params is not None else Parameters(6.0, 0.1)
     n_ref = INITIAL_POPULATION
     horizon = 500.0
     spec = ScenarioSpec(name="syndemic-stability", params=base,
                         initial_state=initial_state(), horizon=horizon,
                         n_ref=n_ref)
     result = ScenarioResult(spec=spec)
-    rng = np.random.default_rng(_PERTURBATION_SEED)
-    starts = {"base": initial_state()}
-    for i, s in enumerate(_perturbed_starts(n_perturbed, rng), start=1):
-        starts[f"perturbed-{i}"] = s
-
-    def rhs(t, y):
-        return full_rhs(y, base, n_ref)
-
     finals = {}
-    for key, y0 in starts.items():
-        traj = integrate(rhs, y0, 0.0, horizon, params=base)
+    for key, y0 in _perturbed_starts(n_perturbed).items():
+        traj = integrate(lambda t, y: full_rhs(y, base, n_ref), y0, 0.0,
+                         horizon, params=base)
         result.trajectories[key] = traj
         result.terminal_states[key] = traj.final
         finals[key] = traj.final
@@ -382,7 +365,7 @@ def run_treatment_impact(params: Optional[Parameters] = None,
         raise ValueError(f"unknown treatment family: {family!r}")
     if deaths not in ("on", "off"):
         raise ValueError("deaths must be 'on' or 'off'")
-    base = params if params is not None else default_parameters(13.0, 0.06)
+    base = params if params is not None else Parameters(13.0, 0.06)
     if deaths == "off":
         base = dataclasses.replace(base, dT=0.0, dA=0.0, dTA=0.0)
     zeroed, extra = _TREATMENT_FAMILIES[family]
@@ -465,6 +448,21 @@ def _first_crossing(with_traj: Trajectory, without_traj: Trajectory,
                 < with_traj.at(t)[component]):
             return float(t)
     return math.inf
+
+
+# Every canned experiment by name, as runner(params, deaths); params None
+# runs the experiment's own defaults, and deaths ("on" or "off") matters to
+# the treatment runners only.
+SCENARIOS: Dict[str, Callable[[Optional[Parameters], str], ScenarioResult]] = {
+    "table2": lambda params, deaths: run_table2(params),
+    "table3": lambda params, deaths: run_table3(params),
+    "dfe-stability": lambda params, deaths: run_dfe_stability(params),
+    "syndemic-stability": lambda params, deaths: run_syndemic_stability(params),
+    **{f"treatment-{family}":
+       lambda params, deaths, family=family: run_treatment_impact(
+           params, family=family, deaths=deaths)
+       for family in _TREATMENT_FAMILIES},
+}
 
 
 def atomic_write(path: Path, text: str) -> None:

@@ -45,6 +45,16 @@ def treatment_aids_on():
 
 
 @pytest.fixture(scope="session")
+def treatment_aids_off():
+    return run_treatment_impact(family="aids", deaths="off")
+
+
+@pytest.fixture(scope="session")
+def treatment_coinfection_on():
+    return run_treatment_impact(family="coinfection", deaths="on")
+
+
+@pytest.fixture(scope="session")
 def treatment_coinfection_off():
     return run_treatment_impact(family="coinfection", deaths="off")
 

@@ -8,6 +8,7 @@ import syndemic.cli
 from syndemic.cli import (ConfigError, DEFAULT_CONFIG, RunConfig, emit_svg,
                           format_config, main, parse_config)
 from syndemic.dynamics import IntegrationError, Trajectory
+from syndemic.model import COMPARTMENTS
 from syndemic.stability import ConvergenceError
 
 
@@ -31,6 +32,16 @@ def test_round_trip_is_identical():
     cfg.horizon = 35.5
     cfg.n_ref = "50000"
     assert parse_config(format_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("key,value", [
+    ("out", "runs#1"), ("out", " runs"), ("out", "runs\nhorizon = 1"),
+    ("n_ref", "50000 # pinned"),
+])
+def test_unwritable_string_option_is_a_config_error(key, value):
+    # parse_config would read "out = runs#1" back as out = "runs"
+    with pytest.raises(ConfigError, match=key):
+        format_config(RunConfig(**{key: value}))
 
 
 def test_unknown_key_reports_line_number():
@@ -102,7 +113,9 @@ def test_unknown_subcommand_and_flag_exit_2(capsys):
 def test_equilibrium_dfe_row(capsys):
     assert main(["equilibrium", "--kind", "dfe"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "kind," + ",".join(COMPARTMENTS) + ",residual"
     fields = lines[1].split(",")
+    assert len(fields) == 12
     assert fields[0] == "disease-free"
     assert float(fields[1]) == pytest.approx(49980.0)
     assert all(float(v) == 0.0 for v in fields[2:11])

@@ -52,7 +52,7 @@ SYNDEMIC_PINNED = np.array([
 def test_disease_free_report():
     report = disease_free(Parameters(beta1=6.0, beta2=0.1))
     assert report.kind == "disease-free"
-    assert report.exists and report.converged
+    assert report.exists
     assert report.state[0] == pytest.approx(S0, abs=1e-6)
     assert np.all(report.state[1:] == 0.0)
     assert report.residual < 1e-12
@@ -104,7 +104,7 @@ def test_tb_free_numeric_self_consistent(beta2):
     p = Parameters(beta1=6.0, beta2=beta2)
     report = tb_free_numeric(p)
     assert report.kind == "tb-free"
-    assert report.exists and report.converged
+    assert report.exists and report.stats["locally_stable"]
     got = report.state[[0, 4, 5]]
     assert np.allclose(got, TB_FREE_SELF[beta2], rtol=1e-6)
     assert np.all(report.state[[1, 2, 3, 6, 7, 8, 9]] == 0.0)
@@ -144,7 +144,7 @@ def test_syndemic_equilibrium_self_consistent():
     p = Parameters(beta1=6.0, beta2=0.1)
     report = syndemic(p, START)
     assert report.kind == "syndemic"
-    assert report.converged
+    assert report.exists and report.stats["locally_stable"]
     assert np.allclose(report.state, SYNDEMIC_SELF, rtol=1e-5)
     assert report.residual < 1e-10
 

@@ -4,7 +4,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from syndemic.cli import RunConfig, format_config, parse_config
+from syndemic.cli import ConfigError, RunConfig, format_config, parse_config
 from syndemic.model import PARAMETER_FIELDS, Parameters, validate_parameters
 
 # Deterministic and bounded, so tier-1 stays reproducible and fast.
@@ -30,11 +30,13 @@ def initial_states(draw):
     return fractions, draw(positive)
 
 
-# A path token survives the line format when it holds no comment marker or
-# line break and has no surrounding whitespace.
-out_tokens = st.text(st.characters(
-    blacklist_characters="#\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
-    max_size=20).map(str.strip)
+# Any text, with the characters the line format cannot hold (a comment
+# marker, the str.splitlines separators, whitespace) drawn often: such a
+# token must be refused by format_config.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+out_tokens = st.text(st.one_of(st.characters(),
+                               st.sampled_from("# \t" + _LINE_BREAKS)),
+                     max_size=20)
 
 n_ref_tokens = st.one_of(st.none(), st.sampled_from(["dfe", "N0"]),
                          positive.map(repr))
@@ -58,7 +60,13 @@ def run_configs(draw):
 @FUZZ
 @given(run_configs())
 def test_config_round_trip(cfg):
-    assert parse_config(format_config(cfg)) == cfg
+    try:
+        text = format_config(cfg)
+    except ConfigError:
+        assert ("#" in cfg.out or cfg.out != cfg.out.strip()
+                or any(c in cfg.out for c in _LINE_BREAKS))
+        return
+    assert parse_config(text) == cfg
 
 
 _AT_LEAST_ONE = ("beta2p", "psi", "delta", "eta")

@@ -4,11 +4,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from flow_list import flow_rhs
 from syndemic.model import (COMPARTMENTS, DomainError, INFECTED_INDICES,
-                            N_COMPARTMENTS, Parameters, force_of_infection,
-                            full_jacobian, full_rhs, hiv_submodel_rhs,
-                            tb_submodel_rhs, total_population,
-                            validate_parameters)
+                            N_COMPARTMENTS, PARAMETER_FIELDS, Parameters,
+                            force_of_infection, full_jacobian, full_rhs,
+                            hiv_submodel_rhs, tb_submodel_rhs,
+                            total_population, validate_parameters)
 from syndemic.scenarios import INITIAL_FRACTIONS, INITIAL_POPULATION
 from syndemic.stability import fd_jacobian
 
@@ -39,6 +40,28 @@ def test_forces_at_standard_start():
 def test_rhs_frozen_literal():
     rhs = full_rhs(START, BASE)
     assert np.max(np.abs(rhs - FROZEN_RHS_AT_START)) < 1e-9
+
+
+def test_rhs_matches_independent_flow_list():
+    # The flow list of flow_list.py is written apart from the model's flow
+    # matrices. FROZEN_RHS_AT_START cannot see the R_T and R_TH columns
+    # (both are 0 at START), so every compartment here is positive, and the
+    # rates are drawn too.
+    rng = np.random.default_rng(2718)
+    for _ in range(1000):
+        rates = {name: float(rng.uniform(0.01, 3.0))
+                 for name in PARAMETER_FIELDS}
+        rates.update(Lambda=float(rng.uniform(100.0, 1000.0)),
+                     mu=float(rng.uniform(0.01, 0.1)),
+                     beta1p=float(rng.uniform(0.0, 1.0)),
+                     **{name: float(rng.uniform(1.0, 3.0))
+                        for name in ("beta2p", "psi", "delta", "eta")})
+        p = Parameters(**rates)
+        y = rng.uniform(0.01, 1.0, N_COMPARTMENTS) * rng.uniform(1e2, 1e5)
+        for n_ref in (None, float(rng.uniform(1e3, 1e5))):
+            expected = flow_rhs(y, p, n_ref)
+            assert (np.max(np.abs(full_rhs(y, p, n_ref) - expected))
+                    <= 1e-12 * np.max(np.abs(expected)))
 
 
 def test_mass_balance_random_states():

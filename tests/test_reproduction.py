@@ -6,9 +6,9 @@ import pytest
 
 import syndemic.model
 import syndemic.stability
+from flow_list import infection_gains
 from syndemic.model import (DomainError, INFECTED_INDICES, Parameters,
-                            force_of_infection, full_rhs,
-                            validate_parameters)
+                            full_rhs, validate_parameters)
 from syndemic.reproduction import (ngm_decomposition, r0, r1_closed,
                                    r2_closed, spectral_radius)
 from syndemic.stability import fd_jacobian
@@ -133,25 +133,8 @@ def test_decomposition_sign_structure():
     assert np.min(np.diag(decomp.V)) > 0.0
 
 
-# Independent route: the new-infection flows read off the equations as a
-# flow list, and both matrices differentiated numerically.
-
-def _infection_gains(y, params):
-    """New-infection inflow for each compartment (zero outside infected).
-
-    Counted as new infections: both routes out of S and the reinfection
-    routes out of the recovered classes, plus the two cross-infections of
-    already singly-infected people. Progression, treatment, and death flows
-    are transitions.
-    """
-    lam = force_of_infection(y, params)
-    g = np.zeros(10)
-    g[1] = lam.lambdaT * y[0] + params.beta1p * lam.lambdaT * y[3]
-    g[4] = lam.lambdaH * (y[0] + y[3])
-    g[6] = params.beta2p * lam.lambdaT * y[8]
-    g[7] = params.delta * lam.lambdaH * y[2] + params.psi * lam.lambdaT * y[4]
-    return g
-
+# Independent route: the new-infection flows of the test-side flow list
+# (flow_list.py), and both matrices differentiated numerically.
 
 def _infected_block_derivative(fun, params):
     idx = list(INFECTED_INDICES)
@@ -173,7 +156,7 @@ CROSS_CHECK_SETS = ([Parameters(beta1=b1, beta2=b2) for b1, b2 in PAIRED_SETS]
 def test_new_infection_matrix_matches_flow_list_differences():
     for p in CROSS_CHECK_SETS:
         f_mat = ngm_decomposition(p).F
-        numeric = _infected_block_derivative(_infection_gains, p)
+        numeric = _infected_block_derivative(infection_gains, p)
         assert np.max(np.abs(f_mat - numeric)) <= 1e-6 * np.max(np.abs(f_mat))
 
 

@@ -1,10 +1,14 @@
 """Scenario runners: curated reference sweeps, stability demonstrations,
 treatment switch experiments, and their CSV reports."""
+import inspect
+
 import numpy as np
 import pytest
 
+import syndemic.scenarios
+from syndemic.dynamics import integrate
 from syndemic.model import Parameters
-from syndemic.scenarios import (AssertionRecord, ScenarioSpec,
+from syndemic.scenarios import (SCENARIOS, AssertionRecord, ScenarioSpec,
                                 run_treatment_impact, write_scenario_csv)
 
 
@@ -123,6 +127,41 @@ def test_treatment_coinfection_crossover(treatment_coinfection_off):
     assert crossing.actual == pytest.approx(83.0 / 12.0, abs=0.01)
     zero = _by_name(result, "untreated arm recovered-coinfection stays zero")
     assert zero.actual == 0.0
+
+
+def test_scenario_registry_names():
+    assert list(SCENARIOS) == [
+        "table2", "table3", "dfe-stability", "syndemic-stability",
+        "treatment-tb", "treatment-aids", "treatment-coinfection"]
+
+
+@pytest.mark.parametrize("fixture,name,deaths", [
+    ("dfe_stability_result", "dfe-stability", "on"),
+    ("syndemic_stability_result", "syndemic-stability", "on"),
+    ("treatment_tb_on", "treatment-tb", "on"),
+    ("treatment_tb_off", "treatment-tb", "off"),
+    ("treatment_aids_on", "treatment-aids", "on"),
+    ("treatment_aids_off", "treatment-aids", "off"),
+    ("treatment_coinfection_on", "treatment-coinfection", "on"),
+    ("treatment_coinfection_off", "treatment-coinfection", "off"),
+])
+def test_halved_tolerance_keeps_pass_status(fixture, name, deaths, request,
+                                            monkeypatch):
+    # The verdicts come from the model, not from the solver's tolerance.
+    default = request.getfixturevalue(fixture)
+    rel_tol = inspect.signature(integrate).parameters["rel_tol"].default
+    tolerances = []
+
+    def halved(*args, rel_tol=rel_tol, **kwargs):
+        tolerances.append(rel_tol / 2)
+        return integrate(*args, rel_tol=rel_tol / 2, **kwargs)
+
+    monkeypatch.setattr(syndemic.scenarios, "integrate", halved)
+    tight = SCENARIOS[name](None, deaths)
+    assert tight.spec.name == default.spec.name
+    assert tolerances == [rel_tol / 2] * len(default.trajectories)
+    assert ([(a.name, a.status) for a in tight.assertions]
+            == [(a.name, a.status) for a in default.assertions])
 
 
 def test_treatment_rejects_unknown_settings():

@@ -412,7 +412,9 @@ def _cmd_scenario(args) -> int:
     explicit = (getattr(args, "config", None) or args.beta1 is not None
                 or args.beta2 is not None)
     params = cfg.parameters() if explicit else None
-    result = SCENARIOS[args.name](params, args.deaths)
+    if args.deaths is not None and not args.name.startswith("treatment-"):
+        raise ConfigError("--deaths applies to the treatment scenarios only")
+    result = SCENARIOS[args.name](params, args.deaths or "on")
     out = _out_dir(args, cfg)
     files = write_scenario_csv(result, out)
     for record in result.assertions:
@@ -488,8 +490,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scenario", help="run a canned experiment")
     common(sp)
     sp.add_argument("--name", required=True, choices=list(SCENARIOS))
-    sp.add_argument("--deaths", choices=["on", "off"], default="on",
-                    help="disease-induced death switch for treatment runs")
+    sp.add_argument("--deaths", choices=["on", "off"],
+                    help="disease-induced death switch for treatment runs "
+                         "(default on)")
     sp.add_argument("--out", help="output directory")
     sp.set_defaults(func=_cmd_scenario)
 

@@ -11,7 +11,8 @@ the HIV-positive classes, AIDS classes weighted up by a modifier.
 The model is written once, as the flow list _FLOWS. flow_matrices turns it
 into the matrices that the right-hand side, its Jacobian, the infection
 pressures and the next-generation matrices all read. All right-hand sides
-are pure functions returning fresh arrays.
+are pure functions returning fresh arrays, and take one state or a stack
+of states.
 """
 from __future__ import annotations
 
@@ -95,16 +96,26 @@ def total_population(state: Sequence[float]) -> float:
     return float(np.asarray(state, dtype=float).sum())
 
 
-def _as_state(state, length: int = N_COMPARTMENTS) -> np.ndarray:
+def _as_state(state, length: int = N_COMPARTMENTS,
+              stack: bool = False) -> np.ndarray:
+    # One state (length,), or with stack=True also a stack (B, length).
     y = np.asarray(state, dtype=float)
-    if y.shape != (length,):
-        raise DomainError(f"state must have shape ({length},), got {y.shape}")
+    if y.shape != (length,) and not (stack and y.ndim == 2
+                                     and y.shape[1] == length):
+        shapes = f"({length},) or (B, {length})" if stack else f"({length},)"
+        raise DomainError(f"state must have shape {shapes}, got {y.shape}")
     return y
 
 
-def _denominator(y: np.ndarray, n_ref: Optional[float]) -> float:
+def _denominator(y: np.ndarray, n_ref: Optional[float]):
     # n_ref pins the mixing denominator to a fixed reference population;
-    # by default the instantaneous total is used.
+    # by default the instantaneous total is used, per row of a stack as a
+    # (B, 1) column, and every row's must be positive.
+    if n_ref is None and y.ndim == 2:
+        n = y.sum(axis=1, keepdims=True)
+        if (n <= 0.0).any():
+            raise DomainError("population denominator must be positive")
+        return n
     n = float(n_ref) if n_ref is not None else float(y.sum())
     if n <= 0.0:
         raise DomainError("population denominator must be positive")
@@ -188,9 +199,22 @@ def full_rhs(state, params: Parameters,
     The components sum to Lambda - mu*N - dT*(I_T + I_TH) - dA*A - dTA*A_T
     identically (births minus natural and disease-induced deaths), which the
     test suite checks to machine precision.
+
+    ``state`` is one state (10,) or a stack (B, 10) of states. A stack is
+    evaluated on the same flow matrices into a (B, 10) stack whose rows are
+    the one-state results bit for bit.
     """
-    y = _as_state(state)
+    y = _as_state(state, stack=True)
     b, maps, weights = flow_matrices(params)
+    if y.ndim == 2:
+        # The one-state products below, batched over the rows as matrix-vector
+        # products, so every row is the one-state result bit for bit.
+        col = y[:, None, :, None]
+        if params.beta1 == 0.0 and params.beta2 == 0.0:
+            return b + (maps[0] @ col[:, 0])[..., 0]
+        lam = (weights @ col[:, 0])[..., 0] / _denominator(y, n_ref)
+        z = (maps @ col)[..., 0]
+        return b + z[:, 0] + (lam[:, None, :] @ z[:, 1:])[:, 0]
     if params.beta1 == 0.0 and params.beta2 == 0.0:
         return b + maps[0] @ y
     lam = weights @ y / _denominator(y, n_ref)
@@ -230,11 +254,12 @@ _TB_SUB_INDICES = np.array([0, 1, 2, 3])
 
 def _restricted_rhs(y_sub, indices, params: Parameters,
                     n_ref: Optional[float]) -> np.ndarray:
-    y_sub = _as_state(y_sub, len(indices))
+    # y_sub is one sub-state (k,) or a stack (B, k), padded to (..., 10)
+    y_sub = _as_state(y_sub, len(indices), stack=True)
     _denominator(y_sub, n_ref)  # zero population rejected even with beta = 0
-    y = np.zeros(N_COMPARTMENTS)
-    y[indices] = y_sub
-    return full_rhs(y, params, n_ref)[indices]
+    y = np.zeros(y_sub.shape[:-1] + (N_COMPARTMENTS,))
+    y[..., indices] = y_sub
+    return full_rhs(y, params, n_ref)[..., indices]
 
 
 def hiv_submodel_rhs(state3, params: Parameters,
@@ -242,7 +267,8 @@ def hiv_submodel_rhs(state3, params: Parameters,
     """Derivative of the 3-compartment HIV-only system (S, pre-AIDS, AIDS).
 
     Equivalent to the full system with every TB compartment held at zero;
-    the denominator is then S + I_H + A.
+    the denominator is then S + I_H + A. Takes one state (3,) or a stack
+    (B, 3), like ``full_rhs``.
     """
     return _restricted_rhs(state3, _HIV_SUB_INDICES, params, n_ref)
 
@@ -250,7 +276,8 @@ def hiv_submodel_rhs(state3, params: Parameters,
 def tb_submodel_rhs(state4, params: Parameters,
                     n_ref: Optional[float] = None) -> np.ndarray:
     """Derivative of the 4-compartment TB-only system (S, latent, active,
-    recovered), the full system with every HIV compartment at zero."""
+    recovered), the full system with every HIV compartment at zero. Takes
+    one state (4,) or a stack (B, 4), like ``full_rhs``."""
     return _restricted_rhs(state4, _TB_SUB_INDICES, params, n_ref)
 
 

@@ -3,9 +3,13 @@ bifurcation analysis of the HIV-only submodel.
 
 The linearization of the full model is the closed-form Jacobian of
 model.full_jacobian. Central finite differences with one Richardson
-extrapolation level (fd_jacobian) are only the independent route of the
-bifurcation analysis, which requires its hand-coded 3x3 linearization and
-closed-form coefficients to agree with them, and of the tests.
+extrapolation level are only the independent route of the bifurcation
+analysis, which requires its hand-coded 3x3 linearization and closed-form
+coefficients to agree with them, and of the tests. The bifurcation analysis
+evaluates its probes as three stacked sub-model calls, one per parameter
+set; fd_jacobian probes any callable one point at a time. Eigenvalues come
+from one LAPACK eigen-decomposition and are checked by their eigenvectors'
+residuals.
 """
 from __future__ import annotations
 
@@ -29,30 +33,51 @@ class ConvergenceError(RuntimeError):
         self.last_iterate = last_iterate
 
 
+def _richardson(estimates: np.ndarray) -> np.ndarray:
+    # (4*E_half - E_full)/3 over the leading axis, (step/2, step): cancels
+    # the O(step^2) term of a central-difference estimate.
+    return (4.0 * estimates[0] - estimates[1]) / 3.0
+
+
+def _jacobian_probes(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Probe points of the central-difference Jacobian at x, and its steps.
+
+    Per-coordinate step h_i = max(1e-6, 1e-6*|x_i|). The rows are
+    x + e_j*s_j and x - e_j*s_j for each coordinate j in turn, first with
+    s = h/2 and then with s = h; the steps are returned as (2, n).
+    """
+    h = np.maximum(1e-6, 1e-6 * np.abs(x))
+    steps = np.array([h / 2.0, h])
+    shifts = steps[:, :, None] * np.eye(x.size)
+    points = x + np.stack([shifts, -shifts], axis=2)
+    return points.reshape(-1, x.size), steps
+
+
+def _richardson_jacobian(values, steps: np.ndarray) -> np.ndarray:
+    """The Jacobian from the function values at ``_jacobian_probes``'
+    points, in their order: the h/2 and h central differences combined
+    by ``_richardson``."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise DomainError("non-finite value while probing the jacobian")
+    v = values.reshape(2, steps.shape[1], 2, -1)
+    diffs = (v[:, :, 0] - v[:, :, 1]) / (2.0 * steps[:, :, None])
+    return _richardson(diffs.transpose(0, 2, 1))
+
+
 def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     """Central-difference Jacobian with one Richardson extrapolation level.
 
-    Per-coordinate step h_i = max(1e-6, 1e-6*|x_i|); the h and h/2 estimates
-    are combined as (4*J_half - J_full)/3, cancelling the leading O(h^2) term.
+    Evaluates ``fun`` at x, which fixes the output size, and then at one
+    probe point at a time, so any callable of one state will do; the
+    probes, steps and combination are those of ``_jacobian_probes`` and
+    ``_richardson_jacobian``.
     """
     x = np.asarray(x, dtype=float)
-    f0 = np.asarray(fun(x), dtype=float)
-    n_out, n_in = f0.size, x.size
-
-    def estimate(steps: np.ndarray) -> np.ndarray:
-        jac = np.empty((n_out, n_in))
-        for j in range(n_in):
-            e = np.zeros(n_in)
-            e[j] = steps[j]
-            fp = np.asarray(fun(x + e), dtype=float)
-            fm = np.asarray(fun(x - e), dtype=float)
-            if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-                raise DomainError("non-finite value while probing the jacobian")
-            jac[:, j] = (fp - fm) / (2.0 * steps[j])
-        return jac
-
-    h = np.maximum(1e-6, 1e-6 * np.abs(x))
-    return (4.0 * estimate(h / 2.0) - estimate(h)) / 3.0
+    n_out = np.asarray(fun(x), dtype=float).size
+    points, steps = _jacobian_probes(x)
+    values = np.reshape([fun(point) for point in points], (len(points), n_out))
+    return _richardson_jacobian(values, steps)
 
 
 def jacobian(state, params: Parameters,
@@ -64,8 +89,12 @@ def jacobian(state, params: Parameters,
 def eigenvalues(m) -> List[complex]:
     """All eigenvalues of a small real matrix, sorted by descending real part.
 
-    Backed by LAPACK's Hessenberg-plus-shifted-QR path; every returned value
-    is verified by a minimum-singular-value residual check.
+    Backed by LAPACK's Hessenberg-plus-shifted-QR path, which also returns
+    an eigenvector v for each eigenvalue lambda. Every pair is verified by
+    its residual ||A v - lambda v|| / ||v|| <= 1e-7 * max(||A||_2, 1). The
+    residual bounds the smallest singular value of A - lambda I from above,
+    so every value that passes is an exact eigenvalue of a matrix within
+    that distance of A.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -74,11 +103,11 @@ def eigenvalues(m) -> List[complex]:
         raise DomainError("matrix dimension capped at 16")
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
-    vals = np.linalg.eigvals(a)
+    vals, vecs = np.linalg.eig(a)
     scale = max(float(np.linalg.norm(a, 2)), 1.0)
-    eye = np.eye(a.shape[0])
-    smin = np.linalg.svd(a - vals[:, None, None] * eye, compute_uv=False)[:, -1]
-    if np.any(smin > 1e-7 * scale):
+    residual = (np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+                / np.linalg.norm(vecs, axis=0))
+    if not np.all(residual <= 1e-7 * scale):
         raise ConvergenceError("eigenvalue failed the residual check")
     order = np.lexsort((-vals.imag, -vals.real))
     return [complex(v) for v in vals[order]]
@@ -199,26 +228,26 @@ def bifurcation_analysis(params: Parameters) -> BifurcationReport:
     # closed forms differentiate the self-consistent field (the mixing
     # denominator moves with the state), so the probes do too. The step is
     # scaled to the population and the quadratic truncation removed by
-    # pairing two step sizes.
-    pstar = dataclasses.replace(p, beta2=bstar)
+    # pairing two step sizes. The sub-model reads no TB rate, so beta1 is
+    # zeroed: the three parameter sets, and their flow matrices, are then
+    # the same for every beta1. Each set's probes are one stacked call.
+    pstar = dataclasses.replace(p, beta1=0.0, beta2=bstar)
     scale = p.Lambda / p.mu
     dfe3 = np.array([scale, 0.0, 0.0])
 
-    def rhs3(y, pp=pstar):
-        return hiv_submodel_rhs(y, pp)
-
-    def second_diff(step):
-        return (rhs3(dfe3 + step * w) - 2.0 * rhs3(dfe3)
-                + rhs3(dfe3 - step * w)) / step ** 2
-
     h = 1e-3 * scale / float(np.max(np.abs(w)))
-    second = (4.0 * second_diff(h / 2.0) - second_diff(h)) / 3.0
+    steps = np.array([h / 2.0, h])
+    along_w = steps[:, None] * w
+    # rows: the centre, then dfe3 + s*w and dfe3 - s*w for s = h/2, h
+    f = hiv_submodel_rhs(np.vstack([dfe3, dfe3 + along_w, dfe3 - along_w]),
+                         pstar)
+    second = _richardson((f[1:3] - 2.0 * f[0] + f[3:5]) / steps[:, None] ** 2)
     a_fd = float(v @ second)
     kappa = 1e-5
-    p_plus = dataclasses.replace(p, beta2=bstar + kappa)
-    p_minus = dataclasses.replace(p, beta2=bstar - kappa)
-    jp = fd_jacobian(lambda y: hiv_submodel_rhs(y, p_plus), dfe3)
-    jm = fd_jacobian(lambda y: hiv_submodel_rhs(y, p_minus), dfe3)
+    points, jsteps = _jacobian_probes(dfe3)
+    jp, jm = [_richardson_jacobian(hiv_submodel_rhs(points, pp), jsteps)
+              for pp in (dataclasses.replace(pstar, beta2=bstar + kappa),
+                         dataclasses.replace(pstar, beta2=bstar - kappa))]
     b_fd = float(v @ ((jp - jm) / (2.0 * kappa)) @ w)
 
     for closed, fd, name in ((a, a_fd, "a"), (b, b_fd, "b")):

@@ -184,6 +184,22 @@ def test_scenario_exit_codes(tmp_path):
     assert (tmp_path / "table3__summary.csv").exists()
 
 
+@pytest.mark.parametrize("name,deaths,code", [
+    ("table2", "off", 2), ("table3", "on", 2), ("dfe-stability", "off", 2),
+    ("syndemic-stability", "on", 2), ("treatment-aids", "off", 0)])
+def test_deaths_flag_applies_to_treatment_scenarios_only(name, deaths, code,
+                                                         tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["scenario", "--name", name, "--deaths", deaths,
+                 "--out", str(out)]) == code
+    if code == 2:
+        assert capsys.readouterr().err == (
+            "error: --deaths applies to the treatment scenarios only\n")
+        assert not out.exists()
+    else:
+        assert (out / f"{name}-deaths-{deaths}__summary.csv").exists()
+
+
 @pytest.mark.parametrize("solver,error,argv", [
     ("syndemic", ConvergenceError("pseudo-transient iteration cap reached"),
      ["equilibrium", "--kind", "syndemic"]),

@@ -64,6 +64,62 @@ def test_rhs_matches_independent_flow_list():
                     <= 1e-12 * np.max(np.abs(expected)))
 
 
+def _stack_parameters(rng):
+    # the baseline, no transmission, and two draws of every rate
+    drawn = [Parameters(**{name: float(rng.uniform(0.01, 3.0))
+                           for name in PARAMETER_FIELDS})
+             for _ in range(2)]
+    return [BASE, dataclasses.replace(BASE, beta1=0.0, beta2=0.0)] + drawn
+
+
+@pytest.mark.parametrize("rhs,width", [(full_rhs, 10), (hiv_submodel_rhs, 3),
+                                       (tb_submodel_rhs, 4)])
+def test_stacked_rhs_matches_row_by_row(rhs, width):
+    # bit for bit: the difference probes of the threshold analysis rely on it
+    rng = np.random.default_rng(3141)
+    for p in _stack_parameters(rng):
+        states = (rng.uniform(0.01, 1.0, (1000, width))
+                  * rng.uniform(1e2, 1e5, (1000, 1)))
+        for n_ref in (None, float(rng.uniform(1e3, 1e5))):
+            rows = np.array([rhs(y, p, n_ref) for y in states])
+            assert np.array_equal(rhs(states, p, n_ref), rows)
+
+
+def test_stacked_rhs_matches_independent_flow_list():
+    rng = np.random.default_rng(2719)
+    for p in _stack_parameters(rng):
+        states = (rng.uniform(0.01, 1.0, (1000, N_COMPARTMENTS))
+                  * rng.uniform(1e2, 1e5, (1000, 1)))
+        for n_ref in (None, float(rng.uniform(1e3, 1e5))):
+            expected = np.array([flow_rhs(y, p, n_ref) for y in states])
+            assert np.all(np.abs(full_rhs(states, p, n_ref) - expected).max(axis=1)
+                          <= 1e-12 * np.abs(expected).max(axis=1))
+
+
+@pytest.mark.parametrize("rhs,width", [(full_rhs, 10), (hiv_submodel_rhs, 3),
+                                       (tb_submodel_rhs, 4)])
+def test_stacked_rhs_domain_checks(rhs, width):
+    states = np.full((5, width), 1000.0)
+    states[3] = 0.0
+    with pytest.raises(DomainError):
+        rhs(states, BASE)
+    states[3, 0] = -1.0
+    with pytest.raises(DomainError):
+        rhs(states, BASE)
+    with pytest.raises(DomainError):
+        rhs(np.ones((2, 5, width)), BASE)
+    with pytest.raises(DomainError):
+        rhs(np.ones((5, width + 1)), BASE)
+
+
+def test_one_state_functions_reject_stacks():
+    stack = np.full((2, N_COMPARTMENTS), 1000.0)
+    with pytest.raises(DomainError):
+        force_of_infection(stack, BASE)
+    with pytest.raises(DomainError):
+        full_jacobian(stack, BASE)
+
+
 def test_mass_balance_random_states():
     # births minus natural and disease deaths, to machine precision
     rng = np.random.default_rng(1234)

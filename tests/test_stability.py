@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import syndemic.stability
-from syndemic.model import (DomainError, Parameters, full_rhs,
-                            hiv_submodel_rhs)
+from syndemic.model import (DomainError, Parameters, flow_matrices,
+                            full_rhs, hiv_submodel_rhs)
 from syndemic.reproduction import r2_closed
 from syndemic.scenarios import INITIAL_FRACTIONS
 from syndemic.stability import (ConvergenceError, bifurcation_analysis,
@@ -94,14 +94,15 @@ def test_eigenvalues_input_guards():
 @pytest.mark.parametrize("position", [0, -1])
 def test_eigenvalue_failing_residual_check_raises(position, monkeypatch):
     m = jacobian(_dfe(), SUPER)
-    true_eigvals = np.linalg.eigvals
+    true_eig = np.linalg.eig
 
     def one_value_off(a):
-        vals = true_eigvals(a).astype(complex)
+        vals, vecs = true_eig(a)
+        vals = vals.astype(complex)
         vals[position] += 1e-3 * np.linalg.norm(a, 2)
-        return vals
+        return vals, vecs
 
-    monkeypatch.setattr(np.linalg, "eigvals", one_value_off)
+    monkeypatch.setattr(np.linalg, "eig", one_value_off)
     with pytest.raises(ConvergenceError, match="residual check"):
         eigenvalues(m)
 
@@ -117,6 +118,27 @@ def test_eigenvalue_residuals_on_random_matrices():
             assert smin <= 1e-7 * scale
             # characteristic polynomial nearly vanishes too
             assert abs(np.linalg.det(shifted)) <= 1e-6 * (3.0 * scale) ** n
+
+
+def test_eigenvector_residual_bounds_smallest_singular_value():
+    # ||A v - mu v|| / ||v|| >= sigma_min(A - mu I) for any mu and v, so the
+    # eigenvector check in eigenvalues() passes only where a check of the
+    # smallest singular value against the same bound would pass. Checked at
+    # every computed pair and with the value moved off by 1e-9 to 1e-3 of
+    # ||A||_2, up to the rounding of the two computed sides (16 eps ||A||_2).
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(4242)
+    for n in range(2, 11):
+        m = rng.normal(size=(n, n))
+        scale = np.linalg.norm(m, 2)
+        vals, vecs = np.linalg.eig(m)
+        for lam, v in zip(vals, vecs.T):
+            for shift in (0.0, 1e-9, 1e-6, 1e-3):
+                mu = lam + shift * scale
+                residual = np.linalg.norm(m @ v - mu * v) / np.linalg.norm(v)
+                shifted = m - mu * np.eye(n)
+                smin = np.linalg.svd(shifted, compute_uv=False)[-1]
+                assert residual >= smin - 16.0 * eps * scale
 
 
 def test_eigenvalues_invariant_under_orthogonal_similarity():
@@ -224,12 +246,51 @@ def test_threshold_analysis_difference_route_is_pinned(beta1, beta2):
     assert (rep.a_fd, rep.b_fd) == (COEFF_A_FD, COEFF_B_FD)
 
 
-def test_threshold_analysis_difference_route_probe_count(count_calls):
-    # 6 probes along w for the second derivative, and two 3-coordinate
-    # Richardson Jacobians of 13 probes each for the beta2 derivative.
-    probes = count_calls(syndemic.stability, "hiv_submodel_rhs")
-    bifurcation_analysis(SUPER)
-    assert len(probes) == 32
+def test_threshold_analysis_difference_route_probe_count(monkeypatch):
+    # Three stacked calls, one per parameter set (beta*, beta* +- kappa,
+    # beta1 zeroed), whose rows are the probes of the one-at-a-time route
+    # with its duplicates dropped: the centre and dfe3 +- s*w (s = h/2, h)
+    # for the second derivative, and dfe3 +- e_j*h_j/2 and +- e_j*h_j for
+    # each Richardson Jacobian.
+    calls = []
+    original = syndemic.stability.hiv_submodel_rhs
+
+    def recording(states, params, n_ref=None):
+        calls.append((np.array(states), params))
+        return original(states, params, n_ref)
+
+    monkeypatch.setattr(syndemic.stability, "hiv_submodel_rhs", recording)
+    rep = bifurcation_analysis(SUPER)
+    bstar = rep.beta_star
+    assert [(p.beta1, p.beta2) for _, p in calls] == [
+        (0.0, bstar), (0.0, bstar + 1e-5), (0.0, bstar - 1e-5)]
+
+    dfe3 = np.array([S0, 0.0, 0.0])
+    h = 1e-3 * S0 / float(np.max(np.abs(rep.w)))
+    along_w = [dfe3] + [dfe3 + sign * (s * rep.w)
+                        for s in (h / 2.0, h) for sign in (1.0, -1.0)]
+    steps = np.maximum(1e-6, 1e-6 * np.abs(dfe3))
+    coordinate = []
+    for s in (steps / 2.0, steps):
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = s[j]
+            coordinate += [dfe3 + e, dfe3 - e]
+    expected = (along_w, coordinate, coordinate)
+    for (states, _), points in zip(calls, expected):
+        assert states.shape == (len(points), 3)
+        assert {tuple(r) for r in states} == {tuple(r) for r in points}
+
+
+def test_threshold_analysis_reuses_flow_matrices():
+    # beta1 is zeroed and beta2 replaced, so every (beta1, beta2) at the
+    # default rates shares the difference route's three parameter sets.
+    flow_matrices.cache_clear()
+    for beta1, beta2 in zip(np.linspace(1.0, 50.0, 20),
+                            np.linspace(0.01, 0.4, 20)):
+        bifurcation_analysis(Parameters(beta1=float(beta1),
+                                        beta2=float(beta2)))
+    assert flow_matrices.cache_info().misses == 3
 
 
 def test_threshold_analysis_random_draws_agree_with_differences():

@@ -91,11 +91,7 @@ class RunConfig:
     def parameters(self) -> Parameters:
         if "beta1" not in self.assignments or "beta2" not in self.assignments:
             raise ConfigError("beta1 and beta2 must be set (config or flag)")
-        params = Parameters(**self.assignments)
-        problems = validate_parameters(params)
-        if problems:
-            raise ConfigError("invalid parameters: " + "; ".join(problems))
-        return params
+        return _checked(Parameters(**self.assignments), "parameters")
 
     def initial_state(self) -> np.ndarray:
         if self.init_values is None:
@@ -109,6 +105,13 @@ class RunConfig:
         return _parse_nref_token(self.n_ref, self)
 
 
+def _checked(params: Parameters, what: str) -> Parameters:
+    problems = validate_parameters(params)
+    if problems:
+        raise ConfigError(f"invalid {what}: " + "; ".join(problems))
+    return params
+
+
 def _parse_nref_token(token: Optional[str], cfg: "RunConfig") -> Optional[float]:
     if token is None or token == "dfe":
         return None
@@ -118,8 +121,8 @@ def _parse_nref_token(token: Optional[str], cfg: "RunConfig") -> Optional[float]
         value = float(token)
     except ValueError:
         raise ConfigError(f"n_ref must be dfe, N0, or a number, got {token!r}")
-    if value <= 0:
-        raise ConfigError("n_ref must be positive")
+    if not 0 < value < math.inf:
+        raise ConfigError(f"n_ref must be a finite positive number, got {token!r}")
     return value
 
 
@@ -310,31 +313,25 @@ def _nice_ceiling(value: float) -> float:
     return 10.0 ** (exp + 1)
 
 
-def _grid_trajectory(traj: Trajectory, grid: np.ndarray) -> Trajectory:
-    states = np.vstack([traj.at(t) for t in grid])
-    return Trajectory(times=np.asarray(grid, dtype=float), states=states,
-                      params=traj.params, stats=traj.stats)
-
-
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     params = cfg.parameters()
     horizon = args.horizon if args.horizon is not None else cfg.horizon
+    if not math.isfinite(horizon):     # np.linspace warns on an infinite end
+        raise ConfigError("horizon must be finite")
     n_ref = cfg.resolve_n_ref()
-    grid = np.linspace(0.0, horizon, 241)
     traj = integrate(lambda t, y: full_rhs(y, params, n_ref),
                      cfg.initial_state(), 0.0, horizon,
                      rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                     report_times=grid, params=params)
-    reduced = _grid_trajectory(traj, grid)
+                     report_times=np.linspace(0.0, horizon, 241))
     out = _out_dir(args, cfg)
     rows = ["time_years," + ",".join(COMPARTMENTS) + ",total"]
-    for t, y in zip(reduced.times, reduced.states):
+    for t, y in zip(traj.times, traj.states):
         rows.append(",".join([f"{t:.8g}"] + [f"{v:.8g}" for v in y]
                              + [f"{y.sum():.8g}"]))
     atomic_write(out / "trajectory.csv", "\n".join(rows) + "\n")
-    atomic_write(out / "trajectory.svg", emit_svg(reduced, COMPARTMENTS))
-    final = reduced.final
+    atomic_write(out / "trajectory.svg", emit_svg(traj, COMPARTMENTS))
+    final = traj.final
     print(f"integrated {horizon:.8g} years, {traj.stats['accepted']} steps")
     print(f"N({horizon:.8g}) = {final.sum():.8g}")
     print(f"wrote {out / 'trajectory.csv'} and {out / 'trajectory.svg'}")
@@ -438,7 +435,8 @@ def _cmd_sweep(args) -> int:
     n_ref = cfg.resolve_n_ref()
     rows = [f"{args.param},r1,r2,r0"]
     for value in values:
-        p = dataclasses.replace(params, **{args.param: value})
+        p = _checked(dataclasses.replace(params, **{args.param: value}),
+                     f"{args.param} = {value!r}")
         numbers = r0(p, n_ref)
         rows.append(f"{value:.8g},{numbers.r1:.8g},{numbers.r2:.8g},"
                     f"{numbers.r0:.8g}")

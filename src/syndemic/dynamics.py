@@ -6,6 +6,7 @@ the test suite cross-checks it against an independent reference integrator.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -35,6 +36,9 @@ _SAFETY = 0.9
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 _H_MIN = 1e-12
+_MAX_STEPS = 2_000_000
+_SETTLE_TOL = 1e-9      # steady_state_by_integration, checked every _CHUNK years
+_CHUNK = 50.0
 
 
 class IntegrationError(RuntimeError):
@@ -48,24 +52,19 @@ class IntegrationError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Accepted integration steps: times, states, and solver statistics."""
+    """Times, the states at those times, and solver statistics.
+
+    ``integrate`` fills it with the report grid when one is asked for (t0,
+    each report time and t1), else with every accepted step.
+    """
 
     times: np.ndarray
     states: np.ndarray
-    params: Optional[Parameters] = None
     stats: dict = field(default_factory=dict)
 
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
-
-    def at(self, t: float) -> np.ndarray:
-        """State stored at time t (exact step match, no interpolation)."""
-        span = max(abs(self.times[-1] - self.times[0]), 1.0)
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * span:
-            raise KeyError(f"no stored step at t = {t}")
-        return self.states[i]
 
 
 @dataclass
@@ -82,35 +81,35 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
               t1: float,
               rel_tol: float = 1e-8,
               abs_tol: Optional[float] = None,
-              report_times: Optional[Sequence[float]] = None,
-              params: Optional[Parameters] = None,
-              max_steps: int = 2_000_000) -> Trajectory:
+              report_times: Optional[Sequence[float]] = None) -> Trajectory:
     """Integrate y' = rhs(t, y) from t0 to t1 adaptively.
 
-    Every accepted step is stored. When report_times are given the step size
-    is capped so each one is landed on exactly. A component that dips into
-    (-abs_tol, 0) after a step is clamped to zero; a dip at or below -abs_tol
-    rejects the step outright (a drop that large is solver failure, not
-    roundoff), and so does a trial stage at which rhs raises DomainError.
-    Raises IntegrationError with the last good time and state if the step
-    size underflows.
+    The step size is capped so that t1 and every report time are landed on
+    exactly. With report_times the returned trajectory holds the states at
+    t0, at each report time and at t1, sorted and without repeats; without
+    them it holds every accepted step. Its stats count every step either
+    way. A component that dips into (-abs_tol, 0) after a step is clamped to
+    zero; a dip at or below -abs_tol rejects the step outright (a drop that
+    large is solver failure, not roundoff), and so does a trial stage at
+    which rhs raises DomainError. Raises DomainError unless the times are
+    finite and the tolerances finite and positive, and IntegrationError
+    with the last good time and state if the step size underflows.
     """
     y = np.asarray(state0, dtype=float).copy()
+    rep = np.asarray([] if report_times is None else report_times, dtype=float)
+    if not (math.isfinite(t0) and math.isfinite(t1) and np.isfinite(rep).all()):
+        raise DomainError("times must be finite")
     if not t1 > t0:
         raise DomainError("t1 must exceed t0")
     if np.any(y < 0):
         raise DomainError("initial state must be nonnegative")
-    if rel_tol <= 0 or (abs_tol is not None and abs_tol <= 0):
-        raise DomainError("tolerances must be positive")
+    if not (0 < rel_tol < math.inf and (abs_tol is None or 0 < abs_tol < math.inf)):
+        raise DomainError("tolerances must be finite and positive")
     if abs_tol is None:
         abs_tol = 1e-8 * max(1.0, float(np.abs(y).sum()))
-
-    checkpoints = [float(t1)]
-    if report_times is not None:
-        rep = np.asarray(report_times, dtype=float)
-        if np.any(rep < t0) or np.any(rep > t1):
-            raise DomainError("report times must lie within [t0, t1]")
-        checkpoints = sorted(set(float(t) for t in rep) | {float(t1)})
+    if np.any(rep < t0) or np.any(rep > t1):
+        raise DomainError("report times must lie within [t0, t1]")
+    checkpoints = sorted(set(rep.tolist()) | {float(t1)})
 
     t = float(t0)
     f = np.asarray(rhs(t, y), dtype=float)
@@ -125,14 +124,20 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     accepted = rejected = 0
     next_cp = 0
     fsal_valid = True
+    # a step ending this close short of a checkpoint is stretched onto it,
+    # and checkpoints this close together count as one
+    merge = 1e-14 * (t1 - t0)
 
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if t >= t1:
             break
-        while next_cp < len(checkpoints) and checkpoints[next_cp] <= t + 1e-14 * (t1 - t0):
+        while next_cp < len(checkpoints) and checkpoints[next_cp] <= t + merge:
             next_cp += 1
         target = checkpoints[next_cp] if next_cp < len(checkpoints) else t1
-        h = min(max(h, _H_MIN), t1 - t0, target - t)
+        h = max(h, _H_MIN)
+        lands = h >= target - t - merge
+        if lands:
+            h = target - t
 
         if not fsal_valid:
             f = np.asarray(rhs(t, y), dtype=float)
@@ -158,7 +163,7 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
             halve = bool(np.any(y_new <= -abs_tol))
             step_accepted = err <= 1.0 and not halve
         if step_accepted:
-            t += h
+            t = target if lands else t + h
             clamped = (y_new < 0.0)
             if clamped.any():
                 y_new = y_new.copy()
@@ -166,8 +171,9 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
             y = y_new
             f = k[6]               # FSAL
             fsal_valid = not clamped.any()
-            times.append(t)
-            states.append(y.copy())
+            if lands or report_times is None:
+                times.append(t)
+                states.append(y.copy())
             accepted += 1
             fac = _SAFETY * err ** -0.14 * err_prev ** 0.08 if err > 0 else _FAC_MAX
             err_prev = max(err, 1e-10)
@@ -181,22 +187,21 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
         raise IntegrationError("step budget exhausted", t, y)
 
     return Trajectory(times=np.asarray(times), states=np.asarray(states),
-                      params=params,
                       stats={"accepted": accepted, "rejected": rejected,
                              "rhs_evals": n_evals})
 
 
-def invariant_monitor(traj: Trajectory, params: Parameters,
-                      tol: Optional[float] = None) -> List[InvariantViolation]:
+def invariant_monitor(traj: Trajectory,
+                      params: Parameters) -> List[InvariantViolation]:
     """Scan a trajectory for feasibility violations.
 
     Flags any component below -tol and any total population above
-    max(N(0), Lambda/mu) + tol. The bound uses the larger of the two because
-    the total only decays toward Lambda/mu when it starts above it.
+    max(N(0), Lambda/mu) + tol, where tol = 1e-6 max(1, N(0)). The bound uses
+    the larger of the two because the total only decays toward Lambda/mu
+    when it starts above it.
     """
     n0 = float(traj.states[0].sum())
-    if tol is None:
-        tol = 1e-6 * max(1.0, n0)
+    tol = 1e-6 * max(1.0, n0)
     bound = max(n0, params.Lambda / params.mu)
     out: List[InvariantViolation] = []
     for t, y in zip(traj.times, traj.states):
@@ -213,44 +218,37 @@ def invariant_monitor(traj: Trajectory, params: Parameters,
 def steady_state_by_integration(params: Parameters,
                                 state0,
                                 horizon: float = 500.0,
-                                settle_tol: float = 1e-9,
                                 *,
-                                n_ref: Optional[float] = None,
-                                rhs: Optional[Callable] = None,
-                                chunk: float = 50.0,
-                                rel_tol: float = 1e-8,
-                                abs_tol: Optional[float] = None):
-    """Integrate until the scaled derivative norm settles, or give up.
+                                n_ref: Optional[float] = None):
+    """Integrate the full model until the scaled derivative norm settles, or
+    give up at the horizon.
 
     Returns (state, converged). The settle criterion is
-    ||rhs(y)||_2 / sum(y) < settle_tol, checked every ``chunk`` years. By
-    default the full model right-hand side is used; pass ``rhs`` to seed
-    sub-model solves.
+    ||rhs(y)||_2 / sum(y) < 1e-9, checked every 50 years.
     """
     if horizon <= 0:
         raise DomainError("horizon must be positive")
-    if rhs is None:
-        def rhs(t, y, _p=params, _n=n_ref):
-            return full_rhs(y, _p, _n)
+
+    def rhs(t, y):
+        return full_rhs(y, params, n_ref)
+
     y = np.asarray(state0, dtype=float).copy()
-    if abs_tol is None:
-        # keep integration noise well below the settle target, else the
-        # derivative norm floors out above it and never settles
-        abs_tol = 0.01 * settle_tol * max(1.0, float(np.abs(y).sum()))
+    # keep integration noise well below the settle target, else the
+    # derivative norm floors out above it and never settles
+    abs_tol = 0.01 * _SETTLE_TOL * max(1.0, float(np.abs(y).sum()))
 
     def settled(y):
         n = float(y.sum())
         if n <= 0:
             return False
-        return float(np.linalg.norm(rhs(0.0, y))) / n < settle_tol
+        return float(np.linalg.norm(rhs(0.0, y))) / n < _SETTLE_TOL
 
     if settled(y):
         return y, True
     t = 0.0
     while t < horizon:
-        step = min(chunk, horizon - t)
-        traj = integrate(rhs, y, t, t + step, rel_tol=rel_tol, abs_tol=abs_tol)
-        y = traj.final
+        step = min(_CHUNK, horizon - t)
+        y = integrate(rhs, y, t, t + step, abs_tol=abs_tol).final
         t += step
         if settled(y):
             return y, True

@@ -17,6 +17,7 @@ of states.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional, Sequence
 
@@ -117,8 +118,8 @@ def _denominator(y: np.ndarray, n_ref: Optional[float]):
             raise DomainError("population denominator must be positive")
         return n
     n = float(n_ref) if n_ref is not None else float(y.sum())
-    if n <= 0.0:
-        raise DomainError("population denominator must be positive")
+    if not 0.0 < n < math.inf:
+        raise DomainError("population denominator must be finite and positive")
     return n
 
 

@@ -9,6 +9,7 @@ use the initial census of 50000 (prefactor 0.9996).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
@@ -30,8 +31,8 @@ def _prefactor(params: Parameters, n_ref: Optional[float]) -> float:
     s0 = params.Lambda / params.mu
     if n_ref is None:
         return 1.0
-    if n_ref <= 0:
-        raise DomainError("n_ref must be positive")
+    if not 0 < n_ref < math.inf:
+        raise DomainError("n_ref must be finite and positive")
     return s0 / n_ref
 
 

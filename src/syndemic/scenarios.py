@@ -88,7 +88,6 @@ class ScenarioSpec:
     overrides: dict = field(default_factory=dict)
     initial_state: Optional[np.ndarray] = None
     horizon: float = 0.0
-    report_times: Optional[np.ndarray] = None
     n_ref: Optional[float] = None     # None: time-varying denominator
 
     def __post_init__(self):
@@ -224,12 +223,12 @@ def run_table3(params: Optional[Parameters] = None) -> ScenarioResult:
     return result
 
 
-def _perturbed_starts(n: int) -> Dict[str, np.ndarray]:
-    """The standard census ("base") and n censuses ("perturbed-1", ...) with
-    the infected fractions jittered by up to 10%."""
+def _perturbed_starts() -> Dict[str, np.ndarray]:
+    """The standard census ("base") and five censuses ("perturbed-1", ...)
+    with the infected fractions jittered by up to 10%."""
     rng = np.random.default_rng(_PERTURBATION_SEED)
     starts = {"base": initial_state()}
-    for i in range(1, n + 1):
+    for i in range(1, 6):
         fractions = INITIAL_FRACTIONS.copy()
         jitter = 1.0 + rng.uniform(-0.1, 0.1, size=len(INFECTED_INDICES))
         fractions[list(INFECTED_INDICES)] *= jitter
@@ -238,8 +237,7 @@ def _perturbed_starts(n: int) -> Dict[str, np.ndarray]:
     return starts
 
 
-def run_dfe_stability(params: Optional[Parameters] = None,
-                      n_perturbed: int = 5) -> ScenarioResult:
+def run_dfe_stability(params: Optional[Parameters] = None) -> ScenarioResult:
     """Subthreshold long-run behavior: every start decays to the
     disease-free state.
 
@@ -253,9 +251,8 @@ def run_dfe_stability(params: Optional[Parameters] = None,
     spec = ScenarioSpec(name="dfe-stability", params=base,
                         initial_state=initial_state(), horizon=horizon)
     result = ScenarioResult(spec=spec)
-    for key, y0 in _perturbed_starts(n_perturbed).items():
-        traj = integrate(lambda t, y: full_rhs(y, base), y0, 0.0, horizon,
-                         params=base)
+    for key, y0 in _perturbed_starts().items():
+        traj = integrate(lambda t, y: full_rhs(y, base), y0, 0.0, horizon)
         result.trajectories[key] = traj
         result.terminal_states[key] = traj.final
         infected_max = float(np.max(traj.final[list(INFECTED_INDICES)]))
@@ -279,8 +276,7 @@ def run_dfe_stability(params: Optional[Parameters] = None,
     return result
 
 
-def run_syndemic_stability(params: Optional[Parameters] = None,
-                           n_perturbed: int = 5) -> ScenarioResult:
+def run_syndemic_stability(params: Optional[Parameters] = None) -> ScenarioResult:
     """Supercritical long-run behavior: every start settles on the same
     fully endemic state, which matches the curated reference vector.
 
@@ -296,9 +292,9 @@ def run_syndemic_stability(params: Optional[Parameters] = None,
                         n_ref=n_ref)
     result = ScenarioResult(spec=spec)
     finals = {}
-    for key, y0 in _perturbed_starts(n_perturbed).items():
+    for key, y0 in _perturbed_starts().items():
         traj = integrate(lambda t, y: full_rhs(y, base, n_ref), y0, 0.0,
-                         horizon, params=base)
+                         horizon)
         result.trajectories[key] = traj
         result.terminal_states[key] = traj.final
         finals[key] = traj.final
@@ -382,12 +378,12 @@ def run_treatment_impact(params: Optional[Parameters] = None,
                         overrides={"without": zeroed, "alt": extra,
                                    "deaths": deaths},
                         initial_state=initial_state(), horizon=horizon,
-                        report_times=grid, n_ref=n_ref)
+                        n_ref=n_ref)
     result = ScenarioResult(spec=spec)
     y0 = initial_state()
     for key, p in arms.items():
         traj = integrate(lambda t, y, _p=p: full_rhs(y, _p, n_ref),
-                         y0, 0.0, horizon, report_times=grid, params=p)
+                         y0, 0.0, horizon, report_times=grid)
         result.trajectories[key] = traj
         result.terminal_states[key] = traj.final
         result.comparisons[f"{key} N(20)"] = total_population(traj.final)
@@ -423,7 +419,7 @@ def run_treatment_impact(params: Optional[Parameters] = None,
         _record(result, "untreated arm recovered-coinfection stays zero",
                 0.0, r_th_max, 1e-9)
         with_i = result.trajectories["with-treatment"]
-        crossing = _first_crossing(with_i, wo, grid, component=7, after=0.1)
+        crossing = _first_crossing(with_i, wo, component=7, after=0.1)
         result.comparisons["coinfected crossover year"] = crossing
         if deaths == "off":
             result.assertions.append(AssertionRecord(
@@ -436,18 +432,19 @@ def run_treatment_impact(params: Optional[Parameters] = None,
 
 
 def _first_crossing(with_traj: Trajectory, without_traj: Trajectory,
-                    times: Sequence[float], component: int,
-                    after: float) -> float:
-    """First report time where the untreated arm falls below the treated.
+                    component: int, after: float) -> float:
+    """First report time after ``after`` where the untreated arm falls below
+    the treated.
 
-    The arms take different adaptive steps, so they are compared at the
-    shared report times, never step by step.
+    The arms take different adaptive steps, so both must hold the same
+    report grid; they are compared there, never step by step.
     """
-    for t in times:
-        if (t > after and without_traj.at(t)[component]
-                < with_traj.at(t)[component]):
-            return float(t)
-    return math.inf
+    times = with_traj.times
+    if not np.array_equal(times, without_traj.times):
+        raise ValueError("the arms hold different report times")
+    below = ((times > after) & (without_traj.states[:, component]
+                                < with_traj.states[:, component]))
+    return float(times[below][0]) if below.any() else math.inf
 
 
 # Every canned experiment by name, as runner(params, deaths); params None
@@ -497,19 +494,16 @@ def _format(x: float) -> str:
 def write_scenario_csv(result: ScenarioResult, out_dir) -> List[Path]:
     """One CSV per trajectory plus a summary CSV of the scalar assertions.
 
-    Trajectory files: time in years, the ten compartments in model order,
-    and the total. Files are written atomically (temp file then rename).
+    Trajectory files hold one row per stored time of the trajectory (the
+    report grid of the treatment runs, every step of the stability runs):
+    time in years, the ten compartments in model order, and the total.
+    Files are written atomically (temp file then rename).
     """
     out = Path(out_dir)
     written = []
-    grid = result.spec.report_times
     for key, traj in result.trajectories.items():
-        if grid is not None:
-            pairs = [(t, traj.at(t)) for t in grid]
-        else:
-            pairs = zip(traj.times, traj.states)
         rows = [[_format(t)] + [_format(v) for v in y] + [_format(y.sum())]
-                for t, y in pairs]
+                for t, y in zip(traj.times, traj.states)]
         path = out / f"{result.spec.name}__{key}.csv"
         atomic_write(path, _csv_text(["time_years", *COMPARTMENTS, "total"],
                                      rows))

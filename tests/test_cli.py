@@ -260,6 +260,49 @@ def test_sweep_rejects_unknown_parameter(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("param,values,problem", [
+    ("mu", "0", "mu > 0 required"), ("mu", "-1", "mu >= 0 required"),
+    ("beta2", "0.1,nan", "beta2 must be finite")])
+def test_sweep_rejects_invalid_values(param, values, problem, tmp_path,
+                                      capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--beta1", "6", "--beta2", "0.1", "--param", param,
+                 "--values", values, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid {param} = ") and problem in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["--horizon", "inf"], ""), ([], "rel_tol = nan\n"),
+    ([], "abs_tol = nan\n"), ([], "rel_tol = inf\n")])
+def test_simulate_rejects_non_finite_horizon_and_tolerances(argv, config,
+                                                            tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(DEFAULT_CONFIG + config)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--beta1", "6",
+                 "--beta2", "0.1", "--out", str(out)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["r0"], ["equilibrium", "--kind", "syndemic"]])
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_non_finite_nref_is_an_input_error(command, token, tmp_path, capsys):
+    assert main(command + ["--beta1", "6", "--beta2", "0.1",
+                           "--nref", token]) == 2
+    path = tmp_path / "run.cfg"
+    path.write_text(f"n_ref = {token}\n")
+    assert main(command + ["--config", str(path), "--beta1", "6",
+                           "--beta2", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == 2 * ("error: n_ref must be a finite positive "
+                                f"number, got {token!r}\n")
+    assert captured.out == ""
+
+
 def test_config_file_loading(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text(DEFAULT_CONFIG + "beta1 = 6\nbeta2 = 0.1\n")
@@ -270,7 +313,7 @@ def test_config_file_loading(tmp_path, capsys):
 def _toy_trajectory():
     times = np.linspace(0.0, 2.0, 5)
     states = np.column_stack([np.linspace(0.0, 7.3, 5)] * 10)
-    return Trajectory(times=times, states=states, params=None, stats={})
+    return Trajectory(times=times, states=states, stats={})
 
 
 def test_svg_single_selection_and_axis_bound():

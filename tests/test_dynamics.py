@@ -1,4 +1,5 @@
 """Adaptive integrator: accuracy, invariants, and failure modes."""
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from scipy.integrate import solve_ivp
 from syndemic.dynamics import (IntegrationError, Trajectory, integrate,
                                invariant_monitor, steady_state_by_integration)
 from syndemic.model import DomainError, Parameters, full_rhs
-from syndemic.scenarios import (ENDEMIC_REFERENCE_STATE, INITIAL_FRACTIONS,
-                                INITIAL_POPULATION)
+from syndemic.scenarios import (_TREATMENT_FAMILIES, ENDEMIC_REFERENCE_STATE,
+                                INITIAL_FRACTIONS, INITIAL_POPULATION)
 
 BASE = Parameters(beta1=6.0, beta2=0.1)
 START = INITIAL_FRACTIONS * INITIAL_POPULATION
@@ -47,16 +48,39 @@ def test_report_times_are_landed_exactly():
     grid = np.linspace(0.0, 20.0, 241)
     traj = integrate(lambda t, y: full_rhs(y, BASE), START, 0.0, 20.0,
                      report_times=grid)
-    stored = set(float(t) for t in traj.times)
-    for t in grid:
-        assert float(t) in stored
-        assert traj.at(t).shape == (10,)
+    assert np.array_equal(traj.times, grid)
+    assert traj.states.shape == (241, 10)
+    # the work of every step, stored or not
+    assert traj.stats == {"accepted": 373, "rejected": 0, "rhs_evals": 2239}
 
 
-def test_at_requires_stored_time():
-    traj = integrate(lambda t, y: -y, np.array([1.0]), 0.0, 1.0)
-    with pytest.raises(KeyError):
-        traj.at(0.123456789)
+def test_report_grid_is_sorted_without_repeats():
+    traj = integrate(lambda t, y: -y, np.array([1.0]), 0.0, 1.0,
+                     report_times=[0.5, 0.25, 0.5])
+    assert traj.times.tolist() == [0.0, 0.25, 0.5, 1.0]
+    assert traj.states.shape == (4, 1)
+    assert traj.states[:, 0] == pytest.approx(np.exp(-traj.times), rel=1e-7)
+
+
+@pytest.mark.parametrize("n_ref", [None, 50000.0])
+@pytest.mark.parametrize("arm", ["with-treatment", "without-treatment",
+                                 "without-treatment-alt"])
+def test_report_grid_states_match_library_integrator(arm, n_ref):
+    base = Parameters(beta1=13.0, beta2=0.06)
+    zeroed, extra = _TREATMENT_FAMILIES["tb"]
+    p = {"with-treatment": base,
+         "without-treatment": dataclasses.replace(base, **zeroed),
+         "without-treatment-alt": dataclasses.replace(base, **zeroed, **extra),
+         }[arm]
+    rhs = lambda t, y: full_rhs(y, p, n_ref)
+    grid = np.linspace(0.0, 20.0, 241)
+    mine = integrate(rhs, START, 0.0, 20.0, report_times=grid)
+    ref = solve_ivp(rhs, (0.0, 20.0), START, method="DOP853", rtol=1e-12,
+                    atol=1e-9, t_eval=grid)
+    assert ref.success
+    assert np.array_equal(mine.times, ref.t)
+    dev = np.abs(mine.states - ref.y.T) / np.maximum(np.abs(ref.y.T), 1.0)
+    assert np.max(dev) < 1e-6
 
 
 def test_report_times_outside_span_rejected():
@@ -73,6 +97,18 @@ def test_invalid_setup_rejected():
         integrate(lambda t, y: -y, np.array([-1.0]), 0.0, 1.0)
     with pytest.raises(DomainError):
         integrate(lambda t, y: -y, y0, 0.0, 1.0, rel_tol=0.0)
+
+
+@pytest.mark.parametrize("setup", [
+    {"t0": math.nan}, {"t0": -math.inf}, {"t1": math.inf}, {"t1": math.nan},
+    {"report_times": [0.5, math.nan]}, {"report_times": [math.inf]},
+    {"rel_tol": math.nan}, {"rel_tol": math.inf},
+    {"abs_tol": math.nan}, {"abs_tol": math.inf},
+])
+def test_non_finite_times_and_tolerances_rejected(setup):
+    kwargs = {"t0": 0.0, "t1": 1.0, **setup}
+    with pytest.raises(DomainError):
+        integrate(lambda t, y: -y, np.array([1.0]), **kwargs)
 
 
 def test_finite_time_blowup_raises():
@@ -112,17 +148,15 @@ def test_steady_state_by_integration_converges():
 
 
 def test_invariant_monitor_clean_run():
-    traj = integrate(lambda t, y: full_rhs(y, BASE), START, 0.0, 50.0,
-                     params=BASE)
+    traj = integrate(lambda t, y: full_rhs(y, BASE), START, 0.0, 50.0)
     assert invariant_monitor(traj, BASE) == []
 
 
 def test_invariant_monitor_flags_doctored_states():
-    traj = integrate(lambda t, y: full_rhs(y, BASE), START, 0.0, 1.0,
-                     params=BASE)
+    traj = integrate(lambda t, y: full_rhs(y, BASE), START, 0.0, 1.0)
     bad_states = traj.states.copy()
     bad_states[-1, 3] = -5.0
-    doctored = Trajectory(times=traj.times, states=bad_states, params=BASE,
+    doctored = Trajectory(times=traj.times, states=bad_states,
                           stats=traj.stats)
     kinds = {v.kind for v in invariant_monitor(doctored, BASE)}
     assert "negativity" in kinds
@@ -133,8 +167,7 @@ def test_random_starts_stay_in_domain():
     bound_ref = BASE.Lambda / BASE.mu
     for _ in range(15):
         y0 = rng.uniform(0.0, 9000.0, size=10)
-        traj = integrate(lambda t, y: full_rhs(y, BASE), y0, 0.0, 50.0,
-                         params=BASE)
+        traj = integrate(lambda t, y: full_rhs(y, BASE), y0, 0.0, 50.0)
         assert invariant_monitor(traj, BASE) == []
         bound = max(y0.sum(), bound_ref)
         assert np.min(traj.states) >= 0.0

@@ -1,5 +1,6 @@
 """Right-hand side, infection pressures, and domain checks."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -110,6 +111,12 @@ def test_stacked_rhs_domain_checks(rhs, width):
         rhs(np.ones((2, 5, width)), BASE)
     with pytest.raises(DomainError):
         rhs(np.ones((5, width + 1)), BASE)
+
+
+@pytest.mark.parametrize("n_ref", [0.0, math.nan, math.inf])
+def test_pinned_denominator_must_be_finite_and_positive(n_ref):
+    with pytest.raises(DomainError):
+        full_rhs(START, BASE, n_ref)
 
 
 def test_one_state_functions_reject_stacks():

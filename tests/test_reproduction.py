@@ -1,5 +1,6 @@
 """Reproduction numbers and next-generation matrix cross-checks."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -71,10 +72,11 @@ def test_bundle_takes_max():
 
 def test_prefactor_rejects_bad_reference():
     p = Parameters(beta1=6.0, beta2=0.1)
-    with pytest.raises(DomainError):
-        r1_closed(p, n_ref=0.0)
-    with pytest.raises(DomainError):
-        r2_closed(p, n_ref=-10.0)
+    for n_ref in (0.0, -10.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            r1_closed(p, n_ref=n_ref)
+        with pytest.raises(DomainError):
+            r2_closed(p, n_ref=n_ref)
 
 
 @pytest.mark.parametrize("beta1,beta2", PAIRED_SETS)

@@ -319,6 +319,8 @@ def _cmd_simulate(args) -> int:
     horizon = args.horizon if args.horizon is not None else cfg.horizon
     if not math.isfinite(horizon):     # np.linspace warns on an infinite end
         raise ConfigError("horizon must be finite")
+    if horizon <= 0.0:
+        raise ConfigError("horizon must be positive")
     n_ref = cfg.resolve_n_ref()
     traj = integrate(lambda t, y: full_rhs(y, params, n_ref),
                      cfg.initial_state(), 0.0, horizon,

@@ -224,10 +224,11 @@ def steady_state_by_integration(params: Parameters,
     give up at the horizon.
 
     Returns (state, converged). The settle criterion is
-    ||rhs(y)||_2 / sum(y) < 1e-9, checked every 50 years.
+    ||rhs(y)||_2 / sum(y) < 1e-9, checked every 50 years. The horizon must
+    be finite and positive.
     """
-    if horizon <= 0:
-        raise DomainError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise DomainError("horizon must be finite and positive")
 
     def rhs(t, y):
         return full_rhs(y, params, n_ref)

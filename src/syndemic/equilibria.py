@@ -10,15 +10,15 @@ pinned denominators, while None gives the self-consistent convention.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .model import (_HIV_SUB_INDICES, _TB_SUB_INDICES, DomainError,
-                    HIV_INFECTED_INDICES, Parameters, TB_INFECTED_INDICES,
-                    full_jacobian, full_rhs, hiv_submodel_rhs,
-                    tb_submodel_rhs, total_population)
+from .model import (_HIV_SUB_INDICES, _TB_SUB_INDICES, _linearise,
+                    DomainError, HIV_INFECTED_INDICES, Parameters,
+                    TB_INFECTED_INDICES, full_rhs, total_population)
 from .reproduction import ReproductionNumbers, r0, r1_closed, r2_closed
 from .stability import DEFAULT_TOL_EIG, ConvergenceError
 
@@ -58,36 +58,32 @@ def residual(state, params: Parameters,
     return float(np.linalg.norm(full_rhs(y, params, n_ref))) / n
 
 
-def _ptc(fun: Callable[[np.ndarray], np.ndarray],
-         jac: Callable[[np.ndarray], np.ndarray],
+def _ptc(fun_jac: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
          seed) -> Tuple[np.ndarray, dict]:
-    """Root of fun reached from seed by pseudo-transient continuation, and
-    the solve's stats.
+    """Root of f reached from seed by pseudo-transient continuation, and the
+    solve's stats; fun_jac(x) returns (f(x), J(x)) from one evaluation.
 
-    Each step is backward Euler on x' = fun(x) with one Jacobian,
-    (I/dt - J) dx = fun(x), so the iterate follows the flow towards the
+    Each step is backward Euler on x' = f(x) with one Jacobian,
+    (I/dt - J) dx = f(x), so the iterate follows the flow towards the
     attractor the seed lies in. After an accepted step dt grows by
     ||f_old|| / ||f_new||, at least by _DT_GROWTH; a trial that leaves the
     domain or dips below -_DIP_TOL N is rejected and retried at dt / 4, and
-    smaller dips are clamped to 0. Once ||fun|| <= _NEWTON_TOL N the steps
+    smaller dips are clamped to 0. Once ||f|| <= _NEWTON_TOL N the steps
     are full Newton steps (1/dt = 0), until one is at most _STEP_TOL N: a
     residual test alone stops far from the root where J is nearly singular.
-    The root is returned whether or not it passes the local-stability test
-    (every eigenvalue of jac(root) below -DEFAULT_TOL_EIG in real part);
-    stats records the outcome.
+    The J of each accepted trial is the next step's. The root is returned
+    whether or not it passes the local-stability test (every eigenvalue of
+    J(root) below -DEFAULT_TOL_EIG in real part); stats records the outcome
+    and counts every Jacobian built.
     """
     x = np.asarray(seed, dtype=float).copy()
     n = max(1.0, float(np.abs(x).sum()))
-    f = np.asarray(fun(x), dtype=float)
-    fnorm = float(np.linalg.norm(f))
+    f, j = fun_jac(x)
+    fnorm = math.sqrt(f @ f)
     eye, dt, newton = np.eye(x.size), _DT0, fnorm <= _NEWTON_TOL * n
-    stats = {"steps": 0, "rejected": 0, "jacobian_builds": 0,
+    stats = {"steps": 0, "rejected": 0, "jacobian_builds": 1,
              "locally_stable": False}
-    j = None
     for _ in range(_MAX_ITERATIONS):
-        if j is None:
-            j = jac(x)
-            stats["jacobian_builds"] += 1
         try:
             dx = np.linalg.solve((0.0 if newton else 1.0 / dt) * eye - j, f)
         except np.linalg.LinAlgError as exc:
@@ -98,9 +94,10 @@ def _ptc(fun: Callable[[np.ndarray], np.ndarray],
             if not x_try.min() >= -_DIP_TOL * n:
                 raise DomainError("trial step leaves the nonnegative orthant")
             x_try = np.maximum(x_try, 0.0)
-            f_try = np.asarray(fun(x_try), dtype=float)
-            fnorm_try = float(np.linalg.norm(f_try))
-            if not np.isfinite(fnorm_try):
+            f_try, j_try = fun_jac(x_try)
+            stats["jacobian_builds"] += 1
+            fnorm_try = math.sqrt(f_try @ f_try)
+            if not math.isfinite(fnorm_try):
                 raise DomainError("non-finite right-hand side")
         except DomainError:
             stats["rejected"] += 1
@@ -109,13 +106,15 @@ def _ptc(fun: Callable[[np.ndarray], np.ndarray],
         stats["steps"] += 1
         if newton and np.abs(dx).max() <= _STEP_TOL * n:
             root = np.where(x_try < 1e-12, 0.0, x_try)
-            stats["jacobian_builds"] += 1
+            if not np.array_equal(root, x_try):
+                j_try = fun_jac(root)[1]
+                stats["jacobian_builds"] += 1
             stats["locally_stable"] = bool(
-                np.linalg.eigvals(jac(root)).real.max() < -DEFAULT_TOL_EIG)
+                np.linalg.eigvals(j_try).real.max() < -DEFAULT_TOL_EIG)
             return root, stats
         if fnorm_try > 0.0:
             dt *= max(fnorm / fnorm_try, _DT_GROWTH)
-        x, f, fnorm, j = x_try, f_try, fnorm_try, None
+        x, f, fnorm, j = x_try, f_try, fnorm_try, j_try
         newton = fnorm <= _NEWTON_TOL * n
     raise ConvergenceError("pseudo-transient iteration cap reached",
                            last_iterate=x)
@@ -161,18 +160,21 @@ def _embed(values: np.ndarray, indices) -> np.ndarray:
 
 
 def _submodel_equilibrium(params: Parameters, n_ref: Optional[float],
-                          sub_rhs, indices, threshold, seed_fractions
+                          indices, threshold, seed_fractions
                           ) -> EquilibriumReport:
-    # sub_rhs is the model restricted to the compartments in indices, all
-    # others zero; its Jacobian is the matching slice of the full one.
+    # The sub-model is the full model restricted to the compartments in
+    # indices with all others zero, as model's sub-model right-hand sides
+    # define it: its f and J are slices of the full ones at the padded state.
     s0 = params.Lambda / params.mu
     state, stats = _embed(s0, [0]), {}
     if threshold(params, n_ref) > 1.0:
         cols = np.ix_(indices, indices)
-        sol, stats = _ptc(
-            lambda y: sub_rhs(y, params, n_ref),
-            lambda y: full_jacobian(_embed(y, indices), params, n_ref)[cols],
-            np.asarray(seed_fractions) * s0)
+
+        def fun_jac(y):
+            f, j = _linearise(_embed(y, indices), params, n_ref)
+            return f[indices], j[cols]
+
+        sol, stats = _ptc(fun_jac, np.asarray(seed_fractions) * s0)
         state = _embed(sol, indices)
     kind = _classify_kind(state)
     return EquilibriumReport(kind=kind, state=state,
@@ -188,8 +190,7 @@ def tb_free_numeric(params: Parameters,
     a full 10-state with zeros elsewhere. Subthreshold transmission (R2 <= 1)
     returns the disease-free state without iterating.
     """
-    return _submodel_equilibrium(params, n_ref, hiv_submodel_rhs,
-                                 _HIV_SUB_INDICES, r2_closed,
+    return _submodel_equilibrium(params, n_ref, _HIV_SUB_INDICES, r2_closed,
                                  (0.95, 0.04, 0.01))
 
 
@@ -197,8 +198,7 @@ def hiv_free(params: Parameters,
              n_ref: Optional[float] = None) -> EquilibriumReport:
     """TB-only equilibrium of the 4-compartment submodel; as tb_free_numeric,
     gated on the TB reproduction number."""
-    return _submodel_equilibrium(params, n_ref, tb_submodel_rhs,
-                                 _TB_SUB_INDICES, r1_closed,
+    return _submodel_equilibrium(params, n_ref, _TB_SUB_INDICES, r1_closed,
                                  (0.90, 0.07, 0.02, 0.01))
 
 
@@ -219,8 +219,7 @@ def syndemic(params: Parameters, seed,
     """
     if np.shape(seed) != (10,):
         raise DomainError("seed must have 10 components")
-    sol, stats = _ptc(lambda y: full_rhs(y, params, n_ref),
-                      lambda y: full_jacobian(y, params, n_ref), seed)
+    sol, stats = _ptc(lambda y: _linearise(y, params, n_ref), seed)
     kind = _classify_kind(sol)
     return EquilibriumReport(kind=kind, state=sol,
                              residual=residual(sol, params, n_ref),

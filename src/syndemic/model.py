@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,11 +111,13 @@ def _as_state(state, length: int = N_COMPARTMENTS,
 def _denominator(y: np.ndarray, n_ref: Optional[float]):
     # n_ref pins the mixing denominator to a fixed reference population;
     # by default the instantaneous total is used, per row of a stack as a
-    # (B, 1) column, and every row's must be positive.
+    # (B, 1) column, and every row's must be finite and positive. Callers
+    # check it before any product with y, so a non-finite state is a
+    # DomainError rather than a numpy invalid-value warning.
     if n_ref is None and y.ndim == 2:
         n = y.sum(axis=1, keepdims=True)
-        if (n <= 0.0).any():
-            raise DomainError("population denominator must be positive")
+        if not ((n > 0.0) & (n < math.inf)).all():
+            raise DomainError("population denominator must be finite and positive")
         return n
     n = float(n_ref) if n_ref is not None else float(y.sum())
     if not 0.0 < n < math.inf:
@@ -160,14 +162,7 @@ _INCIDENCE = _incidence()
 
 
 @functools.lru_cache(maxsize=64)
-def flow_matrices(params: Parameters):
-    """The model as matrices (b, maps, weights), with
-    f(y) = b + A y + lambdaT CT y + lambdaH CH y, maps = (A, CT, CH) built
-    from _FLOWS, and (lambdaT, lambdaH) = weights @ y / N: lambdaT weighs the
-    active-TB classes by beta1, lambdaH every HIV-positive class by beta2,
-    the AIDS classes by eta times that. Cached per Parameters and read-only,
-    so callers copy before handing an array out.
-    """
+def _cached_flow_matrices(params: Parameters):
     p = params
     values = vars(p)
     rates = np.array([values.get(rate, rate) for _, _, _, rate in _FLOWS])
@@ -182,6 +177,42 @@ def flow_matrices(params: Parameters):
     return b, maps, weights
 
 
+# The last Parameters looked up and its matrices, rebound as one tuple so
+# that a concurrent reader sees a consistent pair.
+_last_bound = (None, None)
+
+
+def flow_matrices(params: Parameters):
+    """The model as matrices (b, maps, weights), with
+    f(y) = b + A y + lambdaT CT y + lambdaH CH y, maps = (A, CT, CH) built
+    from _FLOWS, and (lambdaT, lambdaH) = weights @ y / N: lambdaT weighs the
+    active-TB classes by beta1, lambdaH every HIV-positive class by beta2,
+    the AIDS classes by eta times that. Cached per Parameters and read-only,
+    so callers copy before handing an array out.
+
+    The same Parameters object as the last call returns its matrices without
+    hashing the 23 fields; any other goes through a bounded lru_cache, whose
+    ``cache_info`` and ``cache_clear`` this function carries.
+    """
+    global _last_bound
+    last_params, matrices = _last_bound
+    if params is last_params:
+        return matrices
+    matrices = _cached_flow_matrices(params)
+    _last_bound = (params, matrices)
+    return matrices
+
+
+def _flow_matrices_cache_clear() -> None:
+    global _last_bound
+    _last_bound = (None, None)
+    _cached_flow_matrices.cache_clear()
+
+
+flow_matrices.cache_info = _cached_flow_matrices.cache_info
+flow_matrices.cache_clear = _flow_matrices_cache_clear
+
+
 def force_of_infection(state, params: Parameters,
                        n_ref: Optional[float] = None) -> ForceOfInfection:
     """Evaluate the TB and HIV infection pressures at the given state: the
@@ -189,7 +220,8 @@ def force_of_infection(state, params: Parameters,
     total population, or by ``n_ref`` when given."""
     y = _as_state(state)
     _, _, weights = flow_matrices(params)
-    lam = weights @ y / _denominator(y, n_ref)
+    n = _denominator(y, n_ref)
+    lam = weights @ y / n
     return ForceOfInfection(float(lam[0]), float(lam[1]))
 
 
@@ -213,12 +245,14 @@ def full_rhs(state, params: Parameters,
         col = y[:, None, :, None]
         if params.beta1 == 0.0 and params.beta2 == 0.0:
             return b + (maps[0] @ col[:, 0])[..., 0]
-        lam = (weights @ col[:, 0])[..., 0] / _denominator(y, n_ref)
+        n = _denominator(y, n_ref)
+        lam = (weights @ col[:, 0])[..., 0] / n
         z = (maps @ col)[..., 0]
         return b + z[:, 0] + (lam[:, None, :] @ z[:, 1:])[:, 0]
     if params.beta1 == 0.0 and params.beta2 == 0.0:
         return b + maps[0] @ y
-    lam = weights @ y / _denominator(y, n_ref)
+    n = _denominator(y, n_ref)
+    lam = weights @ y / n
     z = maps @ y
     return b + z[0] + lam @ z[1:]
 
@@ -233,17 +267,25 @@ def full_jacobian(state, params: Parameters,
     in every entry when N is the instantaneous total rather than the pinned
     ``n_ref``. The sub-model Jacobians are its slices over their index sets.
     """
-    y = _as_state(state)
-    _, maps, weights = flow_matrices(params)
+    return _linearise(_as_state(state), params, n_ref)[1]
+
+
+def _linearise(y: np.ndarray, params: Parameters,
+               n_ref: Optional[float]) -> Tuple[np.ndarray, np.ndarray]:
+    # (f, J) at one state y (10,) from one flow_matrices lookup, sharing
+    # z = maps @ y, the pressures and N: f is full_rhs's one-state result
+    # and J full_jacobian's, bit for bit.
+    b, maps, weights = flow_matrices(params)
     if params.beta1 == 0.0 and params.beta2 == 0.0:
-        return maps[0].copy()
+        return b + maps[0] @ y, maps[0].copy()
     n = _denominator(y, n_ref)
     lam = weights @ y / n
+    z = maps @ y
     grad = weights / n
     if n_ref is None:
         grad = grad - lam[:, None] / n
-    return (maps[0] + lam[0] * maps[1] + lam[1] * maps[2]
-            + (maps[1:] @ y).T @ grad)
+    return (b + z[0] + lam @ z[1:],
+            maps[0] + lam[0] * maps[1] + lam[1] * maps[2] + z[1:].T @ grad)
 
 
 # Sub-models are the full system restricted to a zero-padded state, so the

@@ -104,7 +104,7 @@ def eigenvalues(m) -> List[complex]:
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
     vals, vecs = np.linalg.eig(a)
-    scale = max(float(np.linalg.norm(a, 2)), 1.0)
+    scale = max(float(np.linalg.svd(a, compute_uv=False)[0]), 1.0)  # ||A||_2
     residual = (np.linalg.norm(a @ vecs - vecs * vals, axis=0)
                 / np.linalg.norm(vecs, axis=0))
     if not np.all(residual <= 1e-7 * scale):

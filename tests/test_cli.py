@@ -288,6 +288,16 @@ def test_simulate_rejects_non_finite_horizon_and_tolerances(argv, config,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_simulate_rejects_non_positive_horizon(horizon, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--beta1", "6", "--beta2", "0.1", "--horizon",
+                 horizon, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: horizon must be positive\n"
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("command", [["r0"], ["equilibrium", "--kind", "syndemic"]])
 @pytest.mark.parametrize("token", ["nan", "inf"])
 def test_non_finite_nref_is_an_input_error(command, token, tmp_path, capsys):

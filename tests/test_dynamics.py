@@ -147,6 +147,16 @@ def test_steady_state_by_integration_converges():
     assert np.max(np.abs(state - reference) / reference) < 0.01
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+def test_steady_state_by_integration_rejects_bad_horizon(horizon, monkeypatch):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before checking the horizon")
+
+    monkeypatch.setattr("syndemic.dynamics.integrate", no_integration)
+    with pytest.raises(DomainError, match="horizon"):
+        steady_state_by_integration(BASE, START, horizon=horizon)
+
+
 def test_invariant_monitor_clean_run():
     traj = integrate(lambda t, y: full_rhs(y, BASE), START, 0.0, 50.0)
     assert invariant_monitor(traj, BASE) == []

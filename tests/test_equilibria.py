@@ -220,6 +220,18 @@ def test_syndemic_solve_work_counters():
     assert stats["locally_stable"]
 
 
+@pytest.mark.parametrize("solve,n_ref,measured", [
+    (hiv_free, S0, 13), (hiv_free, None, 13),
+    (tb_free_numeric, S0, 20), (tb_free_numeric, None, 19)])
+def test_submodel_solve_work_counters(solve, n_ref, measured):
+    # as the syndemic solve: one Jacobian per accepted step plus the seed's
+    stats = solve(Parameters(beta1=6.0, beta2=0.1), n_ref=n_ref).stats
+    assert measured - 3 <= stats["steps"] <= measured + 3
+    assert stats["rejected"] == 0
+    assert stats["jacobian_builds"] == stats["steps"] + 1
+    assert stats["locally_stable"]
+
+
 def test_extreme_transmission_solve_work_counters():
     # `syndemic equilibrium --beta1 1e4 --beta2 50` is stiff: an explicit
     # integrator needs over 14,000 steps to relax it
@@ -249,11 +261,12 @@ def test_residual_zero_at_equilibrium():
         residual(np.zeros(10), p)
 
 
-# _ptc follows x' = fun(x), so each test system has its root as an attractor
+# _ptc follows x' = f(x), so each test system has its root as an attractor;
+# each passes (f, J) from one callable
 
 def test_ptc_solves_smooth_system():
-    sol, stats = _ptc(lambda x: 4.0 - x ** 2,
-                      lambda x: np.array([[-2.0 * x[0]]]), np.array([3.0]))
+    sol, stats = _ptc(lambda x: (4.0 - x ** 2, np.array([[-2.0 * x[0]]])),
+                      np.array([3.0]))
     assert sol[0] == pytest.approx(2.0, rel=1e-10)
     assert stats["locally_stable"]
 
@@ -261,21 +274,21 @@ def test_ptc_solves_smooth_system():
 def test_ptc_rejects_out_of_domain_trial():
     out_of_domain = []
 
-    def fun(x):
+    def fun_jac(x):
         if x[0] <= 1.0:
             out_of_domain.append(x[0])
             raise DomainError("log of a nonpositive number")
-        return np.array([-np.log(x[0] - 1.0)])
+        return (np.array([-np.log(x[0] - 1.0)]),
+                np.array([[-1.0 / (x[0] - 1.0)]]))
 
     # as the pseudo-time step grows, one trial from 100 overshoots to 0.50
-    sol, stats = _ptc(fun, lambda x: np.array([[-1.0 / (x[0] - 1.0)]]),
-                      np.array([100.0]))
+    sol, stats = _ptc(fun_jac, np.array([100.0]))
     assert sol[0] == pytest.approx(2.0, rel=1e-10)
     assert out_of_domain and stats["rejected"] == len(out_of_domain)
 
 
 def test_ptc_reports_failure_with_last_iterate():
     with pytest.raises(ConvergenceError) as exc:
-        _ptc(lambda x: -(x ** 2 + 1.0),
-             lambda x: np.array([[-2.0 * x[0]]]), np.array([1.0]))
+        _ptc(lambda x: (-(x ** 2 + 1.0), np.array([[-2.0 * x[0]]])),
+             np.array([1.0]))
     assert exc.value.last_iterate is not None

@@ -21,13 +21,13 @@ import numpy as np
 
 from .dynamics import IntegrationError, Trajectory, integrate
 from .equilibria import (disease_free, hiv_free, syndemic, tb_free_numeric)
-from .model import (COMPARTMENTS, PARAMETER_FIELDS, Parameters, full_rhs,
-                    validate_parameters)
+from .model import (COMPARTMENTS, PARAMETER_FIELDS, Parameters,
+                    full_jacobian, full_rhs, validate_parameters)
 from .reproduction import ngm_decomposition, r0
 from .scenarios import (INITIAL_FRACTIONS, INITIAL_POPULATION, SCENARIOS,
                         atomic_write, write_scenario_csv)
 from .stability import (ConvergenceError, bifurcation_analysis, classify,
-                        eigenvalues, jacobian)
+                        eigenvalues)
 
 _OPTION_KEYS = ("horizon", "rel_tol", "abs_tol", "n_ref", "out")
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -345,11 +345,11 @@ def _cmd_r0(args) -> int:
     params = cfg.parameters()
     n_ref = cfg.resolve_n_ref()
     numbers = r0(params, n_ref)
+    rho = ngm_decomposition(params).rho
+    reference = r0(params, None).r0
     print(f"R1 = {numbers.r1:.8g}")
     print(f"R2 = {numbers.r2:.8g}")
     print(f"R0 = {numbers.r0:.8g}")
-    rho = ngm_decomposition(params).rho
-    reference = r0(params, None).r0
     print(f"NGM spectral radius = {rho:.8g} "
           f"(disease-free convention, differs from max(R1,R2) there by "
           f"{abs(rho - reference):.3g})")
@@ -399,7 +399,7 @@ def _cmd_stability(args) -> int:
                           Path(args.at).read_text().replace(",", " ").split()])
         if state.shape != (10,):
             raise ConfigError("state file must hold exactly 10 numbers")
-    eigs = eigenvalues(jacobian(state, params, n_ref))
+    eigs = eigenvalues(full_jacobian(state, params, n_ref))
     for lam in eigs:
         print(f"{lam.real:+.8g} {lam.imag:+.8g}j")
     print(f"classification: {classify(eigs)}")
@@ -516,8 +516,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+        # an overflow or invalid value (extreme transmission rates) is an
+        # input error, not a warning beside a wrong number
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except (ConfigError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, IntegrationError) as exc:

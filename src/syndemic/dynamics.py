@@ -1,4 +1,4 @@
-"""Adaptive time integration and trajectory invariant monitoring.
+"""Adaptive time integration, and relaxation to a steady state by it.
 
 The integrator is an embedded Dormand-Prince 4(5) pair with PI step-size
 control and first-same-as-last reuse. It is deliberately dependency-free;
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -65,14 +65,6 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
-
-
-@dataclass
-class InvariantViolation:
-    time: float
-    kind: str                     # "negativity" or "bound-exceeded"
-    component: Optional[int]
-    magnitude: float
 
 
 def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
@@ -189,30 +181,6 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     return Trajectory(times=np.asarray(times), states=np.asarray(states),
                       stats={"accepted": accepted, "rejected": rejected,
                              "rhs_evals": n_evals})
-
-
-def invariant_monitor(traj: Trajectory,
-                      params: Parameters) -> List[InvariantViolation]:
-    """Scan a trajectory for feasibility violations.
-
-    Flags any component below -tol and any total population above
-    max(N(0), Lambda/mu) + tol, where tol = 1e-6 max(1, N(0)). The bound uses
-    the larger of the two because the total only decays toward Lambda/mu
-    when it starts above it.
-    """
-    n0 = float(traj.states[0].sum())
-    tol = 1e-6 * max(1.0, n0)
-    bound = max(n0, params.Lambda / params.mu)
-    out: List[InvariantViolation] = []
-    for t, y in zip(traj.times, traj.states):
-        for i in np.where(y < -tol)[0]:
-            out.append(InvariantViolation(float(t), "negativity", int(i),
-                                          float(abs(y[i]))))
-        n = float(y.sum())
-        if n > bound + tol:
-            out.append(InvariantViolation(float(t), "bound-exceeded", None,
-                                          float(n - bound)))
-    return out
 
 
 def steady_state_by_integration(params: Parameters,

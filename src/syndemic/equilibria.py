@@ -20,7 +20,7 @@ from .model import (_HIV_SUB_INDICES, _TB_SUB_INDICES, _linearise,
                     DomainError, HIV_INFECTED_INDICES, Parameters,
                     TB_INFECTED_INDICES, full_rhs, total_population)
 from .reproduction import ReproductionNumbers, r0, r1_closed, r2_closed
-from .stability import DEFAULT_TOL_EIG, ConvergenceError
+from .stability import TOL_EIG, ConvergenceError
 
 # An infected group is present above this total, in persons: far above what a
 # residual of ||f|| <= 1e-10 N can leave in an absent group, far below one.
@@ -43,7 +43,6 @@ class EquilibriumReport:
     residual: float               # ||rhs|| / N, 1/year
     repro: ReproductionNumbers
     exists: bool
-    n_ref: Optional[float] = None
     # numeric solves only: steps, rejected, jacobian_builds, locally_stable
     stats: dict = field(default_factory=dict)
 
@@ -71,10 +70,11 @@ def _ptc(fun_jac: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     smaller dips are clamped to 0. Once ||f|| <= _NEWTON_TOL N the steps
     are full Newton steps (1/dt = 0), until one is at most _STEP_TOL N: a
     residual test alone stops far from the root where J is nearly singular.
-    The J of each accepted trial is the next step's. The root is returned
-    whether or not it passes the local-stability test (every eigenvalue of
-    J(root) below -DEFAULT_TOL_EIG in real part); stats records the outcome
-    and counts every Jacobian built.
+    The J of each accepted trial is the next step's. That last step's trial
+    is the root, with components below 1e-12 zeroed before it is evaluated.
+    The root is returned whether or not it passes the local-stability test
+    (every eigenvalue of J(root) below -TOL_EIG in real part); stats records
+    the outcome and counts every Jacobian built.
     """
     x = np.asarray(seed, dtype=float).copy()
     n = max(1.0, float(np.abs(x).sum()))
@@ -90,10 +90,13 @@ def _ptc(fun_jac: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
             raise ConvergenceError("singular jacobian in pseudo-transient step",
                                    last_iterate=x) from exc
         x_try = x + dx
+        final = newton and np.abs(dx).max() <= _STEP_TOL * n
         try:
             if not x_try.min() >= -_DIP_TOL * n:
                 raise DomainError("trial step leaves the nonnegative orthant")
-            x_try = np.maximum(x_try, 0.0)
+            # clamp small dips; the root also drops roundoff-sized components
+            x_try = (np.where(x_try < 1e-12, 0.0, x_try) if final
+                     else np.maximum(x_try, 0.0))
             f_try, j_try = fun_jac(x_try)
             stats["jacobian_builds"] += 1
             fnorm_try = math.sqrt(f_try @ f_try)
@@ -104,14 +107,10 @@ def _ptc(fun_jac: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
             dt, newton = dt / 4.0, False
             continue
         stats["steps"] += 1
-        if newton and np.abs(dx).max() <= _STEP_TOL * n:
-            root = np.where(x_try < 1e-12, 0.0, x_try)
-            if not np.array_equal(root, x_try):
-                j_try = fun_jac(root)[1]
-                stats["jacobian_builds"] += 1
+        if final:
             stats["locally_stable"] = bool(
-                np.linalg.eigvals(j_try).real.max() < -DEFAULT_TOL_EIG)
-            return root, stats
+                np.linalg.eigvals(j_try).real.max() < -TOL_EIG)
+            return x_try, stats
         if fnorm_try > 0.0:
             dt *= max(fnorm / fnorm_try, _DT_GROWTH)
         x, f, fnorm, j = x_try, f_try, fnorm_try, j_try
@@ -180,8 +179,7 @@ def _submodel_equilibrium(params: Parameters, n_ref: Optional[float],
     return EquilibriumReport(kind=kind, state=state,
                              residual=residual(state, params, n_ref),
                              repro=r0(params, n_ref),
-                             exists=kind != "disease-free", n_ref=n_ref,
-                             stats=stats)
+                             exists=kind != "disease-free", stats=stats)
 
 
 def tb_free_numeric(params: Parameters,
@@ -224,4 +222,4 @@ def syndemic(params: Parameters, seed,
     return EquilibriumReport(kind=kind, state=sol,
                              residual=residual(sol, params, n_ref),
                              repro=r0(params, n_ref), exists=kind == "syndemic",
-                             n_ref=n_ref, stats=stats)
+                             stats=stats)

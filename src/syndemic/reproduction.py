@@ -62,11 +62,6 @@ def r0(params: Parameters, n_ref: Optional[float] = None) -> ReproductionNumbers
                                n_ref=params.Lambda / params.mu if n_ref is None else float(n_ref))
 
 
-def spectral_radius(m) -> float:
-    """Max |eigenvalue| of a small matrix."""
-    return max(abs(lam) for lam in eigenvalues(m))
-
-
 @dataclass
 class NextGenDecomposition:
     infected_indices: Tuple[int, ...]
@@ -98,6 +93,6 @@ def ngm_decomposition(params: Parameters) -> NextGenDecomposition:
         k_mat = f_mat @ np.linalg.inv(v_mat)
     except np.linalg.LinAlgError as exc:
         raise DomainError("transition matrix is singular") from exc
+    rho = max(abs(lam) for lam in eigenvalues(k_mat))     # spectral radius
     return NextGenDecomposition(infected_indices=INFECTED_INDICES,
-                                F=f_mat, V=v_mat,
-                                rho=spectral_radius(k_mat))
+                                F=f_mat, V=v_mat, rho=rho)

@@ -8,8 +8,8 @@ status, and the whole result can be dumped to CSV.
 
 The sweep and stability targets were generated under a pinned incidence
 denominator (the tables pin it at the disease-free population, the
-stability and treatment runs at the initial census of 50000); every runner
-records the convention it used in its ScenarioSpec.
+stability and treatment runs at the initial census of 50000), and each
+runner pins the denominator its targets were generated under.
 """
 from __future__ import annotations
 
@@ -29,9 +29,9 @@ from .dynamics import Trajectory, integrate
 from .equilibria import (EquilibriumReport, disease_free, hiv_free, syndemic,
                          tb_free_closed, tb_free_numeric)
 from .model import (COMPARTMENTS, INFECTED_INDICES, Parameters,
-                    full_rhs, total_population)
-from .reproduction import ReproductionNumbers, r0, r2_closed
-from .stability import eigenvalues, jacobian
+                    full_jacobian, full_rhs, total_population)
+from .reproduction import r0, r2_closed
+from .stability import eigenvalues
 
 INITIAL_FRACTIONS = np.array([0.60, 0.14, 0.03, 0.0, 0.04, 0.01,
                               0.12, 0.05, 0.0, 0.01])
@@ -83,16 +83,7 @@ _PERTURBATION_SEED = 20260822
 
 @dataclass
 class ScenarioSpec:
-    name: str
-    params: Parameters
-    overrides: dict = field(default_factory=dict)
-    initial_state: Optional[np.ndarray] = None
-    horizon: float = 0.0
-    n_ref: Optional[float] = None     # None: time-varying denominator
-
-    def __post_init__(self):
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+    name: str                  # prefix of the CSV files the result writes
 
 
 @dataclass
@@ -116,7 +107,6 @@ class ScenarioResult:
     trajectories: Dict[str, Trajectory] = field(default_factory=dict)
     terminal_states: Dict[str, np.ndarray] = field(default_factory=dict)
     equilibria: Dict[str, EquilibriumReport] = field(default_factory=dict)
-    repro: Dict[str, ReproductionNumbers] = field(default_factory=dict)
     comparisons: Dict[str, float] = field(default_factory=dict)
     assertions: List[AssertionRecord] = field(default_factory=list)
 
@@ -152,16 +142,12 @@ def run_table2(params: Optional[Parameters] = None) -> ScenarioResult:
     """
     base = params if params is not None else Parameters(0.0, 0.0)
     n_ref = base.Lambda / base.mu
-    spec = ScenarioSpec(name="table2", params=base,
-                        overrides={"beta1": sorted(TB_SWEEP_REFERENCE)},
-                        n_ref=n_ref)
-    result = ScenarioResult(spec=spec)
+    result = ScenarioResult(spec=ScenarioSpec(name="table2"))
     for beta1 in sorted(TB_SWEEP_REFERENCE):
         p = dataclasses.replace(base, beta1=beta1, beta2=0.0)
         key = f"beta1={beta1:g}"
         report = hiv_free(p, n_ref=n_ref)
         result.equilibria[key] = report
-        result.repro[key] = report.repro
         r1_expect, it_expect = TB_SWEEP_REFERENCE[beta1]
         _record(result, f"{key} R1", r1_expect, report.repro.r1, 5e-5)
         # Sub-person reference counts are threshold artifacts; compare those
@@ -191,10 +177,7 @@ def run_table3(params: Optional[Parameters] = None) -> ScenarioResult:
     """
     base = params if params is not None else Parameters(0.0, 0.0)
     n_h = base.Lambda / base.mu
-    spec = ScenarioSpec(name="table3", params=base,
-                        overrides={"beta2": sorted(HIV_SWEEP_REFERENCE)},
-                        n_ref=n_h)
-    result = ScenarioResult(spec=spec)
+    result = ScenarioResult(spec=ScenarioSpec(name="table3"))
     ratio = base.rho1 / (base.alpha1 + base.mu + base.dA)
     for beta2 in sorted(HIV_SWEEP_REFERENCE):
         p = dataclasses.replace(base, beta1=0.0, beta2=beta2)
@@ -202,7 +185,6 @@ def run_table3(params: Optional[Parameters] = None) -> ScenarioResult:
         closed = tb_free_closed(p, n_h)
         numeric = tb_free_numeric(p)
         result.equilibria[key] = numeric
-        result.repro[key] = r0(p, None)
         r2_expect, ih_expect, a_expect = HIV_SWEEP_REFERENCE[beta2]
         r2_val = r2_closed(p, n_h)
         _record(result, f"{key} R2", r2_expect, r2_val, 5e-5)
@@ -248,9 +230,7 @@ def run_dfe_stability(params: Optional[Parameters] = None) -> ScenarioResult:
     """
     base = params if params is not None else Parameters(2.7, 0.03)
     horizon = 500.0
-    spec = ScenarioSpec(name="dfe-stability", params=base,
-                        initial_state=initial_state(), horizon=horizon)
-    result = ScenarioResult(spec=spec)
+    result = ScenarioResult(spec=ScenarioSpec(name="dfe-stability"))
     for key, y0 in _perturbed_starts().items():
         traj = integrate(lambda t, y: full_rhs(y, base), y0, 0.0, horizon)
         result.trajectories[key] = traj
@@ -260,7 +240,7 @@ def run_dfe_stability(params: Optional[Parameters] = None) -> ScenarioResult:
                 0.0, infected_max, 1.0)
 
     dfe = disease_free(base).state
-    dominant = max(e.real for e in eigenvalues(jacobian(dfe, base)))
+    dominant = max(e.real for e in eigenvalues(full_jacobian(dfe, base)))
     result.comparisons["disease-free dominant eigenvalue"] = dominant
     result.assertions.append(AssertionRecord(
         name="disease-free state locally stable (dominant eigenvalue < -1e-7)",
@@ -268,7 +248,6 @@ def run_dfe_stability(params: Optional[Parameters] = None) -> ScenarioResult:
         passed=bool(dominant < -1e-7)))
 
     pair = r0(base, INITIAL_POPULATION)
-    result.repro["initial-census scale"] = pair
     _record(result, "R1 at the initial census scale",
             DFE_REFERENCE_R_PAIR[0], pair.r1, 5e-5)
     _record(result, "R2 at the initial census scale",
@@ -287,10 +266,7 @@ def run_syndemic_stability(params: Optional[Parameters] = None) -> ScenarioResul
     base = params if params is not None else Parameters(6.0, 0.1)
     n_ref = INITIAL_POPULATION
     horizon = 500.0
-    spec = ScenarioSpec(name="syndemic-stability", params=base,
-                        initial_state=initial_state(), horizon=horizon,
-                        n_ref=n_ref)
-    result = ScenarioResult(spec=spec)
+    result = ScenarioResult(spec=ScenarioSpec(name="syndemic-stability"))
     finals = {}
     for key, y0 in _perturbed_starts().items():
         traj = integrate(lambda t, y: full_rhs(y, base, n_ref), y0, 0.0,
@@ -311,7 +287,6 @@ def run_syndemic_stability(params: Optional[Parameters] = None) -> ScenarioResul
 
     newton = syndemic(base, initial_state(), n_ref=n_ref)
     result.equilibria["newton"] = newton
-    result.repro["pinned scale"] = newton.repro
     dev_newton = float(np.max(np.abs(newton.state - ENDEMIC_REFERENCE_STATE)
                               / ENDEMIC_REFERENCE_STATE))
     _record(result, "newton equilibrium vs reference (max relative)", 0.0,
@@ -325,8 +300,8 @@ def run_syndemic_stability(params: Optional[Parameters] = None) -> ScenarioResul
     _record(result, "integration and root-finding agree (max relative)", 0.0,
             dev_paths, 1e-3)
 
-    dominant = max(e.real
-                   for e in eigenvalues(jacobian(newton.state, base, n_ref)))
+    dominant = max(e.real for e in
+                   eigenvalues(full_jacobian(newton.state, base, n_ref)))
     result.comparisons["endemic dominant eigenvalue (pinned)"] = dominant
     result.assertions.append(AssertionRecord(
         name="endemic state locally stable under the pinned denominator",
@@ -373,13 +348,8 @@ def run_treatment_impact(params: Optional[Parameters] = None,
     horizon = 20.0
     grid = np.linspace(0.0, horizon, 241)
     n_ref = INITIAL_POPULATION
-    spec = ScenarioSpec(name=f"treatment-{family}-deaths-{deaths}",
-                        params=base,
-                        overrides={"without": zeroed, "alt": extra,
-                                   "deaths": deaths},
-                        initial_state=initial_state(), horizon=horizon,
-                        n_ref=n_ref)
-    result = ScenarioResult(spec=spec)
+    result = ScenarioResult(
+        spec=ScenarioSpec(name=f"treatment-{family}-deaths-{deaths}"))
     y0 = initial_state()
     for key, p in arms.items():
         traj = integrate(lambda t, y, _p=p: full_rhs(y, _p, n_ref),
@@ -387,7 +357,6 @@ def run_treatment_impact(params: Optional[Parameters] = None,
         result.trajectories[key] = traj
         result.terminal_states[key] = traj.final
         result.comparisons[f"{key} N(20)"] = total_population(traj.final)
-        result.repro[key] = r0(p, n_ref)
 
     n20 = {k: total_population(result.terminal_states[k]) for k in arms}
     if deaths == "off":

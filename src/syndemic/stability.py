@@ -22,7 +22,7 @@ import numpy as np
 from .model import (DomainError, Parameters, force_of_infection,
                     full_jacobian, hiv_submodel_rhs)
 
-DEFAULT_TOL_EIG = 1e-7
+TOL_EIG = 1e-7      # a real part within this of 0 is marginal
 
 
 class ConvergenceError(RuntimeError):
@@ -80,12 +80,6 @@ def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     return _richardson_jacobian(values, steps)
 
 
-def jacobian(state, params: Parameters,
-             n_ref: Optional[float] = None) -> np.ndarray:
-    """10x10 linearization of the full model at the given state."""
-    return full_jacobian(state, params, n_ref)
-
-
 def eigenvalues(m) -> List[complex]:
     """All eigenvalues of a small real matrix, sorted by descending real part.
 
@@ -113,12 +107,12 @@ def eigenvalues(m) -> List[complex]:
     return [complex(v) for v in vals[order]]
 
 
-def classify(eigs, tol_eig: float = DEFAULT_TOL_EIG) -> str:
+def classify(eigs) -> str:
     """stable / unstable / marginal by the dominant real part."""
     dominant = max(e.real for e in eigs)
-    if dominant < -tol_eig:
+    if dominant < -TOL_EIG:
         return "stable"
-    if dominant > tol_eig:
+    if dominant > TOL_EIG:
         return "unstable"
     return "marginal"
 
@@ -129,16 +123,14 @@ class StabilityReport:
     eigenvalues: List[complex]
     classification: str
     dominant_real: float
-    method: str = "closed-form jacobian, QR eigenvalues"
 
 
 def stability_report(state, params: Parameters,
-                     n_ref: Optional[float] = None,
-                     tol_eig: float = DEFAULT_TOL_EIG) -> StabilityReport:
-    eigs = eigenvalues(jacobian(state, params, n_ref))
+                     n_ref: Optional[float] = None) -> StabilityReport:
+    eigs = eigenvalues(full_jacobian(state, params, n_ref))
     return StabilityReport(equilibrium=np.asarray(state, dtype=float),
                            eigenvalues=eigs,
-                           classification=classify(eigs, tol_eig),
+                           classification=classify(eigs),
                            dominant_real=max(e.real for e in eigs))
 
 
@@ -165,7 +157,7 @@ def dfe_trace_det(params: Parameters) -> Tuple[float, float]:
     trace = -2.0 * params.mu - sum(_removal_rates(params)) + params.beta2
     dfe = np.zeros(10)
     dfe[0] = params.Lambda / params.mu
-    det = float(np.linalg.det(jacobian(dfe, params)))
+    det = float(np.linalg.det(full_jacobian(dfe, params)))
     return trace, det
 
 
@@ -267,19 +259,18 @@ class H2Evaluation:
     violating_indices: Tuple[int, ...]  # 0-based positions with ghat < 0
 
 
-def h2_condition_check(state, params: Parameters,
-                       tol: Optional[float] = None) -> H2Evaluation:
+def h2_condition_check(state, params: Parameters) -> H2Evaluation:
     """Evaluate the sign condition used in the global-stability argument.
 
     The 8 components follow the infected ordering (latent TB, active TB, HIV,
     AIDS, latent coinfection, active coinfection, recovered coinfection,
     AIDS+TB). Components 4 and 8 (1-based) are identically zero. A negative
-    component anywhere means the condition fails at this state.
+    component anywhere means the condition fails at this state, which must
+    lie in the feasible region within 1e-6 max(1, Lambda/mu) persons.
     """
     y = np.asarray(state, dtype=float)
     cap = params.Lambda / params.mu
-    if tol is None:
-        tol = 1e-6 * max(1.0, cap)
+    tol = 1e-6 * max(1.0, cap)
     if np.any(y < -tol) or y.sum() > cap + tol:
         raise DomainError("state outside the feasible region")
     s, _, i_t, r_t, i_h, _, _, _, r_th, _ = y

@@ -28,13 +28,13 @@ import pytest
 from syndemic.dynamics import integrate, steady_state_by_integration
 from syndemic.equilibria import syndemic, tb_free_closed
 from syndemic.model import (INFECTED_INDICES, Parameters, force_of_infection,
-                            full_rhs, hiv_submodel_rhs, tb_submodel_rhs,
-                            validate_parameters)
+                            full_jacobian, full_rhs, hiv_submodel_rhs,
+                            tb_submodel_rhs, validate_parameters)
 from syndemic.reproduction import ngm_decomposition, r0, r2_closed
 from syndemic.scenarios import (ENDEMIC_REFERENCE_STATE, HIV_SWEEP_REFERENCE,
                                 INITIAL_FRACTIONS, INITIAL_POPULATION)
 from syndemic.stability import (bifurcation_analysis, eigenvalues,
-                                fd_jacobian, h2_condition_check, jacobian)
+                                fd_jacobian, h2_condition_check)
 
 S0 = 714.0 / (1.0 / 70.0)
 START = INITIAL_FRACTIONS * INITIAL_POPULATION
@@ -138,7 +138,7 @@ def test_criterion_4_coexistence_equilibrium_two_routes():
     assert np.max(np.abs(integrated - reference) / reference) < 0.01
     agreement = np.abs(newton.state - integrated) / np.maximum(newton.state, 1.0)
     assert np.max(agreement) < 1e-3
-    eigs = eigenvalues(jacobian(newton.state, p, n_ref=50000.0))
+    eigs = eigenvalues(full_jacobian(newton.state, p, n_ref=50000.0))
     assert max(e.real for e in eigs) < 0.0
 
 
@@ -146,7 +146,7 @@ def test_criterion_5_subcritical_local_stability():
     p = Parameters(beta1=2.7, beta2=0.03)
     dfe = np.zeros(10)
     dfe[0] = S0
-    eigs = eigenvalues(jacobian(dfe, p, n_ref=50000.0))
+    eigs = eigenvalues(full_jacobian(dfe, p, n_ref=50000.0))
     assert len(eigs) == 10
     assert all(e.real < -1e-7 for e in eigs)
     pair = r0(p, n_ref=50000.0)

@@ -1,5 +1,6 @@
 """Command-line surface: config parsing, subcommands, exit codes, SVG."""
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,23 @@ def test_non_finite_rate_is_an_input_error(capsys):
     captured = capsys.readouterr()
     assert "beta1 must be finite" in captured.err
     assert "R1" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["r0", "--beta1", "1e308", "--beta2", "1e308"],
+    ["equilibrium", "--kind", "syndemic", "--beta1", "1e300", "--beta2", "0.1"],
+    ["equilibrium", "--kind", "tbfree", "--beta1", "0", "--beta2", "1e200"],
+])
+def test_overflowing_transmission_is_an_input_error(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "overflow" in lines[0]
 
 
 def test_stability_command_at_state_file(tmp_path, capsys):

@@ -220,6 +220,17 @@ def test_syndemic_solve_work_counters():
     assert stats["locally_stable"]
 
 
+def test_boundary_root_is_evaluated_once():
+    # the last Newton step zeroes the root's roundoff-sized components before
+    # its one evaluation, so no Jacobian is built twice at the end
+    report = syndemic(Parameters(beta1=6.0, beta2=0.03),
+                      np.full(10, 5000.0), n_ref=50000.0)
+    assert report.kind == "hiv-free"
+    assert np.all(report.state[4:] == 0.0)
+    assert report.stats["jacobian_builds"] == report.stats["steps"] + 1
+    assert report.stats["locally_stable"]
+
+
 @pytest.mark.parametrize("solve,n_ref,measured", [
     (hiv_free, S0, 13), (hiv_free, None, 13),
     (tb_free_numeric, S0, 20), (tb_free_numeric, None, 19)])

@@ -10,8 +10,7 @@ import syndemic.stability
 from flow_list import infection_gains
 from syndemic.model import (DomainError, INFECTED_INDICES, Parameters,
                             full_rhs, validate_parameters)
-from syndemic.reproduction import (ngm_decomposition, r0, r1_closed,
-                                   r2_closed, spectral_radius)
+from syndemic.reproduction import ngm_decomposition, r0, r1_closed, r2_closed
 from syndemic.stability import fd_jacobian
 
 S0 = 714.0 / (1.0 / 70.0)
@@ -180,12 +179,3 @@ def test_decomposition_needs_no_differences_or_rhs_calls(count_calls):
         lambda y: syndemic.model.full_rhs(y, Parameters(beta1=6.0, beta2=0.1)),
         np.full(10, 1000.0))
     assert len(fd_calls) == 1 and len(rhs_calls) == 41
-
-
-@pytest.mark.parametrize("matrix,expected", [
-    (np.eye(2), 1.0),
-    (np.diag([2.0, -5.0]), 5.0),
-    (np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0),
-])
-def test_spectral_radius_known_matrices(matrix, expected):
-    assert spectral_radius(matrix) == pytest.approx(expected, rel=1e-12)

@@ -7,8 +7,7 @@ import pytest
 
 import syndemic.scenarios
 from syndemic.dynamics import integrate
-from syndemic.model import Parameters
-from syndemic.scenarios import (SCENARIOS, AssertionRecord, ScenarioSpec,
+from syndemic.scenarios import (SCENARIOS, AssertionRecord,
                                 run_treatment_impact, write_scenario_csv)
 
 
@@ -169,12 +168,6 @@ def test_treatment_rejects_unknown_settings():
         run_treatment_impact(family="vaccination")
     with pytest.raises(ValueError):
         run_treatment_impact(family="tb", deaths="maybe")
-
-
-def test_scenario_spec_rejects_negative_horizon():
-    with pytest.raises(ValueError):
-        ScenarioSpec(name="x", params=Parameters(beta1=1.0, beta2=0.1),
-                     horizon=-1.0)
 
 
 def test_assertion_record_status():

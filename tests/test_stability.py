@@ -6,14 +6,13 @@ import pytest
 
 import syndemic.stability
 from syndemic.model import (DomainError, Parameters, flow_matrices,
-                            full_rhs, hiv_submodel_rhs)
+                            full_jacobian, full_rhs, hiv_submodel_rhs)
 from syndemic.reproduction import r2_closed
 from syndemic.scenarios import INITIAL_FRACTIONS
 from syndemic.stability import (ConvergenceError, bifurcation_analysis,
                                 bifurcation_threshold, classify,
                                 dfe_trace_det, eigenvalues, fd_jacobian,
-                                h2_condition_check, jacobian,
-                                stability_report)
+                                h2_condition_check, stability_report)
 
 S0 = 714.0 / (1.0 / 70.0)
 SUB = Parameters(beta1=2.7, beta2=0.03)
@@ -47,7 +46,7 @@ def test_fd_jacobian_rejects_nonfinite_probe():
 
 
 def test_jacobian_entries_at_disease_free_state():
-    j = jacobian(_dfe(), SUPER)
+    j = full_jacobian(_dfe(), SUPER)
     d1 = SUPER.k1 + SUPER.tau1 + SUPER.mu
     assert j[0, 0] == pytest.approx(-SUPER.mu, abs=1e-7)
     assert j[0, 2] == pytest.approx(-SUPER.beta1, rel=1e-5)
@@ -58,7 +57,7 @@ def test_jacobian_matches_directional_derivative():
     rng = np.random.default_rng(99)
     y = rng.uniform(100.0, 5000.0, size=10)
     u = rng.normal(size=10)
-    j = jacobian(y, SUPER)
+    j = full_jacobian(y, SUPER)
     h = 1e-5
     fd = (full_rhs(y + h * u, SUPER) - full_rhs(y - h * u, SUPER)) / (2 * h)
     assert np.max(np.abs(j @ u - fd)) < 1e-4 * max(1.0, np.max(np.abs(j)))
@@ -67,7 +66,7 @@ def test_jacobian_matches_directional_derivative():
 def test_jacobian_decouples_without_transmission():
     quiet = Parameters(beta1=0.0, beta2=0.0)
     y = np.full(10, 1000.0)
-    j = jacobian(y, quiet)
+    j = full_jacobian(y, quiet)
     assert abs(j[1, 0]) < 1e-8    # no infection path out of susceptibles
     assert abs(j[6, 8]) < 1e-8
 
@@ -78,6 +77,17 @@ def test_eigenvalues_of_known_matrices():
     spin = eigenvalues(np.array([[0.0, -1.0], [1.0, 0.0]]))
     assert spin[0] == pytest.approx(1j)
     assert spin[1] == pytest.approx(-1j)
+
+
+@pytest.mark.parametrize("matrix,expected", [
+    (np.eye(2), 1.0),
+    (np.diag([2.0, -5.0]), 5.0),
+    (np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0),
+])
+def test_eigenvalue_moduli_known_matrices(matrix, expected):
+    # the largest modulus is the spectral radius ngm_decomposition reports
+    moduli = [abs(e) for e in eigenvalues(matrix)]
+    assert max(moduli) == pytest.approx(expected, rel=1e-12)
 
 
 def test_eigenvalues_input_guards():
@@ -93,7 +103,7 @@ def test_eigenvalues_input_guards():
 
 @pytest.mark.parametrize("position", [0, -1])
 def test_eigenvalue_failing_residual_check_raises(position, monkeypatch):
-    m = jacobian(_dfe(), SUPER)
+    m = full_jacobian(_dfe(), SUPER)
     true_eig = np.linalg.eig
 
     def one_value_off(a):
@@ -162,16 +172,16 @@ def test_classify_cases():
 
 
 def test_subcritical_disease_free_state_is_stable():
-    eigs = eigenvalues(jacobian(_dfe(), SUB, n_ref=50000.0))
+    eigs = eigenvalues(full_jacobian(_dfe(), SUB, n_ref=50000.0))
     assert max(e.real for e in eigs) < -1e-7
     assert max(e.real for e in eigs) == pytest.approx(-1.0 / 70.0, rel=1e-4)
 
 
 def test_supercritical_disease_free_state_is_unstable():
-    eigs = eigenvalues(jacobian(_dfe(), SUPER, n_ref=50000.0))
+    eigs = eigenvalues(full_jacobian(_dfe(), SUPER, n_ref=50000.0))
     assert max(e.real for e in eigs) > 0.0
     assert max(e.real for e in eigs) == pytest.approx(0.37301147, rel=1e-5)
-    free = eigenvalues(jacobian(_dfe(), SUPER))
+    free = eigenvalues(full_jacobian(_dfe(), SUPER))
     assert max(e.real for e in free) == pytest.approx(0.3735012587, rel=1e-5)
 
 
@@ -180,13 +190,13 @@ def test_stability_report_bundle():
     assert report.classification == "stable"
     assert report.dominant_real == pytest.approx(-1.0 / 70.0, rel=1e-4)
     assert len(report.eigenvalues) == 10
-    assert "jacobian" in report.method
 
 
 def test_trace_closed_form_matches_numeric():
     trace, det = dfe_trace_det(SUB)
     assert trace == pytest.approx(-10.427857142857142, abs=1e-6)
-    assert trace == pytest.approx(np.trace(jacobian(_dfe(), SUB)), abs=1e-6)
+    assert trace == pytest.approx(np.trace(full_jacobian(_dfe(), SUB)),
+                                  abs=1e-6)
     assert det == pytest.approx(1.8081514078230172e-06, rel=1e-3)
 
 
@@ -197,7 +207,8 @@ def test_trace_closed_form_matches_closed_form_jacobian(params):
     dfe = np.zeros(10)
     dfe[0] = params.Lambda / params.mu
     trace, _ = dfe_trace_det(params)
-    assert trace == pytest.approx(np.trace(jacobian(dfe, params)), abs=1e-12)
+    assert trace == pytest.approx(np.trace(full_jacobian(dfe, params)),
+                                  abs=1e-12)
 
 
 def test_trace_det_sign_patterns():

@@ -289,8 +289,9 @@ def emit_svg(traj: Trajectory, selection: Sequence[str]) -> str:
                  f'font-size="13" text-anchor="middle">time (years)</text>')
     for slot, (name, idx) in enumerate(zip(selection, indices)):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(f"{sx(t):.2f},{sy(v):.2f}"
-                          for t, v in zip(traj.times, traj.states[:, idx]))
+        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in
+                          zip(sx(traj.times).tolist(),
+                              sy(traj.states[:, idx]).tolist()))
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{points}"/>')
         ly = top + 14 + slot * 18
@@ -328,9 +329,10 @@ def _cmd_simulate(args) -> int:
                      report_times=np.linspace(0.0, horizon, 241))
     out = _out_dir(args, cfg)
     rows = ["time_years," + ",".join(COMPARTMENTS) + ",total"]
-    for t, y in zip(traj.times, traj.states):
+    for t, y, total in zip(traj.times.tolist(), traj.states.tolist(),
+                           traj.states.sum(axis=1).tolist()):
         rows.append(",".join([f"{t:.8g}"] + [f"{v:.8g}" for v in y]
-                             + [f"{y.sum():.8g}"]))
+                             + [f"{total:.8g}"]))
     atomic_write(out / "trajectory.csv", "\n".join(rows) + "\n")
     atomic_write(out / "trajectory.svg", emit_svg(traj, COMPARTMENTS))
     final = traj.final

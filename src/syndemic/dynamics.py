@@ -77,15 +77,20 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     """Integrate y' = rhs(t, y) from t0 to t1 adaptively.
 
     The step size is capped so that t1 and every report time are landed on
-    exactly. With report_times the returned trajectory holds the states at
-    t0, at each report time and at t1, sorted and without repeats; without
-    them it holds every accepted step. Its stats count every step either
-    way. A component that dips into (-abs_tol, 0) after a step is clamped to
-    zero; a dip at or below -abs_tol rejects the step outright (a drop that
-    large is solver failure, not roundoff), and so does a trial stage at
-    which rhs raises DomainError. Raises DomainError unless the times are
-    finite and the tolerances finite and positive, and IntegrationError
-    with the last good time and state if the step size underflows.
+    exactly, so a report grid caps the steps too. With report_times the
+    returned trajectory holds the states at t0, at each report time and at
+    t1, sorted and without repeats; without them it holds every accepted
+    step. Its stats count every step either way.
+
+    The fifth-order solution is the last stage's state, and that stage's
+    derivative starts the next step (first-same-as-last). One minimum over
+    the new state decides both dips: a component in (-abs_tol, 0) is
+    clamped to zero, after which the next step evaluates rhs afresh; a dip
+    at or below -abs_tol rejects the step outright (a drop that large is
+    solver failure, not roundoff), and so does a trial stage at which rhs
+    raises DomainError. Raises DomainError unless the times are finite and
+    the tolerances finite and positive, and IntegrationError with the last
+    good time and state if the step size underflows.
     """
     y = np.asarray(state0, dtype=float).copy()
     rep = np.asarray([] if report_times is None else report_times, dtype=float)
@@ -104,13 +109,17 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     checkpoints = sorted(set(rep.tolist()) | {float(t1)})
 
     t = float(t0)
-    f = np.asarray(rhs(t, y), dtype=float)
-    if not np.all(np.isfinite(f)):
+    # one stage buffer for every step; row 0 holds f(t, y), from the last
+    # stage of the step before (FSAL) unless that step clamped
+    k = np.empty((7, y.size))
+    k[0] = rhs(t, y)
+    if not np.all(np.isfinite(k[0])):
         raise DomainError("rhs not finite at the initial state")
     n_evals = 1
+    stages = [(float(_C[i]), _A[i], k[:i]) for i in range(1, 7)]
 
     times = [t]
-    states = [y.copy()]
+    states = [y]
     h = (t1 - t0) / 1000.0
     err_prev = 1.0
     accepted = rejected = 0
@@ -132,40 +141,38 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
             h = target - t
 
         if not fsal_valid:
-            f = np.asarray(rhs(t, y), dtype=float)
+            k[0] = rhs(t, y)
             n_evals += 1
             fsal_valid = True
 
-        k = np.empty((7, y.size))
-        k[0] = f
         try:
-            for i in range(1, 7):
-                yi = y + h * (_A[i] @ k[:i])
+            for i, (c, a, k_prev) in enumerate(stages, start=1):
+                y_new = y + h * np.dot(a, k_prev)
                 n_evals += 1
-                k[i] = rhs(t + _C[i] * h, yi)
+                k[i] = rhs(t + c * h, y_new)
         except DomainError:
             # a trial stage left the model's domain (e.g. a nonpositive
             # population): reject the step and halve it, as for a deep dip
             halve, step_accepted = True, False
         else:
-            y_new = y + h * (_B5 @ k)
-            err_vec = h * (_E @ k)
-            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-            halve = bool(np.any(y_new <= -abs_tol))
+            # y_new is the last stage's state, the fifth-order solution
+            scale = abs_tol + rel_tol * np.maximum(y, np.abs(y_new))  # y >= 0
+            q = h * np.dot(_E, k) / scale
+            err = math.sqrt(np.add.reduce(q * q) / q.size)
+            y_min = y_new.min()
+            halve = bool(y_min <= -abs_tol)
             step_accepted = err <= 1.0 and not halve
         if step_accepted:
             t = target if lands else t + h
-            clamped = (y_new < 0.0)
-            if clamped.any():
-                y_new = y_new.copy()
-                y_new[clamped] = 0.0
+            if y_min < 0.0:
+                np.maximum(y_new, 0.0, out=y_new)   # clamp the shallow dip
+                fsal_valid = False
+            else:
+                k[0] = k[6]
             y = y_new
-            f = k[6]               # FSAL
-            fsal_valid = not clamped.any()
             if lands or report_times is None:
                 times.append(t)
-                states.append(y.copy())
+                states.append(y)
             accepted += 1
             fac = _SAFETY * err ** -0.14 * err_prev ** 0.08 if err > 0 else _FAC_MAX
             err_prev = max(err, 1e-10)

@@ -252,9 +252,10 @@ def full_rhs(state, params: Parameters,
     if params.beta1 == 0.0 and params.beta2 == 0.0:
         return b + maps[0] @ y
     n = _denominator(y, n_ref)
-    lam = weights @ y / n
-    z = maps @ y
-    return b + z[0] + lam @ z[1:]
+    # one matrix-vector product over the (30, 10) view of the maps, with the
+    # sums of the stacked rows and of _linearise bit for bit
+    z = np.dot(maps.reshape(30, N_COMPARTMENTS), y).reshape(3, N_COMPARTMENTS)
+    return b + z[0] + np.dot(np.dot(weights, y) / n, z[1:])
 
 
 def full_jacobian(state, params: Parameters,

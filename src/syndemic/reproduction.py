@@ -55,9 +55,20 @@ def r2_closed(params: Parameters, n_ref: Optional[float] = None) -> float:
 
 
 def r0(params: Parameters, n_ref: Optional[float] = None) -> ReproductionNumbers:
-    """Bundle r1, r2, and their max under one population convention."""
+    """Bundle r1, r2, and their max under one population convention.
+
+    The closed forms compute in Python floats, which overflow to inf (or
+    reach nan) without a warning, so a non-finite R1 or R2 raises
+    DomainError naming the overflow.
+    """
     r1 = r1_closed(params, n_ref)
     r2 = r2_closed(params, n_ref)
+    overflowed = [f"{name} = {value!r}"
+                  for name, value in (("R1", r1), ("R2", r2))
+                  if not math.isfinite(value)]
+    if overflowed:
+        raise DomainError("reproduction number overflow: "
+                          + ", ".join(overflowed))
     return ReproductionNumbers(r1=r1, r2=r2, r0=max(r1, r2),
                                n_ref=params.Lambda / params.mu if n_ref is None else float(n_ref))
 

@@ -471,8 +471,10 @@ def write_scenario_csv(result: ScenarioResult, out_dir) -> List[Path]:
     out = Path(out_dir)
     written = []
     for key, traj in result.trajectories.items():
-        rows = [[_format(t)] + [_format(v) for v in y] + [_format(y.sum())]
-                for t, y in zip(traj.times, traj.states)]
+        rows = [[_format(t)] + [_format(v) for v in y] + [_format(total)]
+                for t, y, total in zip(traj.times.tolist(),
+                                       traj.states.tolist(),
+                                       traj.states.sum(axis=1).tolist())]
         path = out / f"{result.spec.name}__{key}.csv"
         atomic_write(path, _csv_text(["time_years", *COMPARTMENTS, "total"],
                                      rows))

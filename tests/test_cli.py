@@ -165,6 +165,28 @@ def test_overflowing_transmission_is_an_input_error(argv, capsys):
     assert lines[0].startswith("error: ") and "overflow" in lines[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["r0", "--beta1", "6", "--beta2", "1e307"],
+    ["sweep", "--beta1", "6", "--beta2", "0.1", "--param", "beta2",
+     "--values", "1e307,1e308"],
+    ["equilibrium", "--kind", "dfe", "--beta2", "1e307"],
+    ["equilibrium", "--kind", "hivfree", "--beta1", "6", "--beta2", "1e307"],
+])
+def test_overflowing_reproduction_number_is_an_input_error(argv, tmp_path,
+                                                           capsys):
+    # R1 and R2 overflow in Python floats, which numpy's error state does
+    # not see; the r0 line used to blame a singular transition matrix, the
+    # sweep wrote inf and the equilibrium reports carried it
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)] if argv[0] == "sweep"
+                else argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == ["error: reproduction number overflow: R2 = inf"]
+    assert not out.exists()
+
+
 def test_stability_command_at_state_file(tmp_path, capsys):
     path = tmp_path / "state.txt"
     path.write_text(" ".join(["49980"] + ["0"] * 9))
@@ -194,6 +216,43 @@ def test_simulate_writes_csv_and_svg(tmp_path, capsys):
     assert svg.count("<polyline") == 10
     first_line = svg.split('points="')[1].split('"')[0]
     assert len(first_line.split()) == 241
+
+
+@pytest.mark.parametrize("fixture,key", [
+    ("treatment_tb_on", "with-treatment"),
+    ("dfe_stability_result", "base"),        # holds clamped zeros
+])
+def test_simulate_output_matches_per_value_formatting(fixture, key, request,
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
+    # the CSV rows and SVG polylines, against the per-value route: numpy
+    # scalars formatted one by one, each row summed alone, each point
+    # scaled alone
+    traj = request.getfixturevalue(fixture).trajectories[key]
+    if fixture == "dfe_stability_result":
+        assert (traj.states == 0.0).any()
+    monkeypatch.setattr(syndemic.cli, "integrate", lambda *a, **k: traj)
+    assert main(["simulate", "--beta1", "6", "--beta2", "0.1",
+                 "--out", str(tmp_path)]) == 0
+    rows = [",".join([f"{t:.8g}"] + [f"{v:.8g}" for v in y]
+                     + [f"{y.sum():.8g}"])
+            for t, y in zip(traj.times, traj.states)]
+    assert (tmp_path / "trajectory.csv").read_text().splitlines()[1:] == rows
+
+    t0, t1 = float(traj.times[0]), float(traj.times[-1])
+    y_max = syndemic.cli._nice_ceiling(float(np.max(traj.states)))
+
+    def sx(t):
+        return 70 + (t - t0) / max(t1 - t0, 1e-30) * 540
+
+    def sy(v):
+        return 20 + 430 - v / y_max * 430
+
+    svg = (tmp_path / "trajectory.svg").read_text()
+    polylines = [part.split('"')[0] for part in svg.split('points="')[1:]]
+    assert polylines == [" ".join(f"{sx(t):.2f},{sy(v):.2f}"
+                                  for t, v in zip(traj.times, traj.states[:, i]))
+                         for i in range(len(COMPARTMENTS))]
 
 
 def test_scenario_exit_codes(tmp_path):

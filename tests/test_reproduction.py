@@ -69,6 +69,21 @@ def test_bundle_takes_max():
     assert numbers.n_ref == pytest.approx(S0)
 
 
+@pytest.mark.parametrize("params,n_ref,named", [
+    (Parameters(beta1=6.0, beta2=1e307), None, "R2 = inf"),
+    (Parameters(beta1=1e308, beta2=0.1, k1=10.0), None, "R1 = inf"),
+    (Parameters(beta1=0.0, beta2=0.1, Lambda=1e300, mu=1e-10), 1.0, "R1 = nan"),
+])
+def test_non_finite_reproduction_number_is_a_domain_error(params, n_ref,
+                                                          named):
+    # the closed forms overflow in Python floats, silently
+    assert not math.isfinite(r1_closed(params, n_ref)
+                             * r2_closed(params, n_ref))
+    with pytest.raises(DomainError, match="overflow") as exc:
+        r0(params, n_ref)
+    assert named in str(exc.value)
+
+
 def test_prefactor_rejects_bad_reference():
     p = Parameters(beta1=6.0, beta2=0.1)
     for n_ref in (0.0, -10.0, math.nan, math.inf):

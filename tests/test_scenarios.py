@@ -1,5 +1,6 @@
 """Scenario runners: curated reference sweeps, stability demonstrations,
 treatment switch experiments, and their CSV reports."""
+import csv
 import inspect
 
 import numpy as np
@@ -198,3 +199,61 @@ def test_csv_report_layout(tmp_path, treatment_tb_on):
     assert rows[0] == "name,expected,actual,tolerance,status"
     assert any(",pass" in row for row in rows[1:])
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("fixture", ["treatment_tb_on", "dfe_stability_result"])
+def test_csv_rows_match_per_value_formatting(fixture, request, tmp_path):
+    # every trajectory file against the per-value route: numpy scalars
+    # formatted one by one and each row summed alone; the dfe-stability
+    # trajectories hold every step, clamped zeros among them
+    result = request.getfixturevalue(fixture)
+    write_scenario_csv(result, tmp_path)
+    for key, traj in result.trajectories.items():
+        path = tmp_path / f"{result.spec.name}__{key}.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [[f"{t:.10g}"] + [f"{v:.10g}" for v in y]
+                        + [f"{y.sum():.10g}"]
+                        for t, y in zip(traj.times, traj.states)]
+    if fixture == "dfe_stability_result":
+        assert any((traj.states == 0.0).any()
+                   for traj in result.trajectories.values())
+
+
+# Exact work of the long runs: accepted and rejected steps and rhs
+# evaluations of each start. A change that moves any of them changes the
+# step sequence, and with it the numbers.
+SYNDEMIC_STABILITY_STATS = {
+    "base": (747, 2, 4495), "perturbed-1": (745, 2, 4483),
+    "perturbed-2": (746, 2, 4489), "perturbed-3": (748, 2, 4501),
+    "perturbed-4": (746, 2, 4489), "perturbed-5": (749, 2, 4507),
+}
+DFE_STABILITY_STATS = {
+    "base": (653, 2, 4202), "perturbed-1": (652, 2, 4197),
+    "perturbed-2": (653, 2, 4202), "perturbed-3": (654, 2, 4207),
+    "perturbed-4": (652, 2, 4195), "perturbed-5": (655, 2, 4212),
+}
+TREATMENT_TB_ON_STATS = {
+    "with-treatment": (537, 0, 3223), "without-treatment": (521, 0, 3127),
+    "without-treatment-alt": (533, 0, 3199),
+}
+
+
+def _stats(result):
+    return {key: (traj.stats["accepted"], traj.stats["rejected"],
+                  traj.stats["rhs_evals"])
+            for key, traj in result.trajectories.items()}
+
+
+def test_long_horizon_work_counters(syndemic_stability_result,
+                                    dfe_stability_result, treatment_tb_on):
+    assert _stats(syndemic_stability_result) == SYNDEMIC_STABILITY_STATS
+    assert _stats(dfe_stability_result) == DFE_STABILITY_STATS
+    assert _stats(treatment_tb_on) == TREATMENT_TB_ON_STATS
+    # six evaluations per step and one at the start, and in the dfe runs
+    # one more after each step that clamped a dip to zero, since the last
+    # stage was then taken at the unclamped state
+    for accepted, rejected, evals in SYNDEMIC_STABILITY_STATS.values():
+        assert evals == 6 * (accepted + rejected) + 1
+    for accepted, rejected, evals in DFE_STABILITY_STATS.values():
+        assert evals > 6 * (accepted + rejected) + 1

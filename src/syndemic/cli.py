@@ -3,8 +3,9 @@
 Config files are line-oriented ``key = value`` with ``#`` comments. Keys are
 the parameter field names (case-sensitive), ``init.<compartment>`` entries
 for the starting state (absolute counts, or fractions plus ``init.total``),
-and the run options horizon, rel_tol, abs_tol, n_ref, out. beta1 and beta2
-ship unset and must be supplied by config or flag before any run command.
+and the run options horizon, rel_tol, abs_tol, n_ref, out. Keys left out take
+the ``Parameters`` defaults and the standard census; beta1 and beta2 have no
+default and must be supplied by config or flag before any run command.
 """
 from __future__ import annotations
 
@@ -21,57 +22,17 @@ import numpy as np
 
 from .dynamics import IntegrationError, Trajectory, integrate
 from .equilibria import (disease_free, hiv_free, syndemic, tb_free_numeric)
-from .model import (COMPARTMENTS, PARAMETER_FIELDS, Parameters,
-                    full_jacobian, full_rhs, validate_parameters)
+from .model import (COMPARTMENTS, PARAMETER_FIELDS, DomainError, Parameters,
+                    full_rhs, validate_parameters)
 from .reproduction import ngm_decomposition, r0
-from .scenarios import (INITIAL_FRACTIONS, INITIAL_POPULATION, SCENARIOS,
-                        atomic_write, write_scenario_csv)
-from .stability import (ConvergenceError, bifurcation_analysis, classify,
-                        eigenvalues)
+from .scenarios import (SCENARIOS, atomic_write, initial_state,
+                        write_scenario_csv)
+from .stability import (ConvergenceError, bifurcation_analysis,
+                        stability_report)
 
 _OPTION_KEYS = ("horizon", "rel_tol", "abs_tol", "n_ref", "out")
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
-
-DEFAULT_CONFIG = """\
-# Baseline configuration. All rates are per year.
-# beta1 and beta2 are deliberately unset: supply them per run.
-Lambda = 714
-mu = 0.014285714285714285
-beta1p = 0.9
-beta2p = 1.1
-k1 = 1
-k2 = 1.3
-tau1 = 1
-tau2 = 2
-tau3 = 2
-tau4 = 1
-rho1 = 0.1
-rho2 = 0.25
-rho3 = 0.125
-alpha1 = 0.33
-alpha2 = 0.33
-psi = 1.07
-delta = 1.03
-eta = 1.02
-dT = 0.125
-dA = 0.3
-dTA = 0.33
-
-# Starting state as population fractions; init.total scales them to counts.
-init.susceptible = 0.6
-init.latent_tb = 0.14
-init.active_tb = 0.03
-init.recovered_tb = 0
-init.hiv_only = 0.04
-init.aids = 0.01
-init.latent_tb_hiv = 0.12
-init.active_tb_hiv = 0.05
-init.recovered_tb_hiv = 0
-init.aids_tb = 0.01
-init.total = 50000
-"""
-
 
 class ConfigError(ValueError):
     pass
@@ -95,7 +56,7 @@ class RunConfig:
 
     def initial_state(self) -> np.ndarray:
         if self.init_values is None:
-            return INITIAL_FRACTIONS * INITIAL_POPULATION
+            return initial_state()
         values = np.asarray(self.init_values, dtype=float)
         if self.init_total is not None:
             return values * self.init_total
@@ -217,10 +178,8 @@ def format_config(cfg: RunConfig) -> str:
 
 
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
-        cfg = parse_config(Path(args.config).read_text())
-    else:
-        cfg = parse_config(DEFAULT_CONFIG)
+    cfg = (parse_config(Path(args.config).read_text())
+           if getattr(args, "config", None) else RunConfig())
     for name in ("beta1", "beta2"):
         value = getattr(args, name, None)
         if value is not None:
@@ -401,10 +360,10 @@ def _cmd_stability(args) -> int:
                           Path(args.at).read_text().replace(",", " ").split()])
         if state.shape != (10,):
             raise ConfigError("state file must hold exactly 10 numbers")
-    eigs = eigenvalues(full_jacobian(state, params, n_ref))
-    for lam in eigs:
+    report = stability_report(state, params, n_ref)
+    for lam in report.eigenvalues:
         print(f"{lam.real:+.8g} {lam.imag:+.8g}j")
-    print(f"classification: {classify(eigs)}")
+    print(f"classification: {report.classification}")
     return 0
 
 
@@ -441,7 +400,10 @@ def _cmd_sweep(args) -> int:
     for value in values:
         p = _checked(dataclasses.replace(params, **{args.param: value}),
                      f"{args.param} = {value!r}")
-        numbers = r0(p, n_ref)
+        try:
+            numbers = r0(p, n_ref)
+        except DomainError as exc:
+            raise ConfigError(f"{args.param} = {value!r}: {exc}") from exc
         rows.append(f"{value:.8g},{numbers.r1:.8g},{numbers.r2:.8g},"
                     f"{numbers.r0:.8g}")
     out = _out_dir(args, cfg)

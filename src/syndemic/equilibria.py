@@ -20,7 +20,7 @@ from .model import (_HIV_SUB_INDICES, _TB_SUB_INDICES, _linearise,
                     DomainError, HIV_INFECTED_INDICES, Parameters,
                     TB_INFECTED_INDICES, full_rhs, total_population)
 from .reproduction import ReproductionNumbers, r0, r1_closed, r2_closed
-from .stability import TOL_EIG, ConvergenceError
+from .stability import TOL_EIG, ConvergenceError, _hiv_threshold_terms
 
 # An infected group is present above this total, in persons: far above what a
 # residual of ||f|| <= 1e-10 N can leave in an absent group, far below one.
@@ -146,7 +146,7 @@ def tb_free_closed(params: Parameters, nH: float) -> TbFreeClosedForm:
     r2 = r2_closed(p, nH)
     if r2 <= 1.0:
         return TbFreeClosedForm(s=p.Lambda / p.mu, i_h=0.0, a=0.0, exists=False)
-    d4 = p.alpha1 + p.mu + p.dA
+    _, d4 = _hiv_threshold_terms(p)
     i_h = (r2 - 1.0) * p.mu * nH * d4 / (p.beta2 * (d4 + p.eta * p.rho1))
     return TbFreeClosedForm(s=p.Lambda / (p.mu * r2), i_h=i_h,
                             a=p.rho1 / d4 * i_h, exists=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import (DomainError, INFECTED_INDICES, Parameters,
                     flow_matrices, full_jacobian)
-from .stability import eigenvalues
+from .stability import bifurcation_threshold, eigenvalues
 
 
 class ReproductionNumbers(NamedTuple):
@@ -46,12 +46,10 @@ def r1_closed(params: Parameters, n_ref: Optional[float] = None) -> float:
 
 
 def r2_closed(params: Parameters, n_ref: Optional[float] = None) -> float:
-    """HIV reproduction number, AIDS stage weighted by its infectivity."""
+    """HIV reproduction number, AIDS stage weighted by its infectivity: beta2
+    over the threshold rate at which it is 1."""
     p = params
-    d3 = p.rho1 + p.mu
-    d4 = p.alpha1 + p.mu + p.dA
-    return (_prefactor(p, n_ref) * p.beta2 * (d4 + p.eta * p.rho1)
-            / (d3 * d4 - p.alpha1 * p.rho1))
+    return _prefactor(p, n_ref) * p.beta2 / bifurcation_threshold(p)
 
 
 def r0(params: Parameters, n_ref: Optional[float] = None) -> ReproductionNumbers:

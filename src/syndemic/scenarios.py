@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import os
 import tempfile
@@ -28,10 +29,10 @@ import numpy as np
 from .dynamics import Trajectory, integrate
 from .equilibria import (EquilibriumReport, disease_free, hiv_free, syndemic,
                          tb_free_closed, tb_free_numeric)
-from .model import (COMPARTMENTS, INFECTED_INDICES, Parameters,
-                    full_jacobian, full_rhs, total_population)
+from .model import (COMPARTMENTS, INFECTED_INDICES, Parameters, full_rhs,
+                    total_population)
 from .reproduction import r0, r2_closed
-from .stability import eigenvalues
+from .stability import TOL_EIG, _hiv_threshold_terms, stability_report
 
 INITIAL_FRACTIONS = np.array([0.60, 0.14, 0.03, 0.0, 0.04, 0.01,
                               0.12, 0.05, 0.0, 0.01])
@@ -127,10 +128,23 @@ def _record(result: ScenarioResult, name: str, expected: float, actual: float,
         passed=bool(abs(actual - expected) <= tolerance)))
 
 
+def _record_stable(result: ScenarioResult, name: str, comparison: str, state,
+                   params: Parameters, n_ref: Optional[float] = None) -> None:
+    report = stability_report(state, params, n_ref)
+    result.comparisons[comparison] = report.dominant_real
+    result.assertions.append(AssertionRecord(
+        name=name, expected=0.0, actual=report.dominant_real,
+        tolerance=TOL_EIG, passed=report.classification == "stable"))
+
+
 def _record_info(result: ScenarioResult, name: str, actual: float) -> None:
     result.assertions.append(AssertionRecord(
         name=name, expected=math.nan, actual=actual, tolerance=math.nan,
         passed=None))
+
+
+def _max_relative_deviation(x: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(x - ref) / np.maximum(np.abs(ref), 1e-9)))
 
 
 def run_table2(params: Optional[Parameters] = None) -> ScenarioResult:
@@ -178,7 +192,8 @@ def run_table3(params: Optional[Parameters] = None) -> ScenarioResult:
     base = params if params is not None else Parameters(0.0, 0.0)
     n_h = base.Lambda / base.mu
     result = ScenarioResult(spec=ScenarioSpec(name="table3"))
-    ratio = base.rho1 / (base.alpha1 + base.mu + base.dA)
+    _, d4 = _hiv_threshold_terms(base)
+    ratio = base.rho1 / d4
     for beta2 in sorted(HIV_SWEEP_REFERENCE):
         p = dataclasses.replace(base, beta1=0.0, beta2=beta2)
         key = f"beta2={beta2:g}"
@@ -239,13 +254,9 @@ def run_dfe_stability(params: Optional[Parameters] = None) -> ScenarioResult:
         _record(result, f"{key} infected below 1 person at {horizon:g}y",
                 0.0, infected_max, 1.0)
 
-    dfe = disease_free(base).state
-    dominant = max(e.real for e in eigenvalues(full_jacobian(dfe, base)))
-    result.comparisons["disease-free dominant eigenvalue"] = dominant
-    result.assertions.append(AssertionRecord(
-        name="disease-free state locally stable (dominant eigenvalue < -1e-7)",
-        expected=0.0, actual=dominant, tolerance=1e-7,
-        passed=bool(dominant < -1e-7)))
+    _record_stable(
+        result, "disease-free state locally stable (dominant eigenvalue < -1e-7)",
+        "disease-free dominant eigenvalue", disease_free(base).state, base)
 
     pair = r0(base, INITIAL_POPULATION)
     _record(result, "R1 at the initial census scale",
@@ -267,46 +278,32 @@ def run_syndemic_stability(params: Optional[Parameters] = None) -> ScenarioResul
     n_ref = INITIAL_POPULATION
     horizon = 500.0
     result = ScenarioResult(spec=ScenarioSpec(name="syndemic-stability"))
-    finals = {}
     for key, y0 in _perturbed_starts().items():
         traj = integrate(lambda t, y: full_rhs(y, base, n_ref), y0, 0.0,
                          horizon)
         result.trajectories[key] = traj
         result.terminal_states[key] = traj.final
-        finals[key] = traj.final
 
-    keys = list(finals)
-    worst_pair = 0.0
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            dev = np.max(np.abs(finals[keys[i]] - finals[keys[j]])
-                         / np.maximum(np.abs(finals[keys[i]]), 1e-9))
-            worst_pair = max(worst_pair, float(dev))
+    finals = result.terminal_states
+    worst_pair = max(_max_relative_deviation(b, a) for a, b in
+                     itertools.combinations(finals.values(), 2))
     _record(result, "cross-start terminal agreement (relative)", 0.0,
             worst_pair, 1e-3)
 
     newton = syndemic(base, initial_state(), n_ref=n_ref)
     result.equilibria["newton"] = newton
-    dev_newton = float(np.max(np.abs(newton.state - ENDEMIC_REFERENCE_STATE)
-                              / ENDEMIC_REFERENCE_STATE))
     _record(result, "newton equilibrium vs reference (max relative)", 0.0,
-            dev_newton, 0.01)
-    dev_integ = float(np.max(np.abs(finals["base"] - ENDEMIC_REFERENCE_STATE)
-                             / ENDEMIC_REFERENCE_STATE))
+            _max_relative_deviation(newton.state, ENDEMIC_REFERENCE_STATE),
+            0.01)
     _record(result, "integrated state vs reference (max relative)", 0.0,
-            dev_integ, 0.01)
-    dev_paths = float(np.max(np.abs(finals["base"] - newton.state)
-                             / np.maximum(np.abs(newton.state), 1e-9)))
+            _max_relative_deviation(finals["base"], ENDEMIC_REFERENCE_STATE),
+            0.01)
     _record(result, "integration and root-finding agree (max relative)", 0.0,
-            dev_paths, 1e-3)
-
-    dominant = max(e.real for e in
-                   eigenvalues(full_jacobian(newton.state, base, n_ref)))
-    result.comparisons["endemic dominant eigenvalue (pinned)"] = dominant
-    result.assertions.append(AssertionRecord(
-        name="endemic state locally stable under the pinned denominator",
-        expected=0.0, actual=dominant, tolerance=1e-7,
-        passed=bool(dominant < -1e-7)))
+            _max_relative_deviation(finals["base"], newton.state), 1e-3)
+    _record_stable(result,
+                   "endemic state locally stable under the pinned denominator",
+                   "endemic dominant eigenvalue (pinned)", newton.state, base,
+                   n_ref)
     return result
 
 
@@ -391,10 +388,9 @@ def run_treatment_impact(params: Optional[Parameters] = None,
         crossing = _first_crossing(with_i, wo, component=7, after=0.1)
         result.comparisons["coinfected crossover year"] = crossing
         if deaths == "off":
-            result.assertions.append(AssertionRecord(
-                name="active coinfection drops below the treated arm near year 7",
-                expected=7.0, actual=crossing, tolerance=1.5,
-                passed=bool(abs(crossing - 7.0) <= 1.5)))
+            _record(result,
+                    "active coinfection drops below the treated arm near year 7",
+                    7.0, crossing, 1.5)
         else:
             _record_info(result, "coinfected crossover year", crossing)
     return result

@@ -173,12 +173,17 @@ class BifurcationReport:
     zero_eig_residual: float
 
 
+def _hiv_threshold_terms(p: Parameters) -> Tuple[float, float]:
+    # (numer, d4): d4 the AIDS removal rate and numer = d3*d4 - alpha1*rho1
+    # (d3 = rho1 + mu) written without that cancellation
+    return (p.mu * p.alpha1 + (p.mu + p.rho1) * (p.mu + p.dA),
+            p.alpha1 + p.mu + p.dA)
+
+
 def bifurcation_threshold(params: Parameters) -> float:
     """Transmission rate at which the HIV-only submodel's R2 crosses 1."""
-    p = params
-    numer = p.mu * p.alpha1 + (p.mu + p.rho1) * (p.mu + p.dA)
-    denom = p.alpha1 + p.mu + p.dA + p.eta * p.rho1
-    return numer / denom
+    numer, d4 = _hiv_threshold_terms(params)
+    return numer / (d4 + params.eta * params.rho1)
 
 
 def bifurcation_analysis(params: Parameters) -> BifurcationReport:
@@ -195,7 +200,7 @@ def bifurcation_analysis(params: Parameters) -> BifurcationReport:
     if p.rho1 <= 0:
         raise DomainError("rho1 must be positive (null vectors divide by it)")
     bstar = bifurcation_threshold(p)
-    d4 = p.alpha1 + p.mu + p.dA
+    numer, d4 = _hiv_threshold_terms(p)
     vden = d4 + p.rho1 + p.mu - bstar
     if vden <= 0:
         raise ConvergenceError("left null vector extraction failed")
@@ -206,7 +211,6 @@ def bifurcation_analysis(params: Parameters) -> BifurcationReport:
         [0.0, bstar - p.rho1 - p.mu, bstar * p.eta + p.alpha1],
         [0.0, p.rho1, -d4],
     ])
-    numer = p.mu * p.alpha1 + (p.mu + p.rho1) * (p.mu + p.dA)
     w = np.array([-numer / (p.rho1 * p.mu), d4 / p.rho1, 1.0])
     v2 = p.rho1 / vden
     v = np.array([0.0, v2, v2 * (p.rho1 + p.mu - bstar) / p.rho1])

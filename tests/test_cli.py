@@ -6,18 +6,70 @@ import numpy as np
 import pytest
 
 import syndemic.cli
-from syndemic.cli import (ConfigError, DEFAULT_CONFIG, RunConfig, emit_svg,
-                          format_config, main, parse_config)
+from syndemic.cli import (ConfigError, RunConfig, emit_svg, format_config,
+                          main, parse_config)
 from syndemic.dynamics import IntegrationError, Trajectory
-from syndemic.model import COMPARTMENTS
+from syndemic.model import COMPARTMENTS, PARAMETER_FIELDS
 from syndemic.stability import ConvergenceError
 
+# The baseline calibration and the standard census, written out in full.
+BASELINE_CONFIG = """\
+# All rates are per year; beta1 and beta2 are supplied per run.
+Lambda = 714
+mu = 0.014285714285714285
+beta1p = 0.9
+beta2p = 1.1
+k1 = 1
+k2 = 1.3
+tau1 = 1
+tau2 = 2
+tau3 = 2
+tau4 = 1
+rho1 = 0.1
+rho2 = 0.25
+rho3 = 0.125
+alpha1 = 0.33
+alpha2 = 0.33
+psi = 1.07
+delta = 1.03
+eta = 1.02
+dT = 0.125
+dA = 0.3
+dTA = 0.33
 
-def test_default_config_parses():
-    cfg = parse_config(DEFAULT_CONFIG)
-    assert "beta1" not in cfg.assignments
-    assert cfg.initial_state().sum() == pytest.approx(50000.0)
-    assert cfg.init_total == 50000.0
+# Starting state as population fractions; init.total scales them to counts.
+init.susceptible = 0.6
+init.latent_tb = 0.14
+init.active_tb = 0.03
+init.recovered_tb = 0
+init.hiv_only = 0.04
+init.aids = 0.01
+init.latent_tb_hiv = 0.12
+init.active_tb_hiv = 0.05
+init.recovered_tb_hiv = 0
+init.aids_tb = 0.01
+init.total = 50000
+"""
+
+
+def test_default_run_matches_baseline_config(tmp_path, capsys):
+    # Without --config the run takes the Parameters defaults and the
+    # standard census: the same files and numbers as the baseline written out.
+    cfg = parse_config(BASELINE_CONFIG)
+    assert set(cfg.assignments) == set(PARAMETER_FIELDS) - {"beta1", "beta2"}
+    path = tmp_path / "baseline.cfg"
+    path.write_text(BASELINE_CONFIG)
+    rates = ["--beta1", "6", "--beta2", "0.1"]
+    outputs = []
+    for name, config in (("default", []), ("baseline", ["--config", str(path)])):
+        out = tmp_path / name
+        assert main(["simulate", *rates, "--out", str(out), *config]) == 0
+        assert main(["r0", *rates, "--nref", "N0", *config]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((printed[:2] + printed[3:], files))
+    assert sorted(outputs[0][1]) == ["trajectory.csv", "trajectory.svg"]
+    assert outputs[0] == outputs[1]
 
 
 def test_empty_config_needs_transmission_rates():
@@ -27,7 +79,7 @@ def test_empty_config_needs_transmission_rates():
 
 
 def test_round_trip_is_identical():
-    cfg = parse_config(DEFAULT_CONFIG)
+    cfg = parse_config(BASELINE_CONFIG)
     cfg.assignments["beta1"] = 6.0
     cfg.assignments["beta2"] = 0.1
     cfg.horizon = 35.5
@@ -61,8 +113,8 @@ def test_unknown_compartment_rejected():
 
 
 def test_fraction_sum_violation_reports_line():
-    text = DEFAULT_CONFIG.replace("init.susceptible = 0.6",
-                                  "init.susceptible = 0.7")
+    text = BASELINE_CONFIG.replace("init.susceptible = 0.6",
+                                   "init.susceptible = 0.7")
     with pytest.raises(ConfigError, match="sum"):
         parse_config(text)
 
@@ -183,7 +235,8 @@ def test_overflowing_reproduction_number_is_an_input_error(argv, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert lines == ["error: reproduction number overflow: R2 = inf"]
+    where = "beta2 = 1e+307: " if argv[0] == "sweep" else ""
+    assert lines == [f"error: {where}reproduction number overflow: R2 = inf"]
     assert not out.exists()
 
 
@@ -356,7 +409,7 @@ def test_sweep_rejects_invalid_values(param, values, problem, tmp_path,
 def test_simulate_rejects_non_finite_horizon_and_tolerances(argv, config,
                                                             tmp_path, capsys):
     path = tmp_path / "run.cfg"
-    path.write_text(DEFAULT_CONFIG + config)
+    path.write_text(BASELINE_CONFIG + config)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--beta1", "6",
                  "--beta2", "0.1", "--out", str(out)] + argv) == 2
@@ -392,7 +445,7 @@ def test_non_finite_nref_is_an_input_error(command, token, tmp_path, capsys):
 
 def test_config_file_loading(tmp_path, capsys):
     path = tmp_path / "run.cfg"
-    path.write_text(DEFAULT_CONFIG + "beta1 = 6\nbeta2 = 0.1\n")
+    path.write_text(BASELINE_CONFIG + "beta1 = 6\nbeta2 = 0.1\n")
     assert main(["r0", "--config", str(path)]) == 0
     assert "R1 = 1.39239" in capsys.readouterr().out
 

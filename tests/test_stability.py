@@ -226,11 +226,15 @@ def test_trace_decreases_with_mortality():
 
 
 def test_threshold_value_and_unit_crossing():
-    p = Parameters(beta1=6.0, beta2=0.1)
-    bstar = bifurcation_threshold(p)
-    assert bstar == pytest.approx(BETA_STAR, rel=1e-12)
-    at_threshold = dataclasses.replace(p, beta2=bstar)
-    assert r2_closed(at_threshold, n_ref=S0) == pytest.approx(1.0, abs=1e-8)
+    assert bifurcation_threshold(SUPER) == pytest.approx(BETA_STAR, rel=1e-12)
+    # R2 is 1 exactly at the threshold rate, under either convention, for
+    # the default rates and with each rate that enters the threshold moved.
+    for p in (SUPER, SUB, Parameters(beta1=13.0, beta2=0.06),
+              Parameters(beta1=6.0, beta2=0.1, alpha1=0.0),
+              Parameters(beta1=6.0, beta2=0.1, rho1=0.37, eta=1.6, dA=0.8)):
+        at_threshold = dataclasses.replace(p, beta2=bifurcation_threshold(p))
+        for n_ref in (None, p.Lambda / p.mu):
+            assert r2_closed(at_threshold, n_ref) == 1.0
 
 
 def test_threshold_analysis_frozen_values():

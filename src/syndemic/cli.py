@@ -340,6 +340,9 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    if args.bifurcation and args.nref is not None:
+        # the threshold analysis is taken at the population Lambda/mu
+        raise ConfigError("--nref does not apply to --bifurcation")
     cfg = _load_config(args)
     params = cfg.parameters()
     n_ref = cfg.resolve_n_ref()

@@ -6,14 +6,15 @@ model.full_jacobian. Central finite differences with one Richardson
 extrapolation level are only the independent route of the bifurcation
 analysis, which requires its hand-coded 3x3 linearization and closed-form
 coefficients to agree with them, and of the tests. The bifurcation analysis
-evaluates its probes as three stacked sub-model calls, one per parameter
-set; fd_jacobian probes any callable one point at a time. Eigenvalues come
-from one LAPACK eigen-decomposition and are checked by their eigenvectors'
-residuals.
+runs once per set of sub-model rates and evaluates its probes as three
+stacked sub-model calls, one per parameter set; fd_jacobian probes any
+callable one point at a time. Eigenvalues come from one LAPACK
+eigen-decomposition and are checked by their eigenvectors' residuals.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -161,8 +162,10 @@ def dfe_trace_det(params: Parameters) -> Tuple[float, float]:
     return trace, det
 
 
-@dataclass
+@dataclass(frozen=True)
 class BifurcationReport:
+    # shared by every caller with the same sub-model rates: frozen, and its
+    # arrays read-only
     beta_star: float
     w: np.ndarray            # right null vector, third component 1
     v: np.ndarray            # left null vector, v.w = 1
@@ -195,11 +198,23 @@ def bifurcation_analysis(params: Parameters) -> BifurcationReport:
     positive). The coefficients are evaluated twice, from the closed-form
     second derivatives and from finite differences of the submodel right-hand
     side, and must agree to 1e-6 relative.
+
+    The sub-model reads only Lambda, mu, rho1, alpha1, dA and eta, so beta1
+    is zeroed and beta2 replaced by the threshold rate before the analysis:
+    the report, finite-difference cross-check included, is computed once per
+    set of those rates and shared, read-only, by every (beta1, beta2).
     """
-    p = params
-    if p.rho1 <= 0:
+    if params.rho1 <= 0:
         raise DomainError("rho1 must be positive (null vectors divide by it)")
-    bstar = bifurcation_threshold(p)
+    return _bifurcation_at(dataclasses.replace(
+        params, beta1=0.0, beta2=bifurcation_threshold(params)))
+
+
+@functools.lru_cache(maxsize=64)
+def _bifurcation_at(pstar: Parameters) -> BifurcationReport:
+    # The analysis at pstar, whose beta2 is the threshold rate and beta1 0.
+    # A failing rate set raises on every call: lru_cache keeps no exception.
+    p, bstar = pstar, pstar.beta2
     numer, d4 = _hiv_threshold_terms(p)
     vden = d4 + p.rho1 + p.mu - bstar
     if vden <= 0:
@@ -224,20 +239,23 @@ def bifurcation_analysis(params: Parameters) -> BifurcationReport:
     # closed forms differentiate the self-consistent field (the mixing
     # denominator moves with the state), so the probes do too. The step is
     # scaled to the population and the quadratic truncation removed by
-    # pairing two step sizes. The sub-model reads no TB rate, so beta1 is
-    # zeroed: the three parameter sets, and their flow matrices, are then
-    # the same for every beta1. Each set's probes are one stacked call.
-    pstar = dataclasses.replace(p, beta1=0.0, beta2=bstar)
+    # pairing two step sizes. Each parameter set's probes are one stacked
+    # call.
     scale = p.Lambda / p.mu
     dfe3 = np.array([scale, 0.0, 0.0])
 
     h = 1e-3 * scale / float(np.max(np.abs(w)))
     steps = np.array([h / 2.0, h])
+    squared = steps ** 2
+    if not squared[0] > 0.0:
+        raise DomainError(
+            f"second-difference step h = {h!r} underflows when squared "
+            f"(population scale Lambda/mu = {scale!r})")
     along_w = steps[:, None] * w
     # rows: the centre, then dfe3 + s*w and dfe3 - s*w for s = h/2, h
     f = hiv_submodel_rhs(np.vstack([dfe3, dfe3 + along_w, dfe3 - along_w]),
                          pstar)
-    second = _richardson((f[1:3] - 2.0 * f[0] + f[3:5]) / steps[:, None] ** 2)
+    second = _richardson((f[1:3] - 2.0 * f[0] + f[3:5]) / squared[:, None])
     a_fd = float(v @ second)
     kappa = 1e-5
     points, jsteps = _jacobian_probes(dfe3)
@@ -251,6 +269,8 @@ def bifurcation_analysis(params: Parameters) -> BifurcationReport:
             raise ConvergenceError(
                 f"bifurcation coefficient {name}: closed form and finite "
                 f"differences disagree ({closed} vs {fd})")
+    for array in (w, v):
+        array.setflags(write=False)
     return BifurcationReport(beta_star=bstar, w=w, v=v, a=a, b=b,
                              a_fd=a_fd, b_fd=b_fd,
                              zero_eig_residual=residual)

@@ -259,6 +259,36 @@ def test_stability_bifurcation_output(capsys):
     assert "w = " in out and "v = " in out
 
 
+@pytest.mark.parametrize("nref", ["50000", "dfe"])
+def test_nref_does_not_apply_to_bifurcation(nref, capsys):
+    # the threshold analysis is taken at Lambda/mu; the flag used to be
+    # ignored, printing the same numbers as the run without it
+    assert main(["stability", "--beta1", "6", "--beta2", "0.1",
+                 "--bifurcation", "--nref", nref]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --nref does not apply to --bifurcation\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("rate", ["Lambda = 1e-300", "dA = 1e200",
+                                  "rho1 = 1e-300"])
+def test_degenerate_rates_name_the_underflowing_step(rate, tmp_path, capsys):
+    # the second-difference step squares to 0; the message used to be
+    # numpy's "divide by zero encountered in divide". A failing rate set
+    # is not cached, so the second run fails the same way.
+    path = tmp_path / "run.cfg"
+    path.write_text(rate + "\n")
+    argv = ["stability", "--config", str(path), "--beta1", "6",
+            "--beta2", "0.1", "--bifurcation"]
+    assert [main(argv), main(argv)] == [2, 2]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1]
+    assert lines[0].startswith("error: second-difference step h = ")
+    assert "population scale Lambda/mu = " in lines[0]
+
+
 def test_simulate_writes_csv_and_svg(tmp_path, capsys):
     assert main(["simulate", "--beta1", "6", "--beta2", "0.1",
                  "--horizon", "20", "--out", str(tmp_path)]) == 0

@@ -275,6 +275,7 @@ def test_threshold_analysis_difference_route_probe_count(monkeypatch):
         return original(states, params, n_ref)
 
     monkeypatch.setattr(syndemic.stability, "hiv_submodel_rhs", recording)
+    syndemic.stability._bifurcation_at.cache_clear()
     rep = bifurcation_analysis(SUPER)
     bstar = rep.beta_star
     assert [(p.beta1, p.beta2) for _, p in calls] == [
@@ -300,6 +301,7 @@ def test_threshold_analysis_difference_route_probe_count(monkeypatch):
 def test_threshold_analysis_reuses_flow_matrices():
     # beta1 is zeroed and beta2 replaced, so every (beta1, beta2) at the
     # default rates shares the difference route's three parameter sets.
+    syndemic.stability._bifurcation_at.cache_clear()
     flow_matrices.cache_clear()
     for beta1, beta2 in zip(np.linspace(1.0, 50.0, 20),
                             np.linspace(0.01, 0.4, 20)):
@@ -308,10 +310,11 @@ def test_threshold_analysis_reuses_flow_matrices():
     assert flow_matrices.cache_info().misses == 3
 
 
-def test_threshold_analysis_random_draws_agree_with_differences():
+def _random_hiv_rates():
+    # ten draws of the sub-model's rates around the defaults
     rng = np.random.default_rng(909)
     for _ in range(10):
-        p = Parameters(
+        yield Parameters(
             beta1=1.0, beta2=0.1,
             Lambda=float(rng.uniform(100.0, 1000.0)),
             mu=float(rng.uniform(0.005, 0.05)),
@@ -319,15 +322,69 @@ def test_threshold_analysis_random_draws_agree_with_differences():
             alpha1=float(rng.uniform(0.05, 1.0)),
             dA=float(rng.uniform(0.05, 1.0)),
             eta=float(rng.uniform(1.0, 2.0)))
+
+
+def test_threshold_analysis_random_draws_agree_with_differences():
+    for p in _random_hiv_rates():
         rep = bifurcation_analysis(p)
         assert rep.a < 0.0 < rep.b
         assert abs(rep.a - rep.a_fd) <= 1e-6 * abs(rep.a)
         assert abs(rep.b - rep.b_fd) <= 1e-6 * abs(rep.b)
 
 
+def _uncached(p):
+    pstar = dataclasses.replace(p, beta1=0.0, beta2=bifurcation_threshold(p))
+    return syndemic.stability._bifurcation_at.__wrapped__(pstar)
+
+
+def _same_bits(rep, other):
+    return all(np.asarray(getattr(rep, f.name)).tobytes()
+               == np.asarray(getattr(other, f.name)).tobytes()
+               for f in dataclasses.fields(rep))
+
+
+def test_shared_report_equals_an_uncached_evaluation():
+    grid = [Parameters(beta1=float(b1), beta2=float(b2))
+            for b1 in np.geomspace(0.5, 50.0, 5)
+            for b2 in np.geomspace(0.005, 0.5, 5)]
+    reports = [bifurcation_analysis(p) for p in grid]
+    assert all(rep is reports[0] for rep in reports)
+    for p, rep in zip(grid, reports):
+        assert _same_bits(rep, _uncached(p))
+    for p in _random_hiv_rates():
+        assert _same_bits(bifurcation_analysis(p), _uncached(p))
+
+
+@pytest.mark.parametrize("rate", ["Lambda", "mu", "rho1", "alpha1", "dA",
+                                  "eta"])
+def test_each_submodel_rate_moves_the_report(rate):
+    base = bifurcation_analysis(SUPER)
+    moved = dataclasses.replace(SUPER, **{rate: 1.1 * getattr(SUPER, rate)})
+    rep = bifurcation_analysis(moved)
+    assert (rep.beta_star, rep.a) != (base.beta_star, base.a)
+    assert _same_bits(rep, _uncached(moved))
+
+
+def test_shared_report_is_read_only():
+    rep = bifurcation_analysis(SUPER)
+    w, v = rep.w.copy(), rep.v.copy()
+    with pytest.raises(ValueError):
+        rep.w[0] = 1.0
+    with pytest.raises(ValueError):
+        rep.v[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.a = 0.0
+    again = bifurcation_analysis(SUPER)
+    assert (again.a, again.b) == (COEFF_A, COEFF_B)
+    assert again.w.tobytes() == w.tobytes()
+    assert again.v.tobytes() == v.tobytes()
+
+
 def test_threshold_analysis_requires_progression():
-    with pytest.raises(DomainError):
-        bifurcation_analysis(dataclasses.replace(SUPER, rho1=0.0))
+    # raises on every call, not only the first
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            bifurcation_analysis(dataclasses.replace(SUPER, rho1=0.0))
 
 
 def test_submodel_spectrum_at_threshold():

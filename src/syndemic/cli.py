@@ -340,9 +340,12 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    if args.bifurcation and args.nref is not None:
-        # the threshold analysis is taken at the population Lambda/mu
-        raise ConfigError("--nref does not apply to --bifurcation")
+    if args.bifurcation:
+        # the threshold analysis is taken at the disease-free state and the
+        # population Lambda/mu
+        for flag, value in (("--at", args.at), ("--nref", args.nref)):
+            if value is not None:
+                raise ConfigError(f"{flag} does not apply to --bifurcation")
     cfg = _load_config(args)
     params = cfg.parameters()
     n_ref = cfg.resolve_n_ref()
@@ -354,7 +357,7 @@ def _cmd_stability(args) -> int:
         print("w = " + " ".join(f"{v:.8g}" for v in rep.w))
         print("v = " + " ".join(f"{v:.8g}" for v in rep.v))
         return 0
-    if args.at == "dfe":
+    if args.at in (None, "dfe"):
         state = disease_free(params).state
     elif args.at == "syndemic":
         state = syndemic(params, cfg.initial_state(), n_ref=n_ref).state
@@ -447,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("stability", help="eigenvalues and classification")
     common(sp)
-    sp.add_argument("--at", default="dfe",
+    sp.add_argument("--at",
                     help="dfe, syndemic, or a file holding a 10-number state")
     sp.add_argument("--nref", help="population convention: dfe, N0, or a number")
     sp.add_argument("--bifurcation", action="store_true",

@@ -1,6 +1,15 @@
 """Reproduction numbers: the hand-written closed forms R1 and R2, and the
 next-generation matrix (van den Driessche & Watmough 2002), built in closed
-form from the flow matrices and the Jacobian of the model module.
+form from the flow matrices of the model module.
+
+New infections enter the infected classes through two columns only, the TB
+and HIV entry flows out of S, so at the disease-free state F = U W has rank
+2: U (8 x 2) holds those entry columns and W (2 x 8) the pressure gradients.
+V = -A_inf is the block of linear flows. The nonzero spectrum of
+K = F V^-1 is then that of the 2 x 2 matrix K_small = W V^-1 U (Diekmann,
+Heesterbeek & Roberts 2010, J. R. Soc. Interface 7:873). Its off-diagonal
+entries vanish, since the two diseases decouple at the disease-free state,
+so K_small is diag(R1, R2) and R0 = max(R1, R2).
 
 The closed forms carry an explicit reference-population argument because the
 published benchmark values mix two conventions: the table sweeps use the
@@ -15,8 +24,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .model import (DomainError, INFECTED_INDICES, Parameters,
-                    flow_matrices, full_jacobian)
+from .model import DomainError, INFECTED_INDICES, Parameters, S, flow_matrices
 from .stability import bifurcation_threshold, eigenvalues
 
 
@@ -71,11 +79,16 @@ def r0(params: Parameters, n_ref: Optional[float] = None) -> ReproductionNumbers
                                n_ref=params.Lambda / params.mu if n_ref is None else float(n_ref))
 
 
+_INFECTED = np.array(INFECTED_INDICES)
+_INFECTED_BLOCK = np.ix_(_INFECTED, _INFECTED)
+
+
 @dataclass
 class NextGenDecomposition:
     infected_indices: Tuple[int, ...]
-    F: np.ndarray            # 8x8 new-infection matrix
-    V: np.ndarray            # 8x8 transition matrix
+    F: np.ndarray            # 8x8 new-infection matrix, U W
+    V: np.ndarray            # 8x8 transition matrix, -A_inf
+    K_small: np.ndarray      # 2x2 W V^-1 U, diag(R1, R2)
     rho: float
 
 
@@ -83,25 +96,26 @@ def ngm_decomposition(params: Parameters) -> NextGenDecomposition:
     """Next-generation matrices at the disease-free state, in closed form.
 
     There both pressures vanish, so new infections enter only through their
-    gradients beta w / N (N = Lambda / mu): on the infected block,
-    F = (CT y) (beta1 w_T / N)^T + (CH y) (beta2 w_H / N)^T, from the same
-    flow matrices as model.full_jacobian, and the transitions are the rest
-    of that Jacobian block, V = F - J. rho reproduces max(r1, r2) at the
-    disease-free scale; the tests check that, and F and V against finite
-    differences of a flow-list reading of the model.
+    gradients W = (beta1 w_T, beta2 w_H) / N (N = Lambda / mu) and the entry
+    columns U = (CT y, CH y) of the flow matrices: on the infected block
+    F = U W, and the transitions are the linear flows, V = -A. (The
+    Jacobian block there is A + F.) rho is the spectral radius of
+    K_small = W V^-1 U, from one solve against U; it reproduces
+    max(r1, r2) at the disease-free scale. The tests check that, the
+    diagonal of K_small against r1 and r2 separately, and F and V against
+    finite differences of a flow-list reading of the model.
     """
     p = params
-    idx = np.ix_(INFECTED_INDICES, INFECTED_INDICES)
     n = p.Lambda / p.mu
-    dfe = np.zeros(10)
-    dfe[0] = n
     _, maps, weights = flow_matrices(p)
-    f_mat = ((maps[1:] @ dfe).T @ (weights / n))[idx]
-    v_mat = f_mat - full_jacobian(dfe, p)[idx]
+    u_mat = maps[1:, _INFECTED, S].T * n     # (CT y, CH y) at y = n e_S
+    w_mat = (weights / n)[:, _INFECTED]
+    v_mat = -maps[0][_INFECTED_BLOCK]
     try:
-        k_mat = f_mat @ np.linalg.inv(v_mat)
+        k_small = w_mat @ np.linalg.solve(v_mat, u_mat)
     except np.linalg.LinAlgError as exc:
         raise DomainError("transition matrix is singular") from exc
-    rho = max(abs(lam) for lam in eigenvalues(k_mat))     # spectral radius
+    rho = max(abs(lam) for lam in eigenvalues(k_small))   # spectral radius
     return NextGenDecomposition(infected_indices=INFECTED_INDICES,
-                                F=f_mat, V=v_mat, rho=rho)
+                                F=u_mat @ w_mat, V=v_mat, K_small=k_small,
+                                rho=rho)

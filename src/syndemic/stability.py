@@ -24,6 +24,7 @@ from .model import (DomainError, Parameters, force_of_infection,
                     full_jacobian, hiv_submodel_rhs)
 
 TOL_EIG = 1e-7      # a real part within this of 0 is marginal
+_PROBE_FLOOR = 1e-6  # persons, the smallest jacobian probe step
 
 
 class ConvergenceError(RuntimeError):
@@ -43,11 +44,11 @@ def _richardson(estimates: np.ndarray) -> np.ndarray:
 def _jacobian_probes(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Probe points of the central-difference Jacobian at x, and its steps.
 
-    Per-coordinate step h_i = max(1e-6, 1e-6*|x_i|). The rows are
-    x + e_j*s_j and x - e_j*s_j for each coordinate j in turn, first with
-    s = h/2 and then with s = h; the steps are returned as (2, n).
+    Per-coordinate step h_i = max(1e-6, 1e-6*|x_i|), the floor in persons.
+    The rows are x + e_j*s_j and x - e_j*s_j for each coordinate j in turn,
+    first with s = h/2 and then with s = h; the steps are returned as (2, n).
     """
-    h = np.maximum(1e-6, 1e-6 * np.abs(x))
+    h = np.maximum(_PROBE_FLOOR, 1e-6 * np.abs(x))
     steps = np.array([h / 2.0, h])
     shifts = steps[:, :, None] * np.eye(x.size)
     points = x + np.stack([shifts, -shifts], axis=2)
@@ -89,7 +90,8 @@ def eigenvalues(m) -> List[complex]:
     its residual ||A v - lambda v|| / ||v|| <= 1e-7 * max(||A||_2, 1). The
     residual bounds the smallest singular value of A - lambda I from above,
     so every value that passes is an exact eigenvalue of a matrix within
-    that distance of A.
+    that distance of A. Since max(||A||_2, 1) >= 1, ||A||_2 (one SVD) is
+    computed only when some residual exceeds 1e-7; the verdict is the same.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -99,11 +101,13 @@ def eigenvalues(m) -> List[complex]:
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
     vals, vecs = np.linalg.eig(a)
-    scale = max(float(np.linalg.svd(a, compute_uv=False)[0]), 1.0)  # ||A||_2
     residual = (np.linalg.norm(a @ vecs - vecs * vals, axis=0)
                 / np.linalg.norm(vecs, axis=0))
-    if not np.all(residual <= 1e-7 * scale):
-        raise ConvergenceError("eigenvalue failed the residual check")
+    if not np.all(residual <= 1e-7):
+        # ||A||_2, which can only matter above this
+        scale = max(float(np.linalg.svd(a, compute_uv=False)[0]), 1.0)
+        if not np.all(residual <= 1e-7 * scale):
+            raise ConvergenceError("eigenvalue failed the residual check")
     order = np.lexsort((-vals.imag, -vals.real))
     return [complex(v) for v in vals[order]]
 
@@ -199,21 +203,27 @@ def bifurcation_analysis(params: Parameters) -> BifurcationReport:
     second derivatives and from finite differences of the submodel right-hand
     side, and must agree to 1e-6 relative.
 
-    The sub-model reads only Lambda, mu, rho1, alpha1, dA and eta, so beta1
-    is zeroed and beta2 replaced by the threshold rate before the analysis:
-    the report, finite-difference cross-check included, is computed once per
-    set of those rates and shared, read-only, by every (beta1, beta2).
+    The sub-model reads only Lambda, mu, rho1, alpha1, dA and eta, so the
+    analysis is keyed on those six rates alone: the report, finite-difference
+    cross-check included, is computed once per set of them and shared,
+    read-only, by every parameter set that agrees on them, whatever its
+    transmission and TB rates.
     """
-    if params.rho1 <= 0:
+    p = params
+    if p.rho1 <= 0:
         raise DomainError("rho1 must be positive (null vectors divide by it)")
-    return _bifurcation_at(dataclasses.replace(
-        params, beta1=0.0, beta2=bifurcation_threshold(params)))
+    return _bifurcation_at(p.Lambda, p.mu, p.rho1, p.alpha1, p.dA, p.eta)
 
 
 @functools.lru_cache(maxsize=64)
-def _bifurcation_at(pstar: Parameters) -> BifurcationReport:
-    # The analysis at pstar, whose beta2 is the threshold rate and beta1 0.
+def _bifurcation_at(Lambda: float, mu: float, rho1: float, alpha1: float,
+                    dA: float, eta: float) -> BifurcationReport:
+    # The analysis at pstar: these rates, beta1 0, beta2 the threshold rate
+    # and every other rate at its default, which the sub-model never reads.
     # A failing rate set raises on every call: lru_cache keeps no exception.
+    pstar = Parameters(beta1=0.0, beta2=0.0, Lambda=Lambda, mu=mu, rho1=rho1,
+                       alpha1=alpha1, dA=dA, eta=eta)
+    pstar = dataclasses.replace(pstar, beta2=bifurcation_threshold(pstar))
     p, bstar = pstar, pstar.beta2
     numer, d4 = _hiv_threshold_terms(p)
     vden = d4 + p.rho1 + p.mu - bstar
@@ -246,17 +256,23 @@ def _bifurcation_at(pstar: Parameters) -> BifurcationReport:
 
     h = 1e-3 * scale / float(np.max(np.abs(w)))
     steps = np.array([h / 2.0, h])
-    squared = steps ** 2
-    if not squared[0] > 0.0:
-        raise DomainError(
-            f"second-difference step h = {h!r} underflows when squared "
-            f"(population scale Lambda/mu = {scale!r})")
     along_w = steps[:, None] * w
     # rows: the centre, then dfe3 + s*w and dfe3 - s*w for s = h/2, h
     f = hiv_submodel_rhs(np.vstack([dfe3, dfe3 + along_w, dfe3 - along_w]),
                          pstar)
-    second = _richardson((f[1:3] - 2.0 * f[0] + f[3:5]) / squared[:, None])
+    # h^2 may be 0 or subnormal, and the quotient then inf or nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        second = _richardson((f[1:3] - 2.0 * f[0] + f[3:5])
+                             / (steps ** 2)[:, None])
+    if not np.isfinite(second).all():
+        raise DomainError(
+            f"second-difference step h = {h!r} is too small: the difference "
+            f"over h^2 is not finite (population scale Lambda/mu = {scale!r})")
     a_fd = float(v @ second)
+    if not scale > _PROBE_FLOOR:
+        raise DomainError(
+            f"population scale Lambda/mu = {scale!r} is not above the "
+            f"{_PROBE_FLOOR!r}-person floor of the jacobian probe steps")
     kappa = 1e-5
     points, jsteps = _jacobian_probes(dfe3)
     jp, jm = [_richardson_jacobian(hiv_submodel_rhs(points, pp), jsteps)

@@ -270,12 +270,25 @@ def test_nref_does_not_apply_to_bifurcation(nref, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("at", ["syndemic", "dfe"])
+def test_at_does_not_apply_to_bifurcation(at, capsys):
+    # the threshold analysis is taken at the disease-free state; the flag
+    # used to be ignored, printing the same numbers as the run without it
+    assert main(["stability", "--beta1", "6", "--beta2", "0.1",
+                 "--bifurcation", "--at", at]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --at does not apply to --bifurcation\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("rate", ["Lambda = 1e-300", "dA = 1e200",
-                                  "rho1 = 1e-300"])
+                                  "rho1 = 1e-300", "dA = 1e160",
+                                  "rho1 = 1e-160"])
 def test_degenerate_rates_name_the_underflowing_step(rate, tmp_path, capsys):
-    # the second-difference step squares to 0; the message used to be
-    # numpy's "divide by zero encountered in divide". A failing rate set
-    # is not cached, so the second run fails the same way.
+    # the second-difference step squares to 0, or to a subnormal number
+    # whose quotient overflows; the messages used to be numpy's "divide by
+    # zero encountered in divide" and "overflow encountered in divide". A
+    # failing rate set is not cached, so the second run fails the same way.
     path = tmp_path / "run.cfg"
     path.write_text(rate + "\n")
     argv = ["stability", "--config", str(path), "--beta1", "6",
@@ -287,6 +300,34 @@ def test_degenerate_rates_name_the_underflowing_step(rate, tmp_path, capsys):
     assert len(lines) == 2 and lines[0] == lines[1]
     assert lines[0].startswith("error: second-difference step h = ")
     assert "population scale Lambda/mu = " in lines[0]
+
+
+def test_subnormal_squared_step_with_finite_quotient_passes(tmp_path,
+                                                             capsys):
+    # h^2 is subnormal here too, but the second difference over it is
+    # finite and agrees with the closed form
+    path = tmp_path / "run.cfg"
+    path.write_text("dA = 1e155\n")
+    assert main(["stability", "--config", str(path), "--beta1", "6",
+                 "--beta2", "0.1", "--bifurcation"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("beta_star = ")
+
+
+def test_population_below_the_probe_floor_is_named(tmp_path, capsys):
+    # Lambda/mu = 7e-7 persons lies below the 1e-6-person floor of the
+    # jacobian probe steps; the message used to blame the population
+    # denominator of a probe point
+    path = tmp_path / "run.cfg"
+    path.write_text("Lambda = 1e-8\n")
+    assert main(["stability", "--config", str(path), "--beta1", "6",
+                 "--beta2", "0.1", "--bifurcation"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: population scale Lambda/mu = 7.000000000000001e-07 is not "
+        "above the 1e-06-person floor of the jacobian probe steps\n")
 
 
 def test_simulate_writes_csv_and_svg(tmp_path, capsys):

@@ -11,7 +11,8 @@ from flow_list import infection_gains
 from syndemic.model import (DomainError, INFECTED_INDICES, Parameters,
                             full_rhs, validate_parameters)
 from syndemic.reproduction import ngm_decomposition, r0, r1_closed, r2_closed
-from syndemic.stability import fd_jacobian
+from syndemic.stability import (bifurcation_analysis, dfe_trace_det,
+                                fd_jacobian, stability_report)
 
 S0 = 714.0 / (1.0 / 70.0)
 
@@ -137,6 +138,50 @@ def test_ngm_matches_closed_forms_on_random_draws():
         assert validate_parameters(p) == []
         decomp = ngm_decomposition(p)
         assert decomp.rho == pytest.approx(r0(p).r0, rel=1e-12)
+
+
+def test_small_ngm_is_diag_r1_r2():
+    # K_small = W V^-1 U: the two diseases decouple at the disease-free
+    # state, so its off-diagonal entries vanish exactly and its diagonal
+    # holds R1 and R2, each on its own (criterion 3 checks their maximum)
+    grid = [Parameters(beta1=float(b1), beta2=float(b2))
+            for b1 in np.geomspace(0.5, 50.0, 20)
+            for b2 in np.geomspace(0.005, 0.5, 20)]
+    for p in grid + _random_draws():
+        k = ngm_decomposition(p).K_small
+        assert k.shape == (2, 2)
+        assert k[0, 1] == 0.0 and k[1, 0] == 0.0
+        assert k[0, 0] == pytest.approx(r1_closed(p), rel=1e-12)
+        assert k[1, 1] == pytest.approx(r2_closed(p), rel=1e-12)
+
+
+def test_warm_threshold_item_linear_algebra_calls(count_calls, monkeypatch):
+    # one item of the threshold analysis, its bifurcation report already
+    # computed: the 2x2 NGM (one solve, one eig), the 10x10 spectrum (one
+    # eig), the determinant, and no SVD, since every residual is small
+    p = Parameters(beta1=6.0, beta2=0.1)
+    dfe = np.zeros(10)
+    dfe[0] = S0
+
+    def item():
+        return (r0(p), ngm_decomposition(p), stability_report(dfe, p),
+                dfe_trace_det(p), bifurcation_analysis(p))
+
+    item()
+    calls = {name: [] for name in ("eig", "svd", "inv", "solve", "det")}
+    for name, log in calls.items():
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, _log=log, **kwargs):
+            _log.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    jacobians = count_calls(syndemic.model, "full_jacobian")
+    item()
+    assert {name: len(log) for name, log in calls.items()} == {
+        "eig": 2, "svd": 0, "inv": 0, "solve": 1, "det": 1}
+    assert len(jacobians) == 2
 
 
 def test_decomposition_sign_structure():

@@ -117,6 +117,54 @@ def test_eigenvalue_failing_residual_check_raises(position, monkeypatch):
         eigenvalues(m)
 
 
+def _counting(monkeypatch, name):
+    # wrap np.linalg.<name> with a call counter
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("shift,passes", [(1e-6, True), (1e-4, False)])
+def test_residual_check_scales_by_the_norm(shift, passes, monkeypatch):
+    # ||A||_2 = 100: a residual of 1e-6 lies between 1e-7 and 1e-7 ||A||_2
+    # and passes, 1e-4 lies above both and raises; either way the norm is
+    # needed, so the SVD runs once
+    m = np.diag([-100.0, -3.0, -2.0])
+    true_eig = np.linalg.eig
+
+    def one_value_off(a):
+        vals, vecs = true_eig(a)
+        vals = vals.astype(complex)
+        vals[0] += shift
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eig", one_value_off)
+    svd_calls = _counting(monkeypatch, "svd")
+    if passes:
+        assert eigenvalues(m)[-1] == -100.0 + shift
+    else:
+        with pytest.raises(ConvergenceError, match="residual check"):
+            eigenvalues(m)
+    assert len(svd_calls) == 1
+
+
+def test_no_svd_when_every_residual_is_small(monkeypatch):
+    svd_calls = _counting(monkeypatch, "svd")
+    rng = np.random.default_rng(4242)
+    matrices = [full_jacobian(_dfe(), SUPER), full_jacobian(_dfe(), SUB),
+                np.diag([-3.0, -1.0, -2.0])]
+    matrices += [rng.normal(size=(n, n)) for n in range(2, 11)]
+    for m in matrices:
+        eigenvalues(m)
+    assert svd_calls == []
+
+
 def test_eigenvalue_residuals_on_random_matrices():
     rng = np.random.default_rng(4242)
     for n in range(2, 11):
@@ -333,8 +381,8 @@ def test_threshold_analysis_random_draws_agree_with_differences():
 
 
 def _uncached(p):
-    pstar = dataclasses.replace(p, beta1=0.0, beta2=bifurcation_threshold(p))
-    return syndemic.stability._bifurcation_at.__wrapped__(pstar)
+    return syndemic.stability._bifurcation_at.__wrapped__(
+        p.Lambda, p.mu, p.rho1, p.alpha1, p.dA, p.eta)
 
 
 def _same_bits(rep, other):
@@ -353,6 +401,21 @@ def test_shared_report_equals_an_uncached_evaluation():
         assert _same_bits(rep, _uncached(p))
     for p in _random_hiv_rates():
         assert _same_bits(bifurcation_analysis(p), _uncached(p))
+
+
+def test_sets_differing_only_in_tb_rates_share_one_report():
+    # the key is the six sub-model rates; every TB rate (and beta1, beta2,
+    # alpha2, dTA) is left out of it
+    other = dataclasses.replace(SUPER, beta1=13.0, beta2=0.06, k1=0.7,
+                                k2=2.0, tau1=0.5, tau2=3.0, tau3=1.5,
+                                tau4=0.25, rho2=0.4, rho3=0.2, alpha2=0.5,
+                                psi=1.5, delta=1.2, beta1p=0.5, beta2p=1.4,
+                                dT=0.2, dTA=0.6)
+    rep = bifurcation_analysis(SUPER)
+    assert bifurcation_analysis(other) is rep
+    assert _same_bits(rep, _uncached(other))
+    assert _same_bits(rep, _uncached(SUPER))
+    assert (rep.a, rep.b) == (COEFF_A, COEFF_B)
 
 
 @pytest.mark.parametrize("rate", ["Lambda", "mu", "rho1", "alpha1", "dA",

@@ -9,7 +9,9 @@ V = -A_inf is the block of linear flows. The nonzero spectrum of
 K = F V^-1 is then that of the 2 x 2 matrix K_small = W V^-1 U (Diekmann,
 Heesterbeek & Roberts 2010, J. R. Soc. Interface 7:873). Its off-diagonal
 entries vanish, since the two diseases decouple at the disease-free state,
-so K_small is diag(R1, R2) and R0 = max(R1, R2).
+so K_small is diag(R1, R2) and R0 = max(R1, R2). K_small is nonnegative, so
+its spectral radius is its Perron root, taken in closed form: the NGM path
+makes no eigen-decomposition.
 
 The closed forms carry an explicit reference-population argument because the
 published benchmark values mix two conventions: the table sweeps use the
@@ -25,7 +27,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .model import DomainError, INFECTED_INDICES, Parameters, S, flow_matrices
-from .stability import bifurcation_threshold, eigenvalues
+from .stability import bifurcation_threshold
 
 
 class ReproductionNumbers(NamedTuple):
@@ -92,6 +94,15 @@ class NextGenDecomposition:
     rho: float
 
 
+def _perron_root(k: np.ndarray) -> float:
+    """Spectral radius of a nonnegative 2 x 2 matrix [[a, b], [c, d]]: its
+    Perron root (a + d)/2 + sqrt(((a - d)/2)^2 + b c), real since b c >= 0.
+    Halving first and hypot keep the sum and the square from overflowing;
+    hypot gives |a - d|/2 exactly when b c = 0."""
+    (a, b), (c, d) = k.tolist()
+    return a / 2.0 + d / 2.0 + math.hypot(a / 2.0 - d / 2.0, math.sqrt(b * c))
+
+
 def ngm_decomposition(params: Parameters) -> NextGenDecomposition:
     """Next-generation matrices at the disease-free state, in closed form.
 
@@ -99,11 +110,14 @@ def ngm_decomposition(params: Parameters) -> NextGenDecomposition:
     gradients W = (beta1 w_T, beta2 w_H) / N (N = Lambda / mu) and the entry
     columns U = (CT y, CH y) of the flow matrices: on the infected block
     F = U W, and the transitions are the linear flows, V = -A. (The
-    Jacobian block there is A + F.) rho is the spectral radius of
-    K_small = W V^-1 U, from one solve against U; it reproduces
-    max(r1, r2) at the disease-free scale. The tests check that, the
-    diagonal of K_small against r1 and r2 separately, and F and V against
-    finite differences of a flow-list reading of the model.
+    Jacobian block there is A + F.) K_small = W V^-1 U comes from one
+    solve against U. It is nonnegative, since V is an M-matrix and U and
+    W are nonnegative, so its spectral radius rho is its Perron root,
+    (a + d)/2 + sqrt(((a - d)/2)^2 + b c), taken in closed form with no
+    eigen-decomposition; it reproduces max(r1, r2) at the disease-free
+    scale. The tests check that, the diagonal of K_small against r1 and r2
+    separately, rho against the eigenvalues of K_small, and F and V
+    against finite differences of a flow-list reading of the model.
     """
     p = params
     n = p.Lambda / p.mu
@@ -115,7 +129,9 @@ def ngm_decomposition(params: Parameters) -> NextGenDecomposition:
         k_small = w_mat @ np.linalg.solve(v_mat, u_mat)
     except np.linalg.LinAlgError as exc:
         raise DomainError("transition matrix is singular") from exc
-    rho = max(abs(lam) for lam in eigenvalues(k_small))   # spectral radius
+    rho = _perron_root(k_small)
+    if not math.isfinite(rho):
+        raise DomainError("next-generation matrix entries must be finite")
     return NextGenDecomposition(infected_indices=INFECTED_INDICES,
                                 F=u_mat @ w_mat, V=v_mat, K_small=k_small,
                                 rho=rho)

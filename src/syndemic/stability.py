@@ -98,23 +98,28 @@ def eigenvalues(m) -> List[complex]:
         raise DomainError("matrix must be square and non-empty")
     if a.shape[0] > 16:
         raise DomainError("matrix dimension capped at 16")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
     vals, vecs = np.linalg.eig(a)
-    residual = (np.linalg.norm(a @ vecs - vecs * vals, axis=0)
-                / np.linalg.norm(vecs, axis=0))
-    if not np.all(residual <= 1e-7):
+    # ||A v - lambda v|| / ||v|| from the column sums of squared moduli
+    r = a @ vecs - vecs * vals
+    residual = np.sqrt((r.conj() * r).real.sum(axis=0)
+                       / (vecs.conj() * vecs).real.sum(axis=0))
+    if not (residual <= 1e-7).all():
         # ||A||_2, which can only matter above this
         scale = max(float(np.linalg.svd(a, compute_uv=False)[0]), 1.0)
-        if not np.all(residual <= 1e-7 * scale):
+        if not (residual <= 1e-7 * scale).all():
             raise ConvergenceError("eigenvalue failed the residual check")
     order = np.lexsort((-vals.imag, -vals.real))
-    return [complex(v) for v in vals[order]]
+    return [complex(v) for v in vals[order].tolist()]
 
 
 def classify(eigs) -> str:
     """stable / unstable / marginal by the dominant real part."""
-    dominant = max(e.real for e in eigs)
+    return _classification(max(e.real for e in eigs))
+
+
+def _classification(dominant: float) -> str:
     if dominant < -TOL_EIG:
         return "stable"
     if dominant > TOL_EIG:
@@ -133,10 +138,11 @@ class StabilityReport:
 def stability_report(state, params: Parameters,
                      n_ref: Optional[float] = None) -> StabilityReport:
     eigs = eigenvalues(full_jacobian(state, params, n_ref))
+    dominant = eigs[0].real   # sorted by descending real part
     return StabilityReport(equilibrium=np.asarray(state, dtype=float),
                            eigenvalues=eigs,
-                           classification=classify(eigs),
-                           dominant_real=max(e.real for e in eigs))
+                           classification=_classification(dominant),
+                           dominant_real=dominant)
 
 
 def _removal_rates(p: Parameters) -> Tuple[float, ...]:

@@ -1,0 +1,63 @@
+"""Regenerate the golden command-line outputs in this directory.
+
+Each ``NAME.txt`` holds one invocation of the ``syndemic`` tool: the
+command on its first line, as ``$ syndemic ARGS``, then everything the
+command printed to standard output, then ``exit CODE``.
+``tests/test_golden_cli.py`` replays every invocation through ``cli.main``
+in process and compares the bytes.
+
+    PYTHONPATH=src python tests/golden/cli/regenerate.py
+
+Rewrite the files only for a change that is meant to move these outputs,
+and read the diff before committing it.
+"""
+import contextlib
+import io
+from pathlib import Path
+
+from syndemic.cli import main
+
+HERE = Path(__file__).resolve().parent
+
+RATE_PAIRS = (("6", "0.1"), ("2.7", "0.03"), ("13", "0.06"))
+DENOMINATORS = ((), ("--nref", "N0"))
+
+
+def _invocations():
+    table = {}
+    for beta1, beta2 in RATE_PAIRS:
+        rates = ("--beta1", beta1, "--beta2", beta2)
+        for nref in DENOMINATORS:
+            suffix = f"_{beta1}_{beta2}" + ("_nref-N0" if nref else "")
+            table["r0" + suffix] = ("r0", *rates, *nref)
+            for at in ("dfe", "syndemic"):
+                table[f"stability-{at}" + suffix] = (
+                    "stability", *rates, "--at", at, *nref)
+    for beta1, beta2 in RATE_PAIRS[:2]:
+        table[f"bifurcation_{beta1}_{beta2}"] = (
+            "stability", "--beta1", beta1, "--beta2", beta2, "--bifurcation")
+    return table
+
+
+INVOCATIONS = _invocations()
+
+
+def render(argv) -> str:
+    """The golden text of one invocation: command, standard output, exit
+    code."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = main(list(argv))
+    return f"$ syndemic {' '.join(argv)}\n{printed.getvalue()}exit {code}\n"
+
+
+def golden_path(name: str) -> Path:
+    return HERE / f"{name}.txt"
+
+
+if __name__ == "__main__":
+    for stale in HERE.glob("*.txt"):
+        stale.unlink()
+    for name, argv in INVOCATIONS.items():
+        golden_path(name).write_bytes(render(argv).encode())
+    print(f"wrote {len(INVOCATIONS)} files to {HERE}")

@@ -10,9 +10,10 @@ import syndemic.stability
 from flow_list import infection_gains
 from syndemic.model import (DomainError, INFECTED_INDICES, Parameters,
                             full_rhs, validate_parameters)
-from syndemic.reproduction import ngm_decomposition, r0, r1_closed, r2_closed
+from syndemic.reproduction import (_perron_root, ngm_decomposition, r0,
+                                   r1_closed, r2_closed)
 from syndemic.stability import (bifurcation_analysis, dfe_trace_det,
-                                fd_jacobian, stability_report)
+                                eigenvalues, fd_jacobian, stability_report)
 
 S0 = 714.0 / (1.0 / 70.0)
 
@@ -133,6 +134,13 @@ def _random_draws():
     return [_random_parameters(rng) for _ in range(20)]
 
 
+def _threshold_grid():
+    # the (beta1, beta2) grid of the threshold-analysis benchmark workload
+    return [Parameters(beta1=float(b1), beta2=float(b2))
+            for b1 in np.geomspace(0.5, 50.0, 20)
+            for b2 in np.geomspace(0.005, 0.5, 20)]
+
+
 def test_ngm_matches_closed_forms_on_random_draws():
     for p in _random_draws():
         assert validate_parameters(p) == []
@@ -144,10 +152,7 @@ def test_small_ngm_is_diag_r1_r2():
     # K_small = W V^-1 U: the two diseases decouple at the disease-free
     # state, so its off-diagonal entries vanish exactly and its diagonal
     # holds R1 and R2, each on its own (criterion 3 checks their maximum)
-    grid = [Parameters(beta1=float(b1), beta2=float(b2))
-            for b1 in np.geomspace(0.5, 50.0, 20)
-            for b2 in np.geomspace(0.005, 0.5, 20)]
-    for p in grid + _random_draws():
+    for p in _threshold_grid() + _random_draws():
         k = ngm_decomposition(p).K_small
         assert k.shape == (2, 2)
         assert k[0, 1] == 0.0 and k[1, 0] == 0.0
@@ -155,10 +160,38 @@ def test_small_ngm_is_diag_r1_r2():
         assert k[1, 1] == pytest.approx(r2_closed(p), rel=1e-12)
 
 
+def test_closed_form_radius_matches_the_eigenvalue_route():
+    # rho, the closed-form Perron root of K_small, against the route it
+    # replaced: the largest modulus among eigenvalues(K_small)
+    for p in _threshold_grid() + _random_draws():
+        decomp = ngm_decomposition(p)
+        expected = max(abs(v) for v in eigenvalues(decomp.K_small))
+        assert decomp.rho == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_perron_root_of_random_nonnegative_matrices():
+    # the model's K_small is diagonal, so only these matrices exercise the
+    # b*c term of the closed form
+    rng = np.random.default_rng(2718)
+    for _ in range(1000):
+        k = rng.uniform(1e-3, 1.0, size=(2, 2)) * 10.0 ** rng.uniform(-3, 3)
+        expected = float(np.max(np.abs(np.linalg.eigvals(k))))
+        assert _perron_root(k) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_non_finite_next_generation_matrix_is_a_domain_error():
+    # N = Lambda / mu overflows to inf, so K_small is not finite
+    with np.errstate(all="ignore"), pytest.raises(DomainError,
+                                                  match="must be finite"):
+        ngm_decomposition(Parameters(beta1=6.0, beta2=0.1,
+                                     Lambda=1e300, mu=1e-10))
+
+
 def test_warm_threshold_item_linear_algebra_calls(count_calls, monkeypatch):
     # one item of the threshold analysis, its bifurcation report already
-    # computed: the 2x2 NGM (one solve, one eig), the 10x10 spectrum (one
-    # eig), the determinant, and no SVD, since every residual is small
+    # computed: the 2x2 NGM (one solve, its Perron root in closed form), the
+    # 10x10 spectrum (one eig), the determinant, and no SVD, since every
+    # residual is small
     p = Parameters(beta1=6.0, beta2=0.1)
     dfe = np.zeros(10)
     dfe[0] = S0
@@ -180,7 +213,7 @@ def test_warm_threshold_item_linear_algebra_calls(count_calls, monkeypatch):
     jacobians = count_calls(syndemic.model, "full_jacobian")
     item()
     assert {name: len(log) for name, log in calls.items()} == {
-        "eig": 2, "svd": 0, "inv": 0, "solve": 1, "det": 1}
+        "eig": 1, "svd": 0, "inv": 0, "solve": 1, "det": 1}
     assert len(jacobians) == 2
 
 

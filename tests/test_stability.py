@@ -79,13 +79,36 @@ def test_eigenvalues_of_known_matrices():
     assert spin[1] == pytest.approx(-1j)
 
 
+@pytest.mark.parametrize("matrix,dtype", [
+    (full_jacobian(_dfe(), SUPER), np.float64),     # real spectrum
+    (np.array([[4.0, 1.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 3.0]]),
+     np.float64),
+    (full_jacobian(np.full(10, 5000.0), SUPER), np.complex128),
+    (np.random.default_rng(7).normal(size=(9, 9)), np.complex128),
+])
+def test_eigenvalues_are_lapacks_values_in_order(matrix, dtype):
+    # the values np.linalg.eig returns, bit for bit, as Python complex in
+    # the documented order (descending real part, then imaginary part),
+    # whether numpy returned a float or a complex array
+    vals = np.linalg.eig(matrix)[0]
+    assert vals.dtype == dtype
+    expected = sorted(vals.astype(complex).tolist(),
+                      key=lambda v: (-v.real, -v.imag))
+    eigs = eigenvalues(matrix)
+    assert all(type(e) is complex for e in eigs)
+    assert (np.array(eigs).tobytes()
+            == np.array(expected, dtype=complex).tobytes())
+
+
 @pytest.mark.parametrize("matrix,expected", [
     (np.eye(2), 1.0),
     (np.diag([2.0, -5.0]), 5.0),
     (np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0),
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0),      # Jordan blocks: defective
+    (np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]]), 2.0),
 ])
 def test_eigenvalue_moduli_known_matrices(matrix, expected):
-    # the largest modulus is the spectral radius ngm_decomposition reports
+    # the largest modulus is the spectral radius
     moduli = [abs(e) for e in eigenvalues(matrix)]
     assert max(moduli) == pytest.approx(expected, rel=1e-12)
 
@@ -99,6 +122,12 @@ def test_eigenvalues_input_guards():
         eigenvalues(np.zeros((0, 0)))
     with pytest.raises(DomainError):
         eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigenvalues_reject_non_finite_entries(bad):
+    with pytest.raises(DomainError, match="must be finite"):
+        eigenvalues(np.array([[1.0, 0.0], [bad, 1.0]]))
 
 
 @pytest.mark.parametrize("position", [0, -1])

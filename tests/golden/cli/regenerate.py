@@ -4,7 +4,9 @@ Each ``NAME.txt`` holds one invocation of the ``syndemic`` tool: the
 command on its first line, as ``$ syndemic ARGS``, then everything the
 command printed to standard output, then ``exit CODE``.
 ``tests/test_golden_cli.py`` replays every invocation through ``cli.main``
-in process and compares the bytes.
+in process and compares the bytes, except the last field of an
+``equilibrium`` data row: that is the roundoff-level residual, which is
+only bounded (``RESIDUAL_BOUND``).
 
     PYTHONPATH=src python tests/golden/cli/regenerate.py
 
@@ -20,7 +22,16 @@ from syndemic.cli import main
 HERE = Path(__file__).resolve().parent
 
 RATE_PAIRS = (("6", "0.1"), ("2.7", "0.03"), ("13", "0.06"))
+# the equilibrium rows add a boundary root under both denominators and a
+# stiff, extreme-transmission pair
+EQUILIBRIUM_PAIRS = RATE_PAIRS + (("10", "0.13"), ("1e4", "50"))
+EQUILIBRIUM_KINDS = ("dfe", "tbfree", "hivfree", "syndemic")
 DENOMINATORS = ((), ("--nref", "N0"))
+RESIDUAL_BOUND = 1e-12
+
+
+def _suffix(beta1, beta2, nref) -> str:
+    return f"_{beta1}_{beta2}" + ("_nref-N0" if nref else "")
 
 
 def _invocations():
@@ -28,7 +39,7 @@ def _invocations():
     for beta1, beta2 in RATE_PAIRS:
         rates = ("--beta1", beta1, "--beta2", beta2)
         for nref in DENOMINATORS:
-            suffix = f"_{beta1}_{beta2}" + ("_nref-N0" if nref else "")
+            suffix = _suffix(beta1, beta2, nref)
             table["r0" + suffix] = ("r0", *rates, *nref)
             for at in ("dfe", "syndemic"):
                 table[f"stability-{at}" + suffix] = (
@@ -36,6 +47,12 @@ def _invocations():
     for beta1, beta2 in RATE_PAIRS[:2]:
         table[f"bifurcation_{beta1}_{beta2}"] = (
             "stability", "--beta1", beta1, "--beta2", beta2, "--bifurcation")
+    for beta1, beta2 in EQUILIBRIUM_PAIRS:
+        for nref in DENOMINATORS:
+            for kind in EQUILIBRIUM_KINDS:
+                table[f"equilibrium-{kind}" + _suffix(beta1, beta2, nref)] = (
+                    "equilibrium", "--beta1", beta1, "--beta2", beta2,
+                    "--kind", kind, *nref)
     return table
 
 
@@ -49,6 +66,18 @@ def render(argv) -> str:
     with contextlib.redirect_stdout(printed):
         code = main(list(argv))
     return f"$ syndemic {' '.join(argv)}\n{printed.getvalue()}exit {code}\n"
+
+
+def split_residual(text: str):
+    """(text, residual): an equilibrium invocation's text with the last
+    field of its data row cut off, and that field as a float; any other
+    text unchanged, with residual None."""
+    lines = text.split("\n")
+    if not lines[0].startswith("$ syndemic equilibrium ") or len(lines) < 4:
+        return text, None
+    row, _, residual = lines[2].rpartition(",")
+    lines[2] = row + ","
+    return "\n".join(lines), float(residual)
 
 
 def golden_path(name: str) -> Path:

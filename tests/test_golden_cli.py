@@ -1,5 +1,6 @@
-"""Golden command-line outputs: r0, stability and the bifurcation report,
-byte for byte against tests/golden/cli (see its regenerate.py)."""
+"""Golden command-line outputs: r0, stability, the bifurcation report and
+the equilibrium rows, byte for byte against tests/golden/cli (see its
+regenerate.py), the equilibrium rows' roundoff-level residual bounded."""
 import importlib.util
 from pathlib import Path
 
@@ -19,5 +20,11 @@ def test_every_golden_file_has_an_invocation():
 
 @pytest.mark.parametrize("name", sorted(golden.INVOCATIONS))
 def test_cli_output_matches_golden_file(name):
-    expected = golden.golden_path(name).read_bytes()
-    assert golden.render(golden.INVOCATIONS[name]).encode() == expected
+    expected, golden_residual = golden.split_residual(
+        golden.golden_path(name).read_bytes().decode())
+    got, residual = golden.split_residual(
+        golden.render(golden.INVOCATIONS[name]))
+    assert got == expected
+    if golden_residual is not None:
+        assert golden_residual <= golden.RESIDUAL_BOUND
+        assert residual <= golden.RESIDUAL_BOUND

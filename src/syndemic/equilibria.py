@@ -2,38 +2,45 @@
 
 The disease-free state is closed form, and so is the TB-free state under a
 caller-supplied reference population. The numeric solves (TB-free, HIV-free
-and fully endemic) share one path: pseudo-transient continuation on the
-closed-form Jacobian, backward-Euler steps along the flow whose size grows
-until they are Newton steps. Every solver takes an optional n_ref
-pinning the incidence denominator; the benchmark tables were generated under
-pinned denominators, while None gives the self-consistent convention.
+and fully endemic) share one path on the two infection pressures lambda,
+the force-of-infection reduction (Diekmann, Heesterbeek & Britton 2013). At
+fixed lambda the model is linear, f = b + M(lambda) y (``flow_matrices``),
+and M(lambda) = A + lambdaT CT + lambdaH CH is an M-matrix, so y(lambda) =
+-M(lambda)^-1 b >= 0 for every lambda >= 0, as van den Driessche & Watmough
+(2002) use for V. An equilibrium is a root of g(lambda) = W y(lambda) / N -
+lambda, found by Newton's method with the exact dy/dlambda_k = -M^-1 C_k y.
+The sub-models are the axes lambdaH = 0 (HIV-free) and lambdaT = 0
+(TB-free). An optional n_ref pins the incidence denominator, as the
+benchmark tables were generated; None gives the self-consistent convention.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .model import (_HIV_SUB_INDICES, _TB_SUB_INDICES, _linearise,
-                    DomainError, HIV_INFECTED_INDICES, Parameters,
-                    TB_INFECTED_INDICES, full_rhs, total_population)
+from .model import (_HIV_SUB_INDICES, _TB_SUB_INDICES, DomainError,
+                    HIV_INFECTED_INDICES, Parameters, TB_INFECTED_INDICES,
+                    flow_matrices, full_jacobian, full_rhs, total_population)
 from .reproduction import ReproductionNumbers, r0, r1_closed, r2_closed
 from .stability import TOL_EIG, ConvergenceError, _hiv_threshold_terms
 
-# An infected group is present above this total, in persons: far above what a
-# residual of ||f|| <= 1e-10 N can leave in an absent group, far below one.
+# An infected group is present above this total, in persons, far below one.
 _PRESENT_EPS = 1e-2
-# Pseudo-transient continuation; the tolerances are relative to N(seed).
-_DT0 = 1.0               # years, the first pseudo-time step
-_DT_GROWTH = 1.3         # least growth of the pseudo-time step per accepted one
-_NEWTON_TOL = 1e-10      # ||f|| at which the steps become full Newton steps
-_STEP_TOL = 1e-13        # max |dx| of the Newton step that ends the solve
-_DIP_TOL = 1e-8          # deepest dip below 0 that is clamped, not rejected
-_MAX_ITERATIONS = 500    # accepted plus rejected steps
+# Newton steps, as fractions of the pressure bound: one of at most _STEP_TOL
+# ends the solve, and a pressure that close to 0 is 0; below _STALL_TOL, a
+# step no smaller than the one before it has reached roundoff and ends it.
+_STEP_TOL = 1e-13
+_STALL_TOL = 1e-7
+_MAX_ITERATIONS = 100
 _KINDS = {(False, False): "disease-free", (False, True): "tb-free",
           (True, False): "hiv-free", (True, True): "syndemic"}   # (TB, HIV)
+# The compartments people reach from the susceptibles when the listed
+# pressures are positive and the others 0; y(lambda) is 0 elsewhere.
+_SUPPORT = {(0, 1): np.arange(10), (0,): _TB_SUB_INDICES,
+            (1,): _HIV_SUB_INDICES, (): np.array([0])}
 
 
 @dataclass
@@ -43,7 +50,7 @@ class EquilibriumReport:
     residual: float               # ||rhs|| / N, 1/year
     repro: ReproductionNumbers
     exists: bool
-    # numeric solves only: steps, rejected, jacobian_builds, locally_stable
+    # numeric solves only: iterations (Newton steps), locally_stable
     stats: dict = field(default_factory=dict)
 
 
@@ -57,66 +64,69 @@ def residual(state, params: Parameters,
     return float(np.linalg.norm(full_rhs(y, params, n_ref))) / n
 
 
-def _ptc(fun_jac: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
-         seed) -> Tuple[np.ndarray, dict]:
-    """Root of f reached from seed by pseudo-transient continuation, and the
-    solve's stats; fun_jac(x) returns (f(x), J(x)) from one evaluation.
+def _pressure_bound(params: Parameters, n_ref: Optional[float]) -> np.ndarray:
+    # Neither pressure can exceed its largest weight, times (Lambda/mu) / n_ref
+    # when pinned: at an equilibrium N <= Lambda/mu.
+    _, _, weights = flow_matrices(params)
+    scale = 1.0 if n_ref is None else params.Lambda / params.mu / n_ref
+    return weights.max(axis=1) * scale
 
-    Each step is backward Euler on x' = f(x) with one Jacobian,
-    (I/dt - J) dx = f(x), so the iterate follows the flow towards the
-    attractor the seed lies in. After an accepted step dt grows by
-    ||f_old|| / ||f_new||, at least by _DT_GROWTH; a trial that leaves the
-    domain or dips below -_DIP_TOL N is rejected and retried at dt / 4, and
-    smaller dips are clamped to 0. Once ||f|| <= _NEWTON_TOL N the steps
-    are full Newton steps (1/dt = 0), until one is at most _STEP_TOL N: a
-    residual test alone stops far from the root where J is nearly singular.
-    The J of each accepted trial is the next step's. That last step's trial
-    is the root, with components below 1e-12 zeroed before it is evaluated.
-    The root is returned whether or not it passes the local-stability test
-    (every eigenvalue of J(root) below -TOL_EIG in real part); stats records
-    the outcome and counts every Jacobian built.
-    """
-    x = np.asarray(seed, dtype=float).copy()
-    n = max(1.0, float(np.abs(x).sum()))
-    f, j = fun_jac(x)
-    fnorm = math.sqrt(f @ f)
-    eye, dt, newton = np.eye(x.size), _DT0, fnorm <= _NEWTON_TOL * n
-    stats = {"steps": 0, "rejected": 0, "jacobian_builds": 1,
-             "locally_stable": False}
-    for _ in range(_MAX_ITERATIONS):
+
+def _newton(params: Parameters, n_ref: Optional[float], start,
+            free: Tuple[int, ...], bound: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Root of g over the pressures in free, the others held at 0, by
+    Newton's method from start: (lambda, the 10-state y(lambda), steps).
+    y is solved on the compartments the pressures reach, and is exactly 0
+    elsewhere."""
+    b, maps, weights = flow_matrices(params)
+    idx, ks = _SUPPORT[free], list(free)
+    sub = maps[:, idx[:, None], idx]
+    c, w = sub[1:][ks], weights[ks][:, idx]
+    lam = np.zeros(2)
+    lam[ks] = start[ks]
+    done, last = not free, math.inf
+    for steps in range(_MAX_ITERATIONS + 1):
+        m = sub[0] + lam[0] * sub[1] + lam[1] * sub[2]
         try:
-            dx = np.linalg.solve((0.0 if newton else 1.0 / dt) * eye - j, f)
+            y = np.linalg.solve(m, -b[idx])
+            if done:
+                return lam, _embed(y, idx), steps
+            n = y.sum() if n_ref is None else n_ref
+            dy = np.linalg.solve(m, -(c @ y).T)     # column k: dy/dlambda_k
+            q = w @ y / n
+            dq = w @ dy / n                         # dq/dlambda
+            if n_ref is None:
+                dq -= np.outer(q, dy.sum(axis=0)) / n
+            step = np.linalg.solve(dq - np.eye(len(ks)), lam[ks] - q)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("singular jacobian in pseudo-transient step",
-                                   last_iterate=x) from exc
-        x_try = x + dx
-        final = newton and np.abs(dx).max() <= _STEP_TOL * n
-        try:
-            if not x_try.min() >= -_DIP_TOL * n:
-                raise DomainError("trial step leaves the nonnegative orthant")
-            # clamp small dips; the root also drops roundoff-sized components
-            x_try = (np.where(x_try < 1e-12, 0.0, x_try) if final
-                     else np.maximum(x_try, 0.0))
-            f_try, j_try = fun_jac(x_try)
-            stats["jacobian_builds"] += 1
-            fnorm_try = math.sqrt(f_try @ f_try)
-            if not math.isfinite(fnorm_try):
-                raise DomainError("non-finite right-hand side")
-        except DomainError:
-            stats["rejected"] += 1
-            dt, newton = dt / 4.0, False
-            continue
-        stats["steps"] += 1
-        if final:
-            stats["locally_stable"] = bool(
-                np.linalg.eigvals(j_try).real.max() < -TOL_EIG)
-            return x_try, stats
-        if fnorm_try > 0.0:
-            dt *= max(fnorm / fnorm_try, _DT_GROWTH)
-        x, f, fnorm, j = x_try, f_try, fnorm_try, j_try
-        newton = fnorm <= _NEWTON_TOL * n
-    raise ConvergenceError("pseudo-transient iteration cap reached",
-                           last_iterate=x)
+            raise ConvergenceError("singular matrix in the pressure Newton "
+                                   "step", last_iterate=lam) from exc
+        lam[ks] += step
+        size = float(np.max(np.abs(step) / bound[ks]))
+        done = size <= _STEP_TOL or _STALL_TOL >= last <= size
+        last = size
+    raise ConvergenceError("pressure Newton iteration cap reached",
+                           last_iterate=lam)
+
+
+def _solve(params: Parameters, n_ref: Optional[float],
+           free: Tuple[int, ...]) -> Tuple[np.ndarray, dict]:
+    # Newton from the pressure bound, above every root: from the census
+    # seed's pressures it can leave the orthant and settle on an unstable
+    # boundary root. It only approaches a root on a face of the orthant, so
+    # a pressure within _STEP_TOL of the bound of 0 is set to 0 and the
+    # solve finishes on the other axis, where that group is exactly 0.
+    idx, bound = _SUPPORT[free], _pressure_bound(params, n_ref)
+    free = tuple(k for k in free if bound[k] > 0.0)   # no weight: always 0
+    lam, state, steps = _newton(params, n_ref, bound, free, bound)
+    face = tuple(k for k in free if lam[k] > _STEP_TOL * bound[k])
+    if face != free:
+        _, state, more = _newton(params, n_ref, lam, face, bound)
+        steps += more
+    j = full_jacobian(state, params, n_ref)[np.ix_(idx, idx)]
+    return state, {"iterations": steps, "locally_stable": bool(
+        np.linalg.eigvals(j).real.max() < -TOL_EIG)}
 
 
 def disease_free(params: Parameters) -> EquilibriumReport:
@@ -159,22 +169,11 @@ def _embed(values: np.ndarray, indices) -> np.ndarray:
 
 
 def _submodel_equilibrium(params: Parameters, n_ref: Optional[float],
-                          indices, threshold, seed_fractions
+                          free: Tuple[int, ...], threshold
                           ) -> EquilibriumReport:
-    # The sub-model is the full model restricted to the compartments in
-    # indices with all others zero, as model's sub-model right-hand sides
-    # define it: its f and J are slices of the full ones at the padded state.
-    s0 = params.Lambda / params.mu
-    state, stats = _embed(s0, [0]), {}
+    state, stats = _embed(params.Lambda / params.mu, [0]), {}
     if threshold(params, n_ref) > 1.0:
-        cols = np.ix_(indices, indices)
-
-        def fun_jac(y):
-            f, j = _linearise(_embed(y, indices), params, n_ref)
-            return f[indices], j[cols]
-
-        sol, stats = _ptc(fun_jac, np.asarray(seed_fractions) * s0)
-        state = _embed(sol, indices)
+        state, stats = _solve(params, n_ref, free)
     kind = _classify_kind(state)
     return EquilibriumReport(kind=kind, state=state,
                              residual=residual(state, params, n_ref),
@@ -185,19 +184,19 @@ def _submodel_equilibrium(params: Parameters, n_ref: Optional[float],
 def tb_free_numeric(params: Parameters,
                     n_ref: Optional[float] = None) -> EquilibriumReport:
     """HIV/AIDS-only equilibrium of the (S, I_H, A) submodel, embedded into
-    a full 10-state with zeros elsewhere. Subthreshold transmission (R2 <= 1)
-    returns the disease-free state without iterating.
+    a full 10-state with zeros elsewhere: the root of the pressure map on
+    its lambdaT = 0 axis. Subthreshold transmission (R2 <= 1) returns the
+    disease-free state without iterating.
     """
-    return _submodel_equilibrium(params, n_ref, _HIV_SUB_INDICES, r2_closed,
-                                 (0.95, 0.04, 0.01))
+    return _submodel_equilibrium(params, n_ref, (1,), r2_closed)
 
 
 def hiv_free(params: Parameters,
              n_ref: Optional[float] = None) -> EquilibriumReport:
-    """TB-only equilibrium of the 4-compartment submodel; as tb_free_numeric,
-    gated on the TB reproduction number."""
-    return _submodel_equilibrium(params, n_ref, _TB_SUB_INDICES, r1_closed,
-                                 (0.90, 0.07, 0.02, 0.01))
+    """TB-only equilibrium of the 4-compartment submodel, on the
+    lambdaH = 0 axis; as tb_free_numeric, gated on the TB reproduction
+    number."""
+    return _submodel_equilibrium(params, n_ref, (0,), r1_closed)
 
 
 def _classify_kind(state: np.ndarray) -> str:
@@ -208,8 +207,10 @@ def _classify_kind(state: np.ndarray) -> str:
 
 def syndemic(params: Parameters, seed,
              n_ref: Optional[float] = None) -> EquilibriumReport:
-    """Full 10-compartment equilibrium by pseudo-transient continuation from
-    the seed.
+    """Full 10-compartment equilibrium: the root of the pressure map that
+    Newton's method reaches from the pressure bound. The seed, a census,
+    must have ten components and a finite, positive total; the root does
+    not depend on it.
 
     A root where an infected group totals at most _PRESENT_EPS persons is
     reported with the boundary kind, not as syndemic, and exists is true
@@ -217,9 +218,11 @@ def syndemic(params: Parameters, seed,
     """
     if np.shape(seed) != (10,):
         raise DomainError("seed must have 10 components")
-    sol, stats = _ptc(lambda y: _linearise(y, params, n_ref), seed)
-    kind = _classify_kind(sol)
-    return EquilibriumReport(kind=kind, state=sol,
-                             residual=residual(sol, params, n_ref),
+    if not 0.0 < total_population(seed) < math.inf:
+        raise DomainError("seed population must be finite and positive")
+    state, stats = _solve(params, n_ref, (0, 1))
+    kind = _classify_kind(state)
+    return EquilibriumReport(kind=kind, state=state,
+                             residual=residual(state, params, n_ref),
                              repro=r0(params, n_ref), exists=kind == "syndemic",
                              stats=stats)

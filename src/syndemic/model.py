@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -253,7 +253,7 @@ def full_rhs(state, params: Parameters,
         return b + maps[0] @ y
     n = _denominator(y, n_ref)
     # one matrix-vector product over the (30, 10) view of the maps, with the
-    # sums of the stacked rows and of _linearise bit for bit
+    # sums of the stacked rows bit for bit
     z = np.dot(maps.reshape(30, N_COMPARTMENTS), y).reshape(3, N_COMPARTMENTS)
     return b + z[0] + np.dot(np.dot(weights, y) / n, z[1:])
 
@@ -268,25 +268,17 @@ def full_jacobian(state, params: Parameters,
     in every entry when N is the instantaneous total rather than the pinned
     ``n_ref``. The sub-model Jacobians are its slices over their index sets.
     """
-    return _linearise(_as_state(state), params, n_ref)[1]
-
-
-def _linearise(y: np.ndarray, params: Parameters,
-               n_ref: Optional[float]) -> Tuple[np.ndarray, np.ndarray]:
-    # (f, J) at one state y (10,) from one flow_matrices lookup, sharing
-    # z = maps @ y, the pressures and N: f is full_rhs's one-state result
-    # and J full_jacobian's, bit for bit.
-    b, maps, weights = flow_matrices(params)
+    y = _as_state(state)
+    _, maps, weights = flow_matrices(params)
     if params.beta1 == 0.0 and params.beta2 == 0.0:
-        return b + maps[0] @ y, maps[0].copy()
+        return maps[0].copy()
     n = _denominator(y, n_ref)
     lam = weights @ y / n
     z = maps @ y
     grad = weights / n
     if n_ref is None:
         grad = grad - lam[:, None] / n
-    return (b + z[0] + lam @ z[1:],
-            maps[0] + lam[0] * maps[1] + lam[1] * maps[2] + z[1:].T @ grad)
+    return maps[0] + lam[0] * maps[1] + lam[1] * maps[2] + z[1:].T @ grad
 
 
 # Sub-models are the full system restricted to a zero-padded state, so the

@@ -101,14 +101,18 @@ def eigenvalues(m) -> List[complex]:
     if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
     vals, vecs = np.linalg.eig(a)
-    # ||A v - lambda v|| / ||v|| from the column sums of squared moduli
-    r = a @ vecs - vecs * vals
+    # ||A v - lambda v|| / ||v|| / s from the column sums of squared moduli,
+    # with s the largest |a_ij| and at least 1: divided by s before they are
+    # squared, the residuals cannot overflow, and any that underflow lie far
+    # inside the 1e-7 s bound of the norm test
+    s = max(float(np.abs(a).max()), 1.0)
+    r = (a @ vecs - vecs * vals) / s
     residual = np.sqrt((r.conj() * r).real.sum(axis=0)
                        / (vecs.conj() * vecs).real.sum(axis=0))
-    if not (residual <= 1e-7).all():
-        # ||A||_2, which can only matter above this
+    if not (residual <= 1e-7 / s).all():
+        # ||A||_2 >= s, which can only matter above this
         scale = max(float(np.linalg.svd(a, compute_uv=False)[0]), 1.0)
-        if not (residual <= 1e-7 * scale).all():
+        if not (residual <= 1e-7 * (scale / s)).all():
             raise ConvergenceError("eigenvalue failed the residual check")
     order = np.lexsort((-vals.imag, -vals.real))
     return [complex(v) for v in vals[order].tolist()]

@@ -20,9 +20,10 @@ def pressures(y, p, n_ref=None):
     return lam_t, lam_h
 
 
-def arrows(y, p, n_ref=None):
-    """(source, target, per-capita rate, new infection?) for every arrow."""
-    lam_t, lam_h = pressures(y, p, n_ref)
+def arrows(y, p, n_ref=None, lam=None):
+    """(source, target, per-capita rate, new infection?) for every arrow,
+    at the pressures of y, or at lam = (lambdaT, lambdaH) when given."""
+    lam_t, lam_h = pressures(y, p, n_ref) if lam is None else lam
     return [
         (S, LT, lam_t, True),
         (S, IH, lam_h, True),
@@ -49,11 +50,12 @@ def arrows(y, p, n_ref=None):
     ] + [(i, None, p.mu, False) for i in range(10)]
 
 
-def flow_rhs(y, p, n_ref=None):
-    """Recruitment into S plus every arrow's outflow and inflow."""
+def flow_rhs(y, p, n_ref=None, lam=None):
+    """Recruitment into S plus every arrow's outflow and inflow, at the
+    pressures of y or at lam as ``arrows``."""
     f = np.zeros(10)
     f[S] = p.Lambda
-    for source, target, rate, _ in arrows(y, p, n_ref):
+    for source, target, rate, _ in arrows(y, p, n_ref, lam):
         f[source] -= rate * y[source]
         if target is not None:
             f[target] += rate * y[source]

@@ -1,15 +1,23 @@
-"""Equilibrium solvers: closed forms, pseudo-transient continuation, dual
-routes."""
+"""Equilibrium solvers: closed forms, the Newton solve on the infection
+pressures, and its independent routes: pseudo-transient continuation on the
+compartments (tests/ptc.py) and fsolve on a pressure map built from the flow
+list (tests/flow_list.py)."""
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import fsolve
 
-from syndemic.equilibria import (EquilibriumReport, _ptc, disease_free,
-                                 hiv_free, residual, syndemic, tb_free_closed,
+from flow_list import flow_rhs, pressures
+from ptc import _ptc, ptc_hiv_free, ptc_syndemic, ptc_tb_free
+from syndemic import equilibria
+from syndemic.equilibria import (EquilibriumReport, disease_free, hiv_free,
+                                 residual, syndemic, tb_free_closed,
                                  tb_free_numeric)
 from syndemic.model import DomainError, Parameters, full_rhs
 from syndemic.scenarios import INITIAL_FRACTIONS, INITIAL_POPULATION
-from syndemic.stability import ConvergenceError, bifurcation_analysis
+from syndemic.stability import (TOL_EIG, ConvergenceError,
+                                bifurcation_analysis, fd_jacobian)
 
 S0 = 714.0 / (1.0 / 70.0)
 START = INITIAL_FRACTIONS * INITIAL_POPULATION
@@ -180,11 +188,15 @@ def test_subcritical_relaxation_lands_on_dfe():
     (6.0, 0.1, 50000.0, "syndemic"),
 ])
 def test_kind_label_does_not_depend_on_newton_stop(beta1, beta2, n_ref, kind):
-    # a residual stop at ||f|| <= 1e-10 N can leave a few 1e-6 persons in a
-    # group that is absent at the root; exists holds for a syndemic root only
+    # Newton only approaches a boundary root, and the solve finishes on its
+    # face, so an absent group is exactly 0; exists holds for a syndemic
+    # root only
     report = syndemic(Parameters(beta1=beta1, beta2=beta2), START, n_ref=n_ref)
     assert report.kind == kind
     assert report.exists == (kind == "syndemic")
+    for present, group in ((kind in ("hiv-free", "syndemic"), [1, 2, 6, 7, 9]),
+                           (kind in ("tb-free", "syndemic"), list(range(4, 10)))):
+        assert present or np.all(report.state[group] == 0.0)
 
 
 def test_tb_free_numeric_reaches_the_endemic_root():
@@ -210,10 +222,84 @@ def test_tb_free_numeric_accurate_near_threshold(excess):
                        rtol=1e-8, atol=0.0)
 
 
+def test_syndemic_solve_iterations():
+    # deterministic work, pinned within a band; wall time is not gated
+    stats = syndemic(Parameters(beta1=6.0, beta2=0.1), START,
+                     n_ref=50000.0).stats
+    assert stats.keys() == {"iterations", "locally_stable"}
+    assert 7 <= stats["iterations"] <= 9                  # 8 measured
+    assert stats["locally_stable"]
+
+
+def test_boundary_root_lands_on_its_face():
+    # Newton only approaches a root with lambdaH = 0; the solve finishes on
+    # that axis, so every HIV class is exactly 0
+    report = syndemic(Parameters(beta1=6.0, beta2=0.03),
+                      np.full(10, 5000.0), n_ref=50000.0)
+    assert report.kind == "hiv-free"
+    assert np.all(report.state[4:] == 0.0)
+    assert np.all(report.state[:4] > 0.0)
+    assert 8 <= report.stats["iterations"] <= 10          # 9 measured
+    assert report.stats["locally_stable"]
+
+
+@pytest.mark.parametrize("solve,n_ref,measured", [
+    (hiv_free, S0, 8), (hiv_free, None, 8),
+    (tb_free_numeric, S0, 7), (tb_free_numeric, None, 6)])
+def test_submodel_solve_iterations(solve, n_ref, measured):
+    stats = solve(Parameters(beta1=6.0, beta2=0.1), n_ref=n_ref).stats
+    assert measured - 1 <= stats["iterations"] <= measured + 1
+    assert stats["locally_stable"]
+
+
+def test_extreme_transmission_solve_iterations():
+    # `syndemic equilibrium --beta1 1e4 --beta2 50`: an explicit integrator
+    # needs over 14,000 steps to relax it
+    report = syndemic(Parameters(beta1=1e4, beta2=50.0), START)
+    assert report.stats["iterations"] <= 6                # 4 measured
+    assert report.stats["locally_stable"]
+    assert report.residual < 1e-10
+
+
+@pytest.mark.parametrize("n_ref", [None, 50000.0])
+def test_stall_test_alone_ends_the_solve_at_roundoff(n_ref, monkeypatch):
+    # with no step tolerance, only a step no smaller than a small last one
+    # can end the solve: it must, and at the same root
+    p = Parameters(beta1=6.0, beta2=0.1)
+    expected = syndemic(p, START, n_ref=n_ref).state
+    monkeypatch.setattr(equilibria, "_STEP_TOL", 0.0)
+    report = syndemic(p, START, n_ref=n_ref)
+    assert report.stats["iterations"] <= 12               # 10 and 9 measured
+    assert _agreement(report.state, expected) < 1e-13
+
+
+@pytest.mark.parametrize("excess,measured", [(1e-6, 25), (1e-8, 31)])
+def test_near_threshold_solve_reaches_the_root(excess, measured):
+    # g' vanishes with R2 - 1, so the steps from the pressure bound halve
+    # until they near the root, and then converge quadratically; the closed
+    # form's R2 - 1 carries a roundoff of about 1e-16 / excess relative
+    beta_star = bifurcation_analysis(Parameters(beta1=6.0, beta2=0.1)).beta_star
+    p = Parameters(beta1=6.0, beta2=beta_star * (1.0 + excess))
+    report = tb_free_numeric(p, n_ref=S0)
+    closed = tb_free_closed(p, S0)
+    assert measured - 2 <= report.stats["iterations"] <= measured + 2
+    assert np.allclose(report.state[[0, 4, 5]], (closed.s, closed.i_h, closed.a),
+                       rtol=1e-15 / excess, atol=0.0)
+
+
+def test_syndemic_seed_without_people_is_an_error():
+    with pytest.raises(DomainError):
+        syndemic(Parameters(beta1=6.0, beta2=0.1), np.zeros(10))
+    with pytest.raises(DomainError):
+        syndemic(Parameters(beta1=6.0, beta2=0.1), np.full(10, np.nan))
+
+
+# The pseudo-transient route of tests/ptc.py: its work counters, pinned
+
 def test_syndemic_solve_work_counters():
     # deterministic work, pinned within a band; wall time is not gated
-    report = syndemic(Parameters(beta1=6.0, beta2=0.1), START, n_ref=50000.0)
-    stats = report.stats
+    _, stats = ptc_syndemic(Parameters(beta1=6.0, beta2=0.1), START,
+                            n_ref=50000.0)
     assert 10 <= stats["steps"] <= 16                     # 13 measured
     assert stats["rejected"] == 0
     assert stats["jacobian_builds"] == stats["steps"] + 1
@@ -223,12 +309,11 @@ def test_syndemic_solve_work_counters():
 def test_boundary_root_is_evaluated_once():
     # the last Newton step zeroes the root's roundoff-sized components before
     # its one evaluation, so no Jacobian is built twice at the end
-    report = syndemic(Parameters(beta1=6.0, beta2=0.03),
-                      np.full(10, 5000.0), n_ref=50000.0)
-    assert report.kind == "hiv-free"
-    assert np.all(report.state[4:] == 0.0)
-    assert report.stats["jacobian_builds"] == report.stats["steps"] + 1
-    assert report.stats["locally_stable"]
+    state, stats = ptc_syndemic(Parameters(beta1=6.0, beta2=0.03),
+                                np.full(10, 5000.0), n_ref=50000.0)
+    assert np.all(state[4:] == 0.0)
+    assert stats["jacobian_builds"] == stats["steps"] + 1
+    assert stats["locally_stable"]
 
 
 @pytest.mark.parametrize("solve,n_ref,measured", [
@@ -236,7 +321,8 @@ def test_boundary_root_is_evaluated_once():
     (tb_free_numeric, S0, 20), (tb_free_numeric, None, 19)])
 def test_submodel_solve_work_counters(solve, n_ref, measured):
     # as the syndemic solve: one Jacobian per accepted step plus the seed's
-    stats = solve(Parameters(beta1=6.0, beta2=0.1), n_ref=n_ref).stats
+    route = ptc_hiv_free if solve is hiv_free else ptc_tb_free
+    _, stats = route(Parameters(beta1=6.0, beta2=0.1), n_ref=n_ref)
     assert measured - 3 <= stats["steps"] <= measured + 3
     assert stats["rejected"] == 0
     assert stats["jacobian_builds"] == stats["steps"] + 1
@@ -244,13 +330,145 @@ def test_submodel_solve_work_counters(solve, n_ref, measured):
 
 
 def test_extreme_transmission_solve_work_counters():
-    # `syndemic equilibrium --beta1 1e4 --beta2 50` is stiff: an explicit
-    # integrator needs over 14,000 steps to relax it
-    report = syndemic(Parameters(beta1=1e4, beta2=50.0), START)
-    stats = report.stats
+    # stiff: early pseudo-transient trial steps leave the domain
+    _, stats = ptc_syndemic(Parameters(beta1=1e4, beta2=50.0), START)
     assert stats["steps"] + stats["rejected"] <= 60       # 35 + 9 measured
     assert stats["locally_stable"]
-    assert report.residual < 1e-10
+
+
+# The package's roots against the pseudo-transient route, on a grid over
+# the benchmark's equilibrium-sweep ranges, under both conventions, and at
+# the scenario runners' rate pairs
+
+def _agreement(state, reference):
+    return np.max(np.abs(state - reference)) / max(np.max(np.abs(reference)),
+                                                   1.0)
+
+
+def _ptc_kind(state):
+    tb, hiv = state[[1, 2, 6, 7, 9]].sum() > 0.01, state[4:].sum() > 0.01
+    return {(False, False): "disease-free", (False, True): "tb-free",
+            (True, False): "hiv-free", (True, True): "syndemic"}[tb, hiv]
+
+
+# the benchmark's syndemic points: beta1 in [3.8, 7.35], beta2 in
+# [0.1425, 0.315]; its sub-model points: beta1 4.3 to 50, beta2 0.076 to 0.42
+CONVENTIONS = (None, S0, 50000.0)
+SYNDEMIC_GRID = list(itertools.product((3.8, 5.5, 7.35), (0.14, 0.2, 0.315),
+                                       CONVENTIONS))
+SUBMODEL_RATES = list(itertools.product((4.3, 6.0, 15.0, 42.0, 50.0),
+                                        (0.076, 0.14, 0.2, 0.32, 0.42)))
+
+
+@pytest.mark.parametrize("beta1,beta2,n_ref", SYNDEMIC_GRID + [
+    (6.0, 0.1, 50000.0), (2.7, 0.03, 50000.0), (2.7, 0.03, None),
+    (13.0, 0.06, None), (13.0, 0.06, 50000.0), (10.0, 0.13, 50000.0),
+    (1e4, 50.0, None), (1e4, 50.0, 50000.0),
+    # from the census seed's own pressures, Newton settles on the unstable
+    # hiv-free root here; from the pressure bound it reaches the stable one
+    (15.0, 0.2, None), (10.0, 0.5, None),
+    # a zero transmission rate: that pressure has no weight and stays 0
+    (0.0, 0.1, 50000.0), (6.0, 0.0, None), (0.0, 0.0, None)])
+def test_syndemic_matches_pseudo_transient_route(beta1, beta2, n_ref):
+    p = Parameters(beta1=beta1, beta2=beta2)
+    report = syndemic(p, START, n_ref=n_ref)
+    reference, stats = ptc_syndemic(p, START, n_ref=n_ref)
+    assert _agreement(report.state, reference) < 1e-10
+    assert report.kind == _ptc_kind(reference)
+    assert report.stats["locally_stable"] == stats["locally_stable"]
+
+
+def test_submodels_match_pseudo_transient_route():
+    for (beta1, beta2), n_ref in itertools.product(SUBMODEL_RATES,
+                                                   CONVENTIONS):
+        p = Parameters(beta1=beta1, beta2=beta2)
+        for solve, route in ((hiv_free, ptc_hiv_free),
+                             (tb_free_numeric, ptc_tb_free)):
+            report = solve(p, n_ref=n_ref)
+            reference, stats = route(p, n_ref=n_ref)
+            assert _agreement(report.state, reference) < 1e-10
+            assert report.kind == _ptc_kind(reference)
+            if report.stats:    # the reproduction number gate opened
+                assert (report.stats["locally_stable"]
+                        == stats["locally_stable"])
+
+
+def test_scenario_equilibria_match_pseudo_transient_route(
+        table2_result, table3_result, syndemic_stability_result):
+    base = Parameters(beta1=0.0, beta2=0.0)
+    for key, report in table2_result.equilibria.items():
+        p = Parameters(beta1=float(key.split("=")[1]), beta2=0.0)
+        if report.stats:
+            reference, _ = ptc_hiv_free(p, n_ref=base.Lambda / base.mu)
+            assert _agreement(report.state, reference) < 1e-10
+    for key, report in table3_result.equilibria.items():
+        p = Parameters(beta1=0.0, beta2=float(key.split("=")[1]))
+        if report.stats:
+            reference, _ = ptc_tb_free(p)
+            assert _agreement(report.state, reference) < 1e-10
+    newton = syndemic_stability_result.equilibria["newton"]
+    reference, _ = ptc_syndemic(Parameters(beta1=6.0, beta2=0.1), START,
+                                n_ref=INITIAL_POPULATION)
+    assert _agreement(newton.state, reference) < 1e-10
+
+
+# Every root of the pressure map, by fsolve from a grid of starts, with the
+# state at fixed pressures solved from the flow list's arrows
+
+def _pressure_map(p, n_ref):
+    """(g, y): g(lambda) = W y(lambda) / N - lambda and y(lambda), the state
+    where the arrows balance with the pressures held at lambda."""
+    zero = np.zeros(10)
+
+    def linear(lam):
+        # f = b + M y at fixed pressures: b = f(0), column j of M = f(e_j) - b
+        b = flow_rhs(zero, p, lam=lam)
+        return b, np.column_stack([flow_rhs(e, p, lam=lam) - b
+                                   for e in np.eye(10)])
+    b, a = linear((0.0, 0.0))
+    ct, ch = (linear(lam)[1] - a for lam in ((1.0, 0.0), (0.0, 1.0)))
+
+    def y(lam):
+        return np.linalg.solve(a + lam[0] * ct + lam[1] * ch, -b)
+
+    def g(lam):
+        return np.array(pressures(y(lam), p, n_ref)) - lam
+    return g, y
+
+
+def _roots(p, n_ref, starts=12):
+    g, y = _pressure_map(p, n_ref)
+    top = np.array([p.beta1, p.beta2 * p.eta]) * (
+        1.0 if n_ref is None else p.Lambda / p.mu / n_ref)
+    found = []
+    for start in itertools.product(*(np.linspace(0.0, t, starts) for t in top)):
+        lam, _, ier, _ = fsolve(g, start, full_output=True, xtol=1e-13)
+        if (ier != 1 or np.any(lam < -1e-12 * np.array(top))
+                or np.max(np.abs(g(lam)) / top) > 1e-12):
+            continue
+        lam = np.maximum(lam, 0.0)
+        if all(np.max(np.abs(lam - other) / top) > 1e-8 for other in found):
+            found.append(lam)
+    return [y(lam) for lam in found]
+
+
+def _stable(state, p, n_ref):
+    jac = fd_jacobian(lambda y: flow_rhs(y, p, n_ref), state)
+    return np.linalg.eigvals(jac).real.max() < -TOL_EIG
+
+
+@pytest.mark.parametrize("beta1,beta2,n_ref,count", [
+    (6.0, 0.1, None, 4), (6.0, 0.1, 50000.0, 4),
+    (13.0, 0.06, None, 3), (13.0, 0.06, 50000.0, 3),
+    (5.5, 0.3, None, 4), (5.5, 0.3, 50000.0, 4)])
+def test_exactly_one_root_is_stable_and_it_is_the_solves(beta1, beta2, n_ref,
+                                                         count):
+    p = Parameters(beta1=beta1, beta2=beta2)
+    roots = _roots(p, n_ref)
+    stable = [state for state in roots if _stable(state, p, n_ref)]
+    assert len(roots) == count
+    assert len(stable) == 1
+    assert _agreement(syndemic(p, START, n_ref=n_ref).state, stable[0]) < 1e-9
 
 
 def test_tb_free_monotone_in_transmission():
@@ -272,8 +490,8 @@ def test_residual_zero_at_equilibrium():
         residual(np.zeros(10), p)
 
 
-# _ptc follows x' = f(x), so each test system has its root as an attractor;
-# each passes (f, J) from one callable
+# _ptc (tests/ptc.py) follows x' = f(x), so each test system has its root as
+# an attractor; each passes (f, J) from one callable
 
 def test_ptc_solves_smooth_system():
     sol, stats = _ptc(lambda x: (4.0 - x ** 2, np.array([[-2.0 * x[0]]])),

@@ -8,7 +8,7 @@ import pytest
 from flow_list import flow_rhs
 from syndemic.model import (COMPARTMENTS, DomainError, INFECTED_INDICES,
                             N_COMPARTMENTS, PARAMETER_FIELDS, Parameters,
-                            _linearise, flow_matrices, force_of_infection,
+                            flow_matrices, force_of_infection,
                             full_jacobian, full_rhs, hiv_submodel_rhs,
                             tb_submodel_rhs, total_population,
                             validate_parameters)
@@ -272,31 +272,6 @@ def test_full_jacobian_without_transmission_is_the_linear_flow():
     f0 = full_rhs(np.zeros(10), quiet)
     for k, e_k in enumerate(np.eye(N_COMPARTMENTS)):
         assert np.allclose(j[:, k], full_rhs(e_k, quiet) - f0, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("beta1,beta2", [(6.0, 0.1), (30.0, 0.4), (0.0, 0.0)])
-def test_linearise_is_rhs_and_jacobian_bit_for_bit(beta1, beta2):
-    p = dataclasses.replace(BASE, beta1=beta1, beta2=beta2)
-    _, maps, weights = flow_matrices(p)
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        y = rng.uniform(0.0, 1.0, N_COMPARTMENTS) * rng.uniform(1e2, 1e5)
-        for n_ref in (None, float(rng.uniform(1e3, 1e5))):
-            f, j = _linearise(y, p, n_ref)
-            assert np.array_equal(f, full_rhs(y, p, n_ref))
-            assert np.array_equal(j, full_jacobian(y, p, n_ref))
-            if beta1 == beta2 == 0.0:
-                assert np.array_equal(j, maps[0]) and j.flags.writeable
-                continue
-            # the Jacobian as it was written before it shared z = maps @ y
-            n = float(y.sum()) if n_ref is None else n_ref
-            lam = weights @ y / n
-            grad = weights / n
-            if n_ref is None:
-                grad = grad - lam[:, None] / n
-            expected = (maps[0] + lam[0] * maps[1] + lam[1] * maps[2]
-                        + (maps[1:] @ y).T @ grad)
-            assert np.array_equal(j, expected)
 
 
 def test_flow_matrices_binds_the_last_parameters_by_identity():

@@ -1,4 +1,4 @@
-"""Exact people-scaling of the threshold path.
+"""Exact people-scaling of the threshold path and the equilibrium solves.
 
 The model is homogeneous in people: recruitment Lambda -> c Lambda scales
 the disease-free population Lambda/mu and every state by c, and leaves every
@@ -13,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
+from syndemic.equilibria import hiv_free, syndemic, tb_free_numeric
 from syndemic.model import Parameters
+from syndemic.scenarios import initial_state
 from syndemic.reproduction import ngm_decomposition, r0
 from syndemic.stability import (bifurcation_analysis, dfe_trace_det,
                                 stability_report)
@@ -64,3 +66,26 @@ def test_bifurcation_report_under_people_scaling():
         assert _bits(rep.beta_star) == _bits(base.beta_star), k
         assert _bits(rep.b) == _bits(base.b), k
         assert _bits(rep.a) == _bits(math.ldexp(base.a, -k)), k
+
+
+@pytest.mark.parametrize("beta1,beta2", [(6.0, 0.1), (13.0, 0.06),
+                                         (2.7, 0.03), (5.5, 0.3), (1e4, 50.0)])
+@pytest.mark.parametrize("n_ref", [None, 50000.0])
+def test_equilibrium_solves_under_people_scaling(beta1, beta2, n_ref):
+    # exact for Lambda, the seed and a pinned n_ref -> 2^k times themselves,
+    # k in [-20, 40]: the pressures, so the Newton steps, are per-capita, and
+    # y(lambda) is linear in Lambda. The kind is not: an infected group is
+    # present above 0.01 persons, so it is checked for k >= 0 only
+    p = Parameters(beta1=beta1, beta2=beta2)
+    seed = initial_state()
+
+    def solves(p, k):
+        n = None if n_ref is None else math.ldexp(n_ref, k)
+        return (syndemic(p, np.ldexp(seed, k), n_ref=n), hiv_free(p, n_ref=n),
+                tb_free_numeric(p, n_ref=n))
+    base = solves(p, 0)
+    for k in range(-20, 41, 4):
+        for got, want in zip(solves(_scaled(p, k), k), base):
+            assert _bits(got.state) == _bits(np.ldexp(want.state, k)), k
+            assert got.stats == want.stats, k
+            assert got.kind == want.kind or k < 0, k

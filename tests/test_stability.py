@@ -183,6 +183,70 @@ def test_residual_check_scales_by_the_norm(shift, passes, monkeypatch):
     assert len(svd_calls) == 1
 
 
+def _normal_matrix(scale):
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+    return q @ np.diag([1.0, -2.0, 3.0, -4.0]) @ q.T * scale
+
+
+def test_residual_check_does_not_overflow():
+    # the squared residuals of a 1e200-scale matrix used to overflow: a
+    # ConvergenceError and a RuntimeWarning, or under the command line's
+    # error state a FloatingPointError
+    m = _normal_matrix(1e200)
+    expected = [3e200, 1e200, -2e200, -4e200]
+    for state in ({}, {"over": "raise", "invalid": "raise",
+                       "divide": "raise"}):
+        with np.errstate(**state):
+            eigs = eigenvalues(m)
+        assert [e.real for e in eigs] == pytest.approx(expected, rel=1e-12)
+
+
+def test_doctored_residual_raises_at_any_scale(monkeypatch):
+    true_eig = np.linalg.eig
+
+    def one_value_off(a):
+        vals, vecs = true_eig(a)
+        vals = vals.astype(complex)
+        vals[0] += 1e-3 * np.linalg.norm(a, 2)
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eig", one_value_off)
+    for scale in (1.0, 1e200):
+        with pytest.raises(ConvergenceError, match="residual check"):
+            eigenvalues(_normal_matrix(scale))
+
+
+def test_residual_verdict_is_that_of_the_unscaled_check(monkeypatch):
+    # random, defective (Jordan) and model Jacobian matrices, each with one
+    # eigenvalue moved off by 0 to 1e-3 of ||A||_2: the check passes exactly
+    # where ||A v - lambda v|| / ||v|| <= 1e-7 max(||A||_2, 1) does
+    rng = np.random.default_rng(4242)
+    matrices = [rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3)
+                for n in range(2, 11)]
+    matrices += [np.array([[1.0, 1.0], [0.0, 1.0]]),
+                 np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]]),
+                 full_jacobian(_dfe(), SUPER), full_jacobian(_dfe(), SUB),
+                 full_jacobian(np.full(10, 5000.0), SUPER)]
+    true_eig = np.linalg.eig
+    for m in matrices:
+        norm = max(np.linalg.norm(m, 2), 1.0)
+        for shift in (0.0, 1e-9, 1e-8, 1e-6, 1e-3):
+            vals, vecs = true_eig(m)
+            vals = vals.astype(complex)
+            vals[0] += shift * norm
+            r = m @ vecs - vecs * vals
+            passes = (np.linalg.norm(r, axis=0) / np.linalg.norm(vecs, axis=0)
+                      <= 1e-7 * norm).all()
+            monkeypatch.setattr(np.linalg, "eig",
+                                lambda a, vals=vals, vecs=vecs: (vals, vecs))
+            if passes:
+                eigenvalues(m)
+            else:
+                with pytest.raises(ConvergenceError, match="residual check"):
+                    eigenvalues(m)
+            monkeypatch.setattr(np.linalg, "eig", true_eig)
+
+
 def test_no_svd_when_every_residual_is_small(monkeypatch):
     svd_calls = _counting(monkeypatch, "svd")
     rng = np.random.default_rng(4242)

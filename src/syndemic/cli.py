@@ -155,14 +155,15 @@ def format_config(cfg: RunConfig) -> str:
     it contains ``#`` or a line break or has surrounding whitespace, is a
     ConfigError rather than a file that reads back differently.
     """
+    # repr(float(x)): numpy 2 writes a np.float64 as "np.float64(6.0)"
     lines: List[str] = []
     for key in sorted(cfg.assignments):
-        lines.append(f"{key} = {cfg.assignments[key]!r}")
+        lines.append(f"{key} = {float(cfg.assignments[key])!r}")
     if cfg.init_values is not None:
         for name, value in zip(COMPARTMENTS, cfg.init_values):
-            lines.append(f"init.{name} = {value!r}")
+            lines.append(f"init.{name} = {float(value)!r}")
         if cfg.init_total is not None:
-            lines.append(f"init.total = {cfg.init_total!r}")
+            lines.append(f"init.total = {float(cfg.init_total)!r}")
     defaults = RunConfig()
     for key in _OPTION_KEYS:
         value = getattr(cfg, key)
@@ -172,7 +173,7 @@ def format_config(cfg: RunConfig) -> str:
                                        or len(value.splitlines()) > 1):
             raise ConfigError(f"{key} {value!r} cannot be written to a "
                               "config line")
-        lines.append(f"{key} = {value!r}" if isinstance(value, float)
+        lines.append(f"{key} = {float(value)!r}" if isinstance(value, float)
                      else f"{key} = {value}")
     return "\n".join(lines) + "\n"
 

@@ -9,9 +9,12 @@ and M(lambda) = A + lambdaT CT + lambdaH CH is an M-matrix, so y(lambda) =
 -M(lambda)^-1 b >= 0 for every lambda >= 0, as van den Driessche & Watmough
 (2002) use for V. An equilibrium is a root of g(lambda) = W y(lambda) / N -
 lambda, found by Newton's method with the exact dy/dlambda_k = -M^-1 C_k y.
-The sub-models are the axes lambdaH = 0 (HIV-free) and lambdaT = 0
-(TB-free). An optional n_ref pins the incidence denominator, as the
-benchmark tables were generated; None gives the self-consistent convention.
+Each step makes one LAPACK call, the inverse M^-1: the row block
+(W; 1) M^-1 gives W y, N and their derivatives, and the 1 x 1 or 2 x 2
+Newton system is solved in floats. The sub-models are the axes
+lambdaH = 0 (HIV-free) and lambdaT = 0 (TB-free). An optional n_ref pins
+the incidence denominator, as the benchmark tables were generated; None
+gives the self-consistent convention.
 """
 from __future__ import annotations
 
@@ -78,36 +81,71 @@ def _newton(params: Parameters, n_ref: Optional[float], start,
     """Root of g over the pressures in free, the others held at 0, by
     Newton's method from start: (lambda, the 10-state y(lambda), steps).
     y is solved on the compartments the pressures reach, and is exactly 0
-    elsewhere."""
+    elsewhere. Each step inverts M once; the state is one solve at the
+    root."""
     b, maps, weights = flow_matrices(params)
     idx, ks = _SUPPORT[free], list(free)
     sub = maps[:, idx[:, None], idx]
-    c, w = sub[1:][ks], weights[ks][:, idx]
-    lam = np.zeros(2)
-    lam[ks] = start[ks]
+    n_idx, nk = len(idx), len(ks)
+    pairs, neg_c, rhs = sub[1:].reshape(2, -1), -sub[1:][ks], -b[idx]
+    rows = np.vstack([weights[ks][:, idx], np.ones(n_idx)])   # (W; 1)
+    lam = [float(start[k]) if k in ks else 0.0 for k in (0, 1)]
+    scale = [float(bound[k]) for k in ks]
     done, last = not free, math.inf
     for steps in range(_MAX_ITERATIONS + 1):
-        m = sub[0] + lam[0] * sub[1] + lam[1] * sub[2]
+        m = sub[0] + (np.array(lam) @ pairs).reshape(n_idx, n_idx)
         try:
-            y = np.linalg.solve(m, -b[idx])
             if done:
-                return lam, _embed(y, idx), steps
-            n = y.sum() if n_ref is None else n_ref
-            dy = np.linalg.solve(m, -(c @ y).T)     # column k: dy/dlambda_k
-            q = w @ y / n
-            dq = w @ dy / n                         # dq/dlambda
-            if n_ref is None:
-                dq -= np.outer(q, dy.sum(axis=0)) / n
-            step = np.linalg.solve(dq - np.eye(len(ks)), lam[ks] - q)
+                return (np.array(lam), _embed(np.linalg.solve(m, rhs), idx),
+                        steps)
+            minv = np.linalg.inv(m)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular matrix in the pressure Newton "
-                                   "step", last_iterate=lam) from exc
-        lam[ks] += step
-        size = float(np.max(np.abs(step) / bound[ks]))
+                                   "step", last_iterate=np.array(lam)) from exc
+        r = rows @ minv
+        # R = (W; 1) M^-1: (W y, N) = R (-b), and column k of their
+        # derivatives is -R C_k y
+        wy = (r @ rhs).tolist()
+        dwy = (r @ (neg_c @ (minv @ rhs)).T).tolist()
+        n = wy[nk] if n_ref is None else n_ref
+        q = [wy[i] / n for i in range(nk)]
+        # g'(lambda) = dq/dlambda - I, with N's own derivative when
+        # self-consistent
+        dn = dwy[nk] if n_ref is None else [0.0] * nk
+        jac = [[(dwy[i][k] - q[i] * dn[k]) / n - (i == k) for k in range(nk)]
+               for i in range(nk)]
+        step = _newton_step(jac, [q[i] - lam[k] for i, k in enumerate(ks)])
+        if not all(map(math.isfinite, step)):
+            raise ConvergenceError("non-finite pressure Newton step",
+                                   last_iterate=np.array(lam))
+        size = 0.0
+        for k, s, bk in zip(ks, step, scale):
+            lam[k] += s
+            size = max(size, abs(s) / bk)
         done = size <= _STEP_TOL or _STALL_TOL >= last <= size
         last = size
     raise ConvergenceError("pressure Newton iteration cap reached",
-                           last_iterate=lam)
+                           last_iterate=np.array(lam))
+
+
+def _newton_step(jac, g):
+    """The step solving jac @ step = -g, for a 1 x 1 or 2 x 2 jac of
+    floats: by division, or by Cramer's rule; a singular jac gives a
+    non-finite step."""
+    if len(g) == 1:
+        (a,), = jac
+        return [-g[0] / a if a else math.inf]
+    (a, b), (c, d) = jac
+    det = a * d - b * c
+    if not det:
+        return [math.inf, math.inf]
+    return [(b * g[1] - d * g[0]) / det, (c * g[0] - a * g[1]) / det]
+
+
+def _check_nonnegative(lam, free, bound) -> None:
+    if any(lam[k] < -_STEP_TOL * bound[k] for k in free):
+        raise ConvergenceError("pressure Newton reached a root with a "
+                               "negative pressure", last_iterate=lam)
 
 
 def _solve(params: Parameters, n_ref: Optional[float],
@@ -116,13 +154,16 @@ def _solve(params: Parameters, n_ref: Optional[float],
     # seed's pressures it can leave the orthant and settle on an unstable
     # boundary root. It only approaches a root on a face of the orthant, so
     # a pressure within _STEP_TOL of the bound of 0 is set to 0 and the
-    # solve finishes on the other axis, where that group is exactly 0.
+    # solve finishes on the other axis, where that group is exactly 0. A
+    # root with a pressure below that band is no equilibrium: an error.
     idx, bound = _SUPPORT[free], _pressure_bound(params, n_ref)
     free = tuple(k for k in free if bound[k] > 0.0)   # no weight: always 0
     lam, state, steps = _newton(params, n_ref, bound, free, bound)
+    _check_nonnegative(lam, free, bound)
     face = tuple(k for k in free if lam[k] > _STEP_TOL * bound[k])
     if face != free:
-        _, state, more = _newton(params, n_ref, lam, face, bound)
+        lam, state, more = _newton(params, n_ref, lam, face, bound)
+        _check_nonnegative(lam, face, bound)
         steps += more
     j = full_jacobian(state, params, n_ref)[np.ix_(idx, idx)]
     return state, {"iterations": steps, "locally_stable": bool(

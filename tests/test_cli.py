@@ -87,6 +87,24 @@ def test_round_trip_is_identical():
     assert parse_config(format_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize("init_total", [None, np.float64(50000.0)])
+def test_round_trip_of_numpy_floats(init_total):
+    # numpy 2's repr of a np.float64 is "np.float64(6.0)", which
+    # parse_config rejects as a malformed number
+    cfg = parse_config(BASELINE_CONFIG)
+    cfg.assignments["beta1"] = np.float64(6.0)
+    cfg.assignments["beta2"] = np.float64(0.1)
+    cfg.assignments["mu"] = np.float64(1.0) / np.float64(70.0)
+    fractions = np.array(cfg.init_values)
+    cfg.init_values = tuple(fractions if init_total is not None
+                            else fractions * 50000.0)    # counts
+    cfg.init_total = init_total
+    cfg.horizon, cfg.rel_tol, cfg.abs_tol = np.float64([35.5, 1e-9, 1e-6])
+    text = format_config(cfg)
+    assert "np." not in text
+    assert parse_config(text) == cfg
+
+
 @pytest.mark.parametrize("key,value", [
     ("out", "runs#1"), ("out", " runs"), ("out", "runs\nhorizon = 1"),
     ("n_ref", "50000 # pinned"),

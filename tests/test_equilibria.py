@@ -15,6 +15,7 @@ from syndemic.equilibria import (EquilibriumReport, disease_free, hiv_free,
                                  residual, syndemic, tb_free_closed,
                                  tb_free_numeric)
 from syndemic.model import DomainError, Parameters, full_rhs
+from syndemic.reproduction import r1_closed
 from syndemic.scenarios import INITIAL_FRACTIONS, INITIAL_POPULATION
 from syndemic.stability import (TOL_EIG, ConvergenceError,
                                 bifurcation_analysis, fd_jacobian)
@@ -285,6 +286,93 @@ def test_near_threshold_solve_reaches_the_root(excess, measured):
     assert measured - 2 <= report.stats["iterations"] <= measured + 2
     assert np.allclose(report.state[[0, 4, 5]], (closed.s, closed.i_h, closed.a),
                        rtol=1e-15 / excess, atol=0.0)
+
+
+@pytest.mark.parametrize("beta1,beta2,n_ref,kind,iterations,solves", [
+    (6.0, 0.1, 50000.0, "syndemic", 8, 1),
+    (13.0, 0.06, None, "hiv-free", 7, 2)])    # lands on the lambdaH = 0 face
+def test_solve_linear_algebra_calls(beta1, beta2, n_ref, kind, iterations,
+                                    solves, monkeypatch):
+    # one inverse per Newton step, one solve for the state at the root of
+    # each pass, and the spectrum of the Jacobian there
+    calls = {name: [] for name in ("inv", "solve", "eig", "eigvals", "svd",
+                                   "det", "lstsq")}
+    for name, log in calls.items():
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, _log=log, **kwargs):
+            _log.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    report = syndemic(Parameters(beta1=beta1, beta2=beta2), START,
+                      n_ref=n_ref)
+    assert report.kind == kind
+    assert report.stats["iterations"] == iterations
+    assert {name: len(log) for name, log in calls.items()} == {
+        "inv": iterations, "solve": solves, "eig": 0, "eigvals": 1,
+        "svd": 0, "det": 0, "lstsq": 0}
+
+
+@pytest.mark.parametrize("n_ref", [None, S0])
+@pytest.mark.parametrize("excess,measured", [
+    (1e-1, 10), (3e-2, 12), (1e-2, 13), (1e-4, 19)])
+def test_hiv_free_near_threshold_reaches_the_root(excess, measured, n_ref):
+    # R1 - 1 = excess on the TB axis, where g is not affine in lambdaT: the
+    # solve must reach the stable endemic root, not a spurious one
+    beta1 = (1.0 + excess) / r1_closed(Parameters(beta1=1.0, beta2=0.1),
+                                       n_ref)
+    p = Parameters(beta1=beta1, beta2=0.1)
+    report = hiv_free(p, n_ref=n_ref)
+    reference, _ = ptc_hiv_free(p, n_ref=n_ref)
+    assert report.kind == "hiv-free"
+    assert report.stats["locally_stable"]
+    assert _agreement(report.state, reference) < 1e-10
+    assert measured - 2 <= report.stats["iterations"] <= measured + 2
+
+
+@pytest.mark.parametrize("n_ref", [None, S0, 1.0, 50000.0])
+@pytest.mark.parametrize("beta1", [1e150, 1e200, 1e250, 1e300])
+def test_extreme_tb_transmission_reaches_an_endemic_root(beta1, n_ref):
+    # M(lambda) at the pressure bound has entries from about 1e-2 to beta1
+    # or more, and the root has fewer than 1e-140 susceptibles
+    p = Parameters(beta1=beta1, beta2=0.1)
+    tb_only = hiv_free(p, n_ref=n_ref)
+    coupled = syndemic(p, START, n_ref=n_ref)
+    assert tb_only.kind == "hiv-free"
+    assert coupled.kind in ("hiv-free", "syndemic")
+    assert tb_only.residual <= 1e-12
+    assert coupled.residual <= 1e-12
+
+
+@pytest.mark.parametrize("solve", [
+    hiv_free, lambda p, n_ref: syndemic(p, START, n_ref=n_ref)])
+def test_negative_root_is_an_error(solve, monkeypatch):
+    # a converged pressure below the face band is no equilibrium; it must
+    # not be read as the face lambda = 0
+    def negative_root(params, n_ref, start, free, bound):
+        return -1e-3 * bound, np.zeros(10), 5
+
+    monkeypatch.setattr(equilibria, "_newton", negative_root)
+    with pytest.raises(ConvergenceError, match="negative pressure"):
+        solve(Parameters(beta1=6.0, beta2=0.1), n_ref=None)
+
+
+def test_negative_root_on_a_face_is_an_error(monkeypatch):
+    # the first pass lands on the lambdaH = 0 face, and the pass on that
+    # axis converges below it
+    passes = []
+
+    def face_then_negative(params, n_ref, start, free, bound):
+        passes.append(free)
+        lam = np.array([0.5, 0.0]) * bound if len(passes) == 1 else (
+            np.array([-1e-3, 0.0]) * bound)
+        return lam, np.zeros(10), 5
+
+    monkeypatch.setattr(equilibria, "_newton", face_then_negative)
+    with pytest.raises(ConvergenceError, match="negative pressure"):
+        syndemic(Parameters(beta1=6.0, beta2=0.1), START)
+    assert passes == [(0, 1), (0,)]
 
 
 def test_syndemic_seed_without_people_is_an_error():

@@ -26,7 +26,7 @@ from .model import (COMPARTMENTS, PARAMETER_FIELDS, DomainError, Parameters,
                     full_rhs, validate_parameters)
 from .reproduction import ngm_decomposition, r0
 from .scenarios import (SCENARIOS, atomic_write, initial_state,
-                        write_scenario_csv)
+                        trajectory_csv, write_scenario_csv)
 from .stability import (ConvergenceError, bifurcation_analysis,
                         stability_report)
 
@@ -283,17 +283,12 @@ def _cmd_simulate(args) -> int:
     if horizon <= 0.0:
         raise ConfigError("horizon must be positive")
     n_ref = cfg.resolve_n_ref()
-    traj = integrate(lambda t, y: full_rhs(y, params, n_ref),
+    traj = integrate(lambda t, y, out: full_rhs(y, params, n_ref, out=out),
                      cfg.initial_state(), 0.0, horizon,
                      rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
                      report_times=np.linspace(0.0, horizon, 241))
     out = _out_dir(args, cfg)
-    rows = ["time_years," + ",".join(COMPARTMENTS) + ",total"]
-    for t, y, total in zip(traj.times.tolist(), traj.states.tolist(),
-                           traj.states.sum(axis=1).tolist()):
-        rows.append(",".join([f"{t:.8g}"] + [f"{v:.8g}" for v in y]
-                             + [f"{total:.8g}"]))
-    atomic_write(out / "trajectory.csv", "\n".join(rows) + "\n")
+    atomic_write(out / "trajectory.csv", trajectory_csv(traj, ".8g", "\n"))
     atomic_write(out / "trajectory.svg", emit_svg(traj, COMPARTMENTS))
     final = traj.final
     print(f"integrated {horizon:.8g} years, {traj.stats['accepted']} steps")

@@ -67,14 +67,21 @@ class Trajectory:
         return self.states[-1]
 
 
-def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
+def integrate(rhs: Callable[[float, np.ndarray, np.ndarray], object],
               state0,
               t0: float,
               t1: float,
               rel_tol: float = 1e-8,
               abs_tol: Optional[float] = None,
               report_times: Optional[Sequence[float]] = None) -> Trajectory:
-    """Integrate y' = rhs(t, y) from t0 to t1 adaptively.
+    """Integrate y' = f(t, y) from t0 to t1 adaptively.
+
+    ``rhs(t, y, out)`` writes f(t, y) into ``out``, a float array of y's
+    shape (a row of the integrator's stage buffer); what it returns is not
+    read. It must not keep ``y`` or ``out``, which the integrator reuses,
+    and it may raise DomainError at a state outside the model's domain.
+    The model's rhs is ``lambda t, y, out: full_rhs(y, params, n_ref,
+    out=out)``.
 
     The step size is capped so that t1 and every report time are landed on
     exactly, so a report grid caps the steps too. With report_times the
@@ -112,14 +119,25 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     # one stage buffer for every step; row 0 holds f(t, y), from the last
     # stage of the step before (FSAL) unless that step clamped
     k = np.empty((7, y.size))
-    k[0] = rhs(t, y)
-    if not np.all(np.isfinite(k[0])):
+    k0, k6 = k[0], k[6]
+    rhs(t, y, k0)
+    if not np.all(np.isfinite(k0)):
         raise DomainError("rhs not finite at the initial state")
     n_evals = 1
-    stages = [(float(_C[i]), _A[i], k[:i]) for i in range(1, 7)]
+    # each stage's node, its row of A, the rows before it, and its own row
+    stages = [(float(_C[i]), _A[i], k[:i], k[i]) for i in range(1, 7)]
+    # each trial stage's state, the last one the fifth-order solution; it
+    # trades places with y when a step is accepted
+    y_new = np.empty_like(y)
+    dy = np.empty_like(y)       # a stage's increment, then the scaled error
+    scale = np.empty_like(y)
+    # h and the tolerances as 0-d arrays, which a ufunc takes without the
+    # conversion it makes of a Python float at every call
+    h_now = np.empty(())
+    rel, atol = np.array(rel_tol, dtype=float), np.array(abs_tol, dtype=float)
 
     times = [t]
-    states = [y]
+    states = [y.copy()]
     h = (t1 - t0) / 1000.0
     err_prev = 1.0
     accepted = rejected = 0
@@ -141,25 +159,36 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
             h = target - t
 
         if not fsal_valid:
-            k[0] = rhs(t, y)
+            rhs(t, y, k0)
             n_evals += 1
             fsal_valid = True
 
+        h_now[()] = h
         try:
-            for i, (c, a, k_prev) in enumerate(stages, start=1):
-                y_new = y + h * np.dot(a, k_prev)
+            for c, a, k_prev, k_i in stages:
+                np.dot(a, k_prev, out=dy)
+                dy *= h_now
+                np.add(y, dy, out=y_new)            # y + h * (a . k)
                 n_evals += 1
-                k[i] = rhs(t + c * h, y_new)
+                rhs(t + c * h, y_new, k_i)
         except DomainError:
             # a trial stage left the model's domain (e.g. a nonpositive
             # population): reject the step and halve it, as for a deep dip
             halve, step_accepted = True, False
         else:
-            # y_new is the last stage's state, the fifth-order solution
-            scale = abs_tol + rel_tol * np.maximum(y, np.abs(y_new))  # y >= 0
-            q = h * np.dot(_E, k) / scale
-            err = math.sqrt(np.add.reduce(q * q) / q.size)
-            y_min = y_new.min()
+            # y_new is the last stage's state, the fifth-order solution;
+            # scale = abs_tol + rel_tol * max(y, |y_new|) (y >= 0) and
+            # dy = h * (E . k) / scale, the error in units of the tolerance
+            np.abs(y_new, out=scale)
+            np.maximum(y, scale, out=scale)
+            scale *= rel
+            scale += atol
+            np.dot(_E, k, out=dy)
+            dy *= h_now
+            dy /= scale
+            np.multiply(dy, dy, out=dy)
+            err = math.sqrt(np.add.reduce(dy) / dy.size)
+            y_min = np.minimum.reduce(y_new)
             halve = bool(y_min <= -abs_tol)
             step_accepted = err <= 1.0 and not halve
         if step_accepted:
@@ -168,11 +197,11 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
                 np.maximum(y_new, 0.0, out=y_new)   # clamp the shallow dip
                 fsal_valid = False
             else:
-                k[0] = k[6]
-            y = y_new
+                k0[...] = k6
+            y, y_new = y_new, y
             if lands or report_times is None:
                 times.append(t)
-                states.append(y)
+                states.append(y.copy())
             accepted += 1
             fac = _SAFETY * err ** -0.14 * err_prev ** 0.08 if err > 0 else _FAC_MAX
             err_prev = max(err, 1e-10)
@@ -205,8 +234,8 @@ def steady_state_by_integration(params: Parameters,
     if not 0.0 < horizon < math.inf:
         raise DomainError("horizon must be finite and positive")
 
-    def rhs(t, y):
-        return full_rhs(y, params, n_ref)
+    def rhs(t, y, out):
+        full_rhs(y, params, n_ref, out=out)
 
     y = np.asarray(state0, dtype=float).copy()
     # keep integration noise well below the settle target, else the
@@ -217,7 +246,8 @@ def steady_state_by_integration(params: Parameters,
         n = float(y.sum())
         if n <= 0:
             return False
-        return float(np.linalg.norm(rhs(0.0, y))) / n < _SETTLE_TOL
+        norm = float(np.linalg.norm(full_rhs(y, params, n_ref)))
+        return norm / n < _SETTLE_TOL
 
     if settled(y):
         return y, True

@@ -70,20 +70,20 @@ def residual(state, params: Parameters,
 def _pressure_bound(params: Parameters, n_ref: Optional[float]) -> np.ndarray:
     # Neither pressure can exceed its largest weight, times (Lambda/mu) / n_ref
     # when pinned: at an equilibrium N <= Lambda/mu.
-    _, _, weights = flow_matrices(params)
+    weights = flow_matrices(params).weights
     scale = 1.0 if n_ref is None else params.Lambda / params.mu / n_ref
     return weights.max(axis=1) * scale
 
 
 def _newton(params: Parameters, n_ref: Optional[float], start,
             free: Tuple[int, ...], bound: np.ndarray
-            ) -> Tuple[np.ndarray, np.ndarray, int]:
+            ) -> Tuple[np.ndarray, tuple, int]:
     """Root of g over the pressures in free, the others held at 0, by
-    Newton's method from start: (lambda, the 10-state y(lambda), steps).
-    y is solved on the compartments the pressures reach, and is exactly 0
-    elsewhere. Each step inverts M once; the state is one solve at the
-    root."""
-    b, maps, weights = flow_matrices(params)
+    Newton's method from start: (lambda, (M, -b, idx), steps), where M(lambda)
+    and -b are restricted to the compartments idx that the pressures reach,
+    so that y(lambda) is the solution of M y = -b there and 0 elsewhere.
+    Each step inverts M once."""
+    b, maps, weights, _ = flow_matrices(params)
     idx, ks = _SUPPORT[free], list(free)
     sub = maps[:, idx[:, None], idx]
     n_idx, nk = len(idx), len(ks)
@@ -94,10 +94,9 @@ def _newton(params: Parameters, n_ref: Optional[float], start,
     done, last = not free, math.inf
     for steps in range(_MAX_ITERATIONS + 1):
         m = sub[0] + (np.array(lam) @ pairs).reshape(n_idx, n_idx)
+        if done:
+            return np.array(lam), (m, rhs, idx), steps
         try:
-            if done:
-                return (np.array(lam), _embed(np.linalg.solve(m, rhs), idx),
-                        steps)
             minv = np.linalg.inv(m)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular matrix in the pressure Newton "
@@ -156,15 +155,22 @@ def _solve(params: Parameters, n_ref: Optional[float],
     # a pressure within _STEP_TOL of the bound of 0 is set to 0 and the
     # solve finishes on the other axis, where that group is exactly 0. A
     # root with a pressure below that band is no equilibrium: an error.
+    # The state y(lambda) is solved once, at the root of the last pass.
     idx, bound = _SUPPORT[free], _pressure_bound(params, n_ref)
     free = tuple(k for k in free if bound[k] > 0.0)   # no weight: always 0
-    lam, state, steps = _newton(params, n_ref, bound, free, bound)
+    lam, root, steps = _newton(params, n_ref, bound, free, bound)
     _check_nonnegative(lam, free, bound)
     face = tuple(k for k in free if lam[k] > _STEP_TOL * bound[k])
     if face != free:
-        lam, state, more = _newton(params, n_ref, lam, face, bound)
+        lam, root, more = _newton(params, n_ref, lam, face, bound)
         _check_nonnegative(lam, face, bound)
         steps += more
+    m, rhs, support = root
+    try:
+        state = _embed(np.linalg.solve(m, rhs), support)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("singular matrix in the pressure Newton step",
+                               last_iterate=lam) from exc
     j = full_jacobian(state, params, n_ref)[np.ix_(idx, idx)]
     return state, {"iterations": steps, "locally_stable": bool(
         np.linalg.eigvals(j).real.max() < -TOL_EIG)}

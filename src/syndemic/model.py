@@ -11,8 +11,9 @@ the HIV-positive classes, AIDS classes weighted up by a modifier.
 The model is written once, as the flow list _FLOWS. flow_matrices turns it
 into the matrices that the right-hand side, its Jacobian, the infection
 pressures and the next-generation matrices all read. All right-hand sides
-are pure functions returning fresh arrays, and take one state or a stack
-of states.
+are pure functions that take one state or a stack of states and return
+fresh arrays; full_rhs can write one state's derivative into a given
+array instead.
 """
 from __future__ import annotations
 
@@ -159,22 +160,38 @@ def _incidence() -> np.ndarray:
 
 
 _INCIDENCE = _incidence()
+_RATES = tuple(rate for _, _, _, rate in _FLOWS)   # a field name or 1.0
+# the rows of FlowMatrices.stacked before its two pressure weights
+_PRESSURE_ROWS = 3 * N_COMPARTMENTS
+
+
+class FlowMatrices(NamedTuple):
+    """The model as matrices; see ``flow_matrices``."""
+
+    b: np.ndarray          # (10,) recruitment
+    maps: np.ndarray       # (3, 10, 10) A, CT, CH: a view of stacked
+    weights: np.ndarray    # (2, 10) pressure weights: a view of stacked
+    stacked: np.ndarray    # (32, 10): the rows of A, CT, CH, then weights
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_flow_matrices(params: Parameters):
+def _cached_flow_matrices(params: Parameters) -> FlowMatrices:
     p = params
-    values = vars(p)
-    rates = np.array([values.get(rate, rate) for _, _, _, rate in _FLOWS])
-    maps = (rates @ _INCIDENCE).reshape(3, N_COMPARTMENTS, N_COMPARTMENTS)
+    rates = np.fromiter(map(vars(p).get, _RATES, _RATES), float, len(_RATES))
+    b1, b2, b2a = p.beta1, p.beta2, p.beta2 * p.eta
+    flat = np.empty((_PRESSURE_ROWS + 2) * N_COMPARTMENTS)
+    cut = _PRESSURE_ROWS * N_COMPARTMENTS
+    np.dot(rates, _INCIDENCE, out=flat[:cut])       # the maps, row by row
+    flat[cut:] = [0.0, 0.0, b1, 0.0, 0.0, 0.0, 0.0, b1, 0.0, b1,
+                  0.0, 0.0, 0.0, 0.0, b2, b2a, b2, b2, b2, b2a]
     b = np.zeros(N_COMPARTMENTS)
     b[S] = p.Lambda
-    b1, b2, b2a = p.beta1, p.beta2, p.beta2 * p.eta
-    weights = np.array([[0.0, 0.0, b1, 0.0, 0.0, 0.0, 0.0, b1, 0.0, b1],
-                        [0.0, 0.0, 0.0, 0.0, b2, b2a, b2, b2, b2, b2a]])
-    for array in (b, maps, weights):
+    for array in (b, flat):
         array.setflags(write=False)
-    return b, maps, weights
+    stacked = flat.reshape(_PRESSURE_ROWS + 2, N_COMPARTMENTS)
+    return FlowMatrices(
+        b, stacked[:_PRESSURE_ROWS].reshape(3, N_COMPARTMENTS, N_COMPARTMENTS),
+        stacked[_PRESSURE_ROWS:], stacked)
 
 
 # The last Parameters looked up and its matrices, rebound as one tuple so
@@ -182,13 +199,15 @@ def _cached_flow_matrices(params: Parameters):
 _last_bound = (None, None)
 
 
-def flow_matrices(params: Parameters):
-    """The model as matrices (b, maps, weights), with
+def flow_matrices(params: Parameters) -> FlowMatrices:
+    """The model as matrices (b, maps, weights, stacked), with
     f(y) = b + A y + lambdaT CT y + lambdaH CH y, maps = (A, CT, CH) built
     from _FLOWS, and (lambdaT, lambdaH) = weights @ y / N: lambdaT weighs the
     active-TB classes by beta1, lambdaH every HIV-positive class by beta2,
-    the AIDS classes by eta times that. Cached per Parameters and read-only,
-    so callers copy before handing an array out.
+    the AIDS classes by eta times that. stacked holds the rows of maps and
+    then of weights as one (32, 10) matrix, so that one product gives
+    A y, CT y, CH y and W y; maps and weights are views of it. Cached per
+    Parameters and read-only, so callers copy before handing an array out.
 
     The same Parameters object as the last call returns its matrices without
     hashing the 23 fields; any other goes through a bounded lru_cache, whose
@@ -219,14 +238,14 @@ def force_of_infection(state, params: Parameters,
     weights of ``flow_matrices`` applied to it, divided by the instantaneous
     total population, or by ``n_ref`` when given."""
     y = _as_state(state)
-    _, _, weights = flow_matrices(params)
+    weights = flow_matrices(params).weights
     n = _denominator(y, n_ref)
     lam = weights @ y / n
     return ForceOfInfection(float(lam[0]), float(lam[1]))
 
 
-def full_rhs(state, params: Parameters,
-             n_ref: Optional[float] = None) -> np.ndarray:
+def full_rhs(state, params: Parameters, n_ref: Optional[float] = None,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
     """Time derivative of the full 10-compartment system, people/year.
 
     The components sum to Lambda - mu*N - dT*(I_T + I_TH) - dA*A - dTA*A_T
@@ -235,11 +254,15 @@ def full_rhs(state, params: Parameters,
 
     ``state`` is one state (10,) or a stack (B, 10) of states. A stack is
     evaluated on the same flow matrices into a (B, 10) stack whose rows are
-    the one-state results bit for bit.
+    the one-state results bit for bit. One state may be given ``out``, a
+    float (10,) array that receives the derivative and is returned, with
+    the same bits as a fresh result; a stack may not.
     """
     y = _as_state(state, stack=True)
-    b, maps, weights = flow_matrices(params)
+    b, maps, weights, stacked = flow_matrices(params)
     if y.ndim == 2:
+        if out is not None:
+            raise ValueError("out is for one state only, not a stack")
         # The one-state products below, batched over the rows as matrix-vector
         # products, so every row is the one-state result bit for bit.
         col = y[:, None, :, None]
@@ -250,12 +273,15 @@ def full_rhs(state, params: Parameters,
         z = (maps @ col)[..., 0]
         return b + z[:, 0] + (lam[:, None, :] @ z[:, 1:])[:, 0]
     if params.beta1 == 0.0 and params.beta2 == 0.0:
-        return b + maps[0] @ y
+        return np.add(b, maps[0] @ y, out=out)
     n = _denominator(y, n_ref)
-    # one matrix-vector product over the (30, 10) view of the maps, with the
-    # sums of the stacked rows bit for bit
-    z = np.dot(maps.reshape(30, N_COMPARTMENTS), y).reshape(3, N_COMPARTMENTS)
-    return b + z[0] + np.dot(np.dot(weights, y) / n, z[1:])
+    # one matrix-vector product gives A y, CT y, CH y and W y, with the sums
+    # of the separate products bit for bit
+    z = np.dot(stacked, y)
+    out = np.add(b, z[:N_COMPARTMENTS], out=out)
+    out += np.dot(z[_PRESSURE_ROWS:] / n,
+                  z[N_COMPARTMENTS:_PRESSURE_ROWS].reshape(2, N_COMPARTMENTS))
+    return out
 
 
 def full_jacobian(state, params: Parameters,
@@ -269,7 +295,7 @@ def full_jacobian(state, params: Parameters,
     ``n_ref``. The sub-model Jacobians are its slices over their index sets.
     """
     y = _as_state(state)
-    _, maps, weights = flow_matrices(params)
+    _, maps, weights, _ = flow_matrices(params)
     if params.beta1 == 0.0 and params.beta2 == 0.0:
         return maps[0].copy()
     n = _denominator(y, n_ref)

@@ -121,7 +121,7 @@ def ngm_decomposition(params: Parameters) -> NextGenDecomposition:
     """
     p = params
     n = p.Lambda / p.mu
-    _, maps, weights = flow_matrices(p)
+    _, maps, weights, _ = flow_matrices(p)
     u_mat = maps[1:, _INFECTED, S].T * n     # (CT y, CH y) at y = n e_S
     w_mat = (weights / n)[:, _INFECTED]
     v_mat = -maps[0][_INFECTED_BLOCK]

@@ -247,7 +247,8 @@ def run_dfe_stability(params: Optional[Parameters] = None) -> ScenarioResult:
     horizon = 500.0
     result = ScenarioResult(spec=ScenarioSpec(name="dfe-stability"))
     for key, y0 in _perturbed_starts().items():
-        traj = integrate(lambda t, y: full_rhs(y, base), y0, 0.0, horizon)
+        traj = integrate(lambda t, y, out: full_rhs(y, base, out=out), y0,
+                         0.0, horizon)
         result.trajectories[key] = traj
         result.terminal_states[key] = traj.final
         infected_max = float(np.max(traj.final[list(INFECTED_INDICES)]))
@@ -279,8 +280,8 @@ def run_syndemic_stability(params: Optional[Parameters] = None) -> ScenarioResul
     horizon = 500.0
     result = ScenarioResult(spec=ScenarioSpec(name="syndemic-stability"))
     for key, y0 in _perturbed_starts().items():
-        traj = integrate(lambda t, y: full_rhs(y, base, n_ref), y0, 0.0,
-                         horizon)
+        traj = integrate(lambda t, y, out: full_rhs(y, base, n_ref, out=out),
+                         y0, 0.0, horizon)
         result.trajectories[key] = traj
         result.terminal_states[key] = traj.final
 
@@ -349,8 +350,9 @@ def run_treatment_impact(params: Optional[Parameters] = None,
         spec=ScenarioSpec(name=f"treatment-{family}-deaths-{deaths}"))
     y0 = initial_state()
     for key, p in arms.items():
-        traj = integrate(lambda t, y, _p=p: full_rhs(y, _p, n_ref),
-                         y0, 0.0, horizon, report_times=grid)
+        traj = integrate(
+            lambda t, y, out, _p=p: full_rhs(y, _p, n_ref, out=out),
+            y0, 0.0, horizon, report_times=grid)
         result.trajectories[key] = traj
         result.terminal_states[key] = traj.final
         result.comparisons[f"{key} N(20)"] = total_population(traj.final)
@@ -456,24 +458,34 @@ def _format(x: float) -> str:
     return f"{x:.10g}"
 
 
+def trajectory_csv(traj: Trajectory, spec: str, newline: str) -> str:
+    """A trajectory as CSV text: a header line, then for each stored time
+    the time in years, the ten compartments in model order and the total,
+    each number formatted with the format spec ``spec`` and every line
+    ended by ``newline``. The states are finite (``integrate`` accepts no
+    other), so no field needs quoting."""
+    lines = [",".join(["time_years", *COMPARTMENTS, "total"])]
+    for t, y, total in zip(traj.times.tolist(), traj.states.tolist(),
+                           traj.states.sum(axis=1).tolist()):
+        lines.append(",".join([format(v, spec) for v in (t, *y, total)]))
+    lines.append("")
+    return newline.join(lines)
+
+
 def write_scenario_csv(result: ScenarioResult, out_dir) -> List[Path]:
     """One CSV per trajectory plus a summary CSV of the scalar assertions.
 
     Trajectory files hold one row per stored time of the trajectory (the
-    report grid of the treatment runs, every step of the stability runs):
-    time in years, the ten compartments in model order, and the total.
-    Files are written atomically (temp file then rename).
+    report grid of the treatment runs, every step of the stability runs),
+    ``trajectory_csv`` with ten significant digits and CRLF line ends, as
+    ``csv.writer`` ends them. Files are written atomically (temp file then
+    rename).
     """
     out = Path(out_dir)
     written = []
     for key, traj in result.trajectories.items():
-        rows = [[_format(t)] + [_format(v) for v in y] + [_format(total)]
-                for t, y, total in zip(traj.times.tolist(),
-                                       traj.states.tolist(),
-                                       traj.states.sum(axis=1).tolist())]
         path = out / f"{result.spec.name}__{key}.csv"
-        atomic_write(path, _csv_text(["time_years", *COMPARTMENTS, "total"],
-                                     rows))
+        atomic_write(path, trajectory_csv(traj, ".10g", "\r\n"))
         written.append(path)
     summary_rows = [[a.name, _format(a.expected), _format(a.actual),
                      _format(a.tolerance), a.status]

@@ -220,8 +220,8 @@ def test_criterion_8_property_suite():
         y0 = rng.uniform(0.0, 1500.0, size=10)
         if i % 2:
             y0 *= 70000.0 / max(y0.sum(), 1.0)     # start above the ceiling
-        traj = integrate(lambda t, y: full_rhs(y, p), y0, 0.0, 50.0,
-                         rel_tol=1e-6)
+        traj = integrate(lambda t, y, out: full_rhs(y, p, out=out),
+                         y0, 0.0, 50.0, rel_tol=1e-6)
         totals = traj.states.sum(axis=1)
         bound = max(y0.sum(), p.Lambda / p.mu)
         assert np.min(traj.states) >= 0.0

@@ -1,0 +1,46 @@
+"""Golden trajectories: two ``simulate`` runs (standard output and
+trajectory.csv) and the treatment-tb CSV files under both death settings,
+byte for byte against tests/golden/trajectories (see its regenerate.py)."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from syndemic.scenarios import write_scenario_csv
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "trajectories"
+_spec = importlib.util.spec_from_file_location(
+    "golden_trajectories_regenerate", GOLDEN / "regenerate.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+
+def test_every_golden_file_has_a_source():
+    names = [f"{name}.{suffix}" for name in golden.SIMULATE
+             for suffix in ("txt", "csv")]
+    names += [f"treatment-tb-deaths-{deaths}__{key}.csv"
+              for deaths in golden.TREATMENT_DEATHS
+              for key in ("with-treatment", "without-treatment",
+                          "without-treatment-alt", "summary")]
+    assert sorted(p.name for p in GOLDEN.glob("*.*")
+                  if p.suffix != ".py") == sorted(names)
+
+
+@pytest.mark.parametrize("name", sorted(golden.SIMULATE))
+def test_simulate_matches_golden_files(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("SYNDEMIC_OUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    text = golden.render(golden.SIMULATE[name])
+    assert text.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+    assert ((tmp_path / "out" / "trajectory.csv").read_bytes()
+            == (GOLDEN / f"{name}.csv").read_bytes())
+
+
+@pytest.mark.parametrize("deaths", golden.TREATMENT_DEATHS)
+def test_treatment_tb_csvs_match_golden_files(deaths, request, tmp_path):
+    result = request.getfixturevalue(f"treatment_tb_{deaths}")
+    written = write_scenario_csv(result, tmp_path)
+    assert len(written) == 4
+    for path in written:
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), \
+            path.name

@@ -122,6 +122,36 @@ def test_stacked_rhs_domain_checks(rhs, width):
             rhs(states, BASE)
 
 
+def test_rhs_into_a_given_array():
+    # out receives the fresh result bit for bit and is returned, under both
+    # conventions and with no transmission
+    rng = np.random.default_rng(1618)
+    buf = np.empty(N_COMPARTMENTS)
+    for p in _stack_parameters(rng):
+        states = (rng.uniform(0.01, 1.0, (200, N_COMPARTMENTS))
+                  * rng.uniform(1e2, 1e5, (200, 1)))
+        for n_ref in (None, float(rng.uniform(1e3, 1e5))):
+            for y in states:
+                assert full_rhs(y, p, n_ref, out=buf) is buf
+                assert buf.tobytes() == full_rhs(y, p, n_ref).tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+def test_rhs_into_a_given_array_checks_the_denominator(bad):
+    y = np.zeros(N_COMPARTMENTS) if bad == 0.0 else START.copy()
+    y[1] += bad     # a total of bad
+    with pytest.raises(DomainError):
+        full_rhs(y, BASE, out=np.empty(N_COMPARTMENTS))
+    with pytest.raises(DomainError):
+        full_rhs(START, BASE, bad, out=np.empty(N_COMPARTMENTS))
+
+
+def test_rhs_into_a_given_array_takes_one_state():
+    with pytest.raises(ValueError, match="one state"):
+        full_rhs(np.vstack([START, START]), BASE,
+                 out=np.empty((2, N_COMPARTMENTS)))
+
+
 @pytest.mark.parametrize("n_ref", [0.0, math.nan, math.inf])
 def test_pinned_denominator_must_be_finite_and_positive(n_ref):
     with pytest.raises(DomainError):

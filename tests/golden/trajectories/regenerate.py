@@ -6,7 +6,8 @@ first line, as ``$ syndemic ARGS``, then its standard output, then
 it wrote). Each runs with ``--out out`` in a fresh working directory, so
 the paths it prints are the same wherever it runs. Beside them, the CSV
 files that ``write_scenario_csv`` writes for treatment-tb under
-``--deaths on`` and ``off``, under the names it gives them.
+``--deaths on`` and ``off`` and for the table2 and table3 sweeps, under
+the names it gives them.
 ``tests/test_golden_trajectories.py`` compares all of them byte for byte.
 
     PYTHONPATH=src python tests/golden/trajectories/regenerate.py
@@ -21,7 +22,8 @@ import tempfile
 from pathlib import Path
 
 from syndemic.cli import main
-from syndemic.scenarios import run_treatment_impact, write_scenario_csv
+from syndemic.scenarios import (run_table2, run_table3, run_treatment_impact,
+                                write_scenario_csv)
 
 HERE = Path(__file__).resolve().parent
 
@@ -30,6 +32,7 @@ SIMULATE = {
                                   "--beta2", beta2, "--out", "out")
     for beta1, beta2 in (("13", "0.06"), ("6", "0.1"))}
 TREATMENT_DEATHS = ("on", "off")     # treatment-tb, as tests/conftest.py runs it
+TABLES = {"table2": run_table2, "table3": run_table3}   # summary CSV only
 
 
 def render(argv) -> str:
@@ -59,4 +62,6 @@ if __name__ == "__main__":
     for deaths in TREATMENT_DEATHS:
         written += write_scenario_csv(
             run_treatment_impact(family="tb", deaths=deaths), HERE)
+    for run in TABLES.values():
+        written += write_scenario_csv(run(), HERE)
     print(f"wrote {len(written)} files to {HERE}")

@@ -1,6 +1,7 @@
 """Golden trajectories: two ``simulate`` runs (standard output and
-trajectory.csv) and the treatment-tb CSV files under both death settings,
-byte for byte against tests/golden/trajectories (see its regenerate.py)."""
+trajectory.csv), the treatment-tb CSV files under both death settings and
+the table2 and table3 summary CSVs, byte for byte against
+tests/golden/trajectories (see its regenerate.py)."""
 import importlib.util
 from pathlib import Path
 
@@ -22,6 +23,7 @@ def test_every_golden_file_has_a_source():
               for deaths in golden.TREATMENT_DEATHS
               for key in ("with-treatment", "without-treatment",
                           "without-treatment-alt", "summary")]
+    names += [f"{table}__summary.csv" for table in golden.TABLES]
     assert sorted(p.name for p in GOLDEN.glob("*.*")
                   if p.suffix != ".py") == sorted(names)
 
@@ -44,3 +46,11 @@ def test_treatment_tb_csvs_match_golden_files(deaths, request, tmp_path):
     for path in written:
         assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), \
             path.name
+
+
+@pytest.mark.parametrize("table", sorted(golden.TABLES))
+def test_table_summaries_match_golden_files(table, request, tmp_path):
+    result = request.getfixturevalue(f"{table}_result")
+    written = write_scenario_csv(result, tmp_path)
+    assert [path.name for path in written] == [f"{table}__summary.csv"]
+    assert written[0].read_bytes() == (GOLDEN / written[0].name).read_bytes()

@@ -20,9 +20,8 @@ from .stability import (BifurcationReport, ConvergenceError, H2Evaluation,
                         stability_report)
 from .reproduction import (NextGenDecomposition, ReproductionNumbers,
                            ngm_decomposition, r0, r1_closed, r2_closed)
-from .equilibria import (EquilibriumReport, TbFreeClosedForm, disease_free,
-                         hiv_free, residual, syndemic, tb_free_closed,
-                         tb_free_numeric)
+from .equilibria import (EquilibriumReport, disease_free, hiv_free, residual,
+                         syndemic, tb_free_numeric)
 
 # the benchmark harness calls the closed-form Jacobian by this name
 jacobian = full_jacobian
@@ -44,7 +43,7 @@ __all__ = [
     "bifurcation_analysis", "h2_condition_check",
     "ReproductionNumbers", "NextGenDecomposition",
     "r1_closed", "r2_closed", "r0", "ngm_decomposition",
-    "EquilibriumReport", "TbFreeClosedForm", "disease_free",
-    "tb_free_closed", "tb_free_numeric", "hiv_free", "syndemic", "residual",
+    "EquilibriumReport", "disease_free", "tb_free_numeric", "hiv_free",
+    "syndemic", "residual",
     "__version__",
 ]

@@ -1,33 +1,32 @@
 """Equilibria of the full model and its two single-disease submodels.
 
-The disease-free state is closed form, and so is the TB-free state under a
-caller-supplied reference population. The numeric solves (TB-free, HIV-free
-and fully endemic) share one path on the two infection pressures lambda,
-the force-of-infection reduction (Diekmann, Heesterbeek & Britton 2013). At
+All are roots of one map on the two infection pressures lambda, the
+force-of-infection reduction (Diekmann, Heesterbeek & Britton 2013). At
 fixed lambda the model is linear, f = b + M(lambda) y (``flow_matrices``),
 and M(lambda) = A + lambdaT CT + lambdaH CH is an M-matrix, so y(lambda) =
 -M(lambda)^-1 b >= 0 for every lambda >= 0, as van den Driessche & Watmough
 (2002) use for V. An equilibrium is a root of g(lambda) = W y(lambda) / N -
-lambda, found by Newton's method with the exact dy/dlambda_k = -M^-1 C_k y.
-Each step makes one LAPACK call, the inverse M^-1: the row block
-(W; 1) M^-1 gives W y, N and their derivatives, and the 1 x 1 or 2 x 2
-Newton system is solved in floats. The sub-models are the axes
-lambdaH = 0 (HIV-free) and lambdaT = 0 (TB-free). An optional n_ref pins
-the incidence denominator, as the benchmark tables were generated; None
-gives the self-consistent convention.
+lambda. On the axes lambdaT = 0 (TB-free) and lambdaH = 0 (HIV-free) the
+root is a closed form in that submodel's reproduction number. The fully
+endemic root is found by Newton's method with the exact dy/dlambda_k =
+-M^-1 C_k y, one LAPACK call per step: the row block (W; 1) M^-1 gives W y,
+N and their derivatives, and the 2 x 2 Newton system is solved in floats.
+A root that it approaches on a face of the orthant finishes with that
+axis's closed form. An optional n_ref pins the incidence denominator, as
+the benchmark tables were generated; None gives the self-consistent one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .model import (_HIV_SUB_INDICES, _TB_SUB_INDICES, DomainError,
                     HIV_INFECTED_INDICES, Parameters, TB_INFECTED_INDICES,
                     flow_matrices, full_jacobian, full_rhs, total_population)
-from .reproduction import ReproductionNumbers, r0, r1_closed, r2_closed
+from .reproduction import ReproductionNumbers, r0
 from .stability import TOL_EIG, ConvergenceError, _hiv_threshold_terms
 
 # An infected group is present above this total, in persons, far below one.
@@ -40,10 +39,6 @@ _STALL_TOL = 1e-7
 _MAX_ITERATIONS = 100
 _KINDS = {(False, False): "disease-free", (False, True): "tb-free",
           (True, False): "hiv-free", (True, True): "syndemic"}   # (TB, HIV)
-# The compartments people reach from the susceptibles when the listed
-# pressures are positive and the others 0; y(lambda) is 0 elsewhere.
-_SUPPORT = {(0, 1): np.arange(10), (0,): _TB_SUB_INDICES,
-            (1,): _HIV_SUB_INDICES, (): np.array([0])}
 
 
 @dataclass
@@ -53,7 +48,8 @@ class EquilibriumReport:
     residual: float               # ||rhs|| / N, 1/year
     repro: ReproductionNumbers
     exists: bool
-    # numeric solves only: iterations (Newton steps), locally_stable
+    # solves past the threshold only: iterations (Newton steps; 0 for the
+    # closed-form single-disease states), locally_stable
     stats: dict = field(default_factory=dict)
 
 
@@ -67,35 +63,19 @@ def residual(state, params: Parameters,
     return float(np.linalg.norm(full_rhs(y, params, n_ref))) / n
 
 
-def _pressure_bound(params: Parameters, n_ref: Optional[float]) -> np.ndarray:
-    # Neither pressure can exceed its largest weight, times (Lambda/mu) / n_ref
-    # when pinned: at an equilibrium N <= Lambda/mu.
-    weights = flow_matrices(params).weights
-    scale = 1.0 if n_ref is None else params.Lambda / params.mu / n_ref
-    return weights.max(axis=1) * scale
-
-
-def _newton(params: Parameters, n_ref: Optional[float], start,
-            free: Tuple[int, ...], bound: np.ndarray
-            ) -> Tuple[np.ndarray, tuple, int]:
-    """Root of g over the pressures in free, the others held at 0, by
-    Newton's method from start: (lambda, (M, -b, idx), steps), where M(lambda)
-    and -b are restricted to the compartments idx that the pressures reach,
-    so that y(lambda) is the solution of M y = -b there and 0 elsewhere.
-    Each step inverts M once."""
+def _newton(params: Parameters, n_ref: Optional[float], bound: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Root of g over both pressures, by Newton's method from the pressure
+    bound: (lambda, M(lambda), steps), so that y(lambda) is the solution of
+    M y = -b. Each step inverts M once."""
     b, maps, weights, _ = flow_matrices(params)
-    idx, ks = _SUPPORT[free], list(free)
-    sub = maps[:, idx[:, None], idx]
-    n_idx, nk = len(idx), len(ks)
-    pairs, neg_c, rhs = sub[1:].reshape(2, -1), -sub[1:][ks], -b[idx]
-    rows = np.vstack([weights[ks][:, idx], np.ones(n_idx)])   # (W; 1)
-    lam = [float(start[k]) if k in ks else 0.0 for k in (0, 1)]
-    scale = [float(bound[k]) for k in ks]
-    done, last = not free, math.inf
+    pairs, neg_c, rhs = maps[1:].reshape(2, -1), -maps[1:], -b
+    rows = np.vstack([weights, np.ones(10)])     # (W; 1)
+    lam, scale, done, last = bound.tolist(), bound.tolist(), False, math.inf
     for steps in range(_MAX_ITERATIONS + 1):
-        m = sub[0] + (np.array(lam) @ pairs).reshape(n_idx, n_idx)
+        m = maps[0] + (np.array(lam) @ pairs).reshape(10, 10)
         if done:
-            return np.array(lam), (m, rhs, idx), steps
+            return np.array(lam), m, steps
         try:
             minv = np.linalg.inv(m)
         except np.linalg.LinAlgError as exc:
@@ -106,21 +86,19 @@ def _newton(params: Parameters, n_ref: Optional[float], start,
         # derivatives is -R C_k y
         wy = (r @ rhs).tolist()
         dwy = (r @ (neg_c @ (minv @ rhs)).T).tolist()
-        n = wy[nk] if n_ref is None else n_ref
-        q = [wy[i] / n for i in range(nk)]
+        n = wy[2] if n_ref is None else n_ref
+        q = [wy[0] / n, wy[1] / n]
         # g'(lambda) = dq/dlambda - I, with N's own derivative when
         # self-consistent
-        dn = dwy[nk] if n_ref is None else [0.0] * nk
-        jac = [[(dwy[i][k] - q[i] * dn[k]) / n - (i == k) for k in range(nk)]
-               for i in range(nk)]
-        step = _newton_step(jac, [q[i] - lam[k] for i, k in enumerate(ks)])
+        dn = dwy[2] if n_ref is None else [0.0, 0.0]
+        jac = [[(dwy[i][k] - q[i] * dn[k]) / n - (i == k) for k in (0, 1)]
+               for i in (0, 1)]
+        step = _newton_step(jac, [q[0] - lam[0], q[1] - lam[1]])
         if not all(map(math.isfinite, step)):
             raise ConvergenceError("non-finite pressure Newton step",
                                    last_iterate=np.array(lam))
-        size = 0.0
-        for k, s, bk in zip(ks, step, scale):
-            lam[k] += s
-            size = max(size, abs(s) / bk)
+        lam = [x + s for x, s in zip(lam, step)]
+        size = max(abs(s) / bk for s, bk in zip(step, scale))
         done = size <= _STEP_TOL or _STALL_TOL >= last <= size
         last = size
     raise ConvergenceError("pressure Newton iteration cap reached",
@@ -128,52 +106,108 @@ def _newton(params: Parameters, n_ref: Optional[float], start,
 
 
 def _newton_step(jac, g):
-    """The step solving jac @ step = -g, for a 1 x 1 or 2 x 2 jac of
-    floats: by division, or by Cramer's rule; a singular jac gives a
-    non-finite step."""
-    if len(g) == 1:
-        (a,), = jac
-        return [-g[0] / a if a else math.inf]
+    """The step solving jac @ step = -g, for a 2 x 2 jac of floats, by
+    Cramer's rule; a singular jac gives a non-finite step."""
     (a, b), (c, d) = jac
     det = a * d - b * c
-    if not det:
-        return [math.inf, math.inf]
-    return [(b * g[1] - d * g[0]) / det, (c * g[0] - a * g[1]) / det]
+    return ([(b * g[1] - d * g[0]) / det, (c * g[0] - a * g[1]) / det]
+            if det else [math.inf, math.inf])
 
 
-def _check_nonnegative(lam, free, bound) -> None:
-    if any(lam[k] < -_STEP_TOL * bound[k] for k in free):
-        raise ConvergenceError("pressure Newton reached a root with a "
-                               "negative pressure", last_iterate=lam)
+def _embed(values, indices) -> np.ndarray:
+    state = np.zeros(10)
+    state[np.asarray(indices)] = values
+    return state
+
+
+def _tb_axis(p: Parameters, n_ref: Optional[float], r1: float) -> np.ndarray:
+    """The HIV-free state (lambdaH = 0), for R1 > 1. At a TB pressure lambda
+    the balances give S, L_T = lambda S (q lambda + mu)/D(lambda) with
+    q = beta1p and D = q h lambda + d1 mu, I_T and R_T; lambda = beta1 I_T/N
+    (N = (Lambda - dT I_T)/mu self-consistent) is then a lambda^2 + b lambda
+    + c = 0 with c = d1 mu^2 (1 - R1) < 0 <= a. Its one positive root, taken
+    without cancellation, is -c/b when q = 0; hypot squares nothing."""
+    mu, q, k1 = p.mu, p.beta1p, p.k1
+    d1, d2 = k1 + p.tau1 + mu, p.tau2 + p.dT + mu
+    h = mu + k1 * (p.dT + mu) / d2           # d1 - tau1 - tau2 k1/d2
+    if n_ref is None:
+        a, b0 = q * (mu + k1 * mu / d2), p.tau1 + mu + k1 * (p.tau2 + mu) / d2
+    else:
+        a, b0 = q * h, d1
+    b = mu * (q * h + b0 - q * d1 * r1)
+    c = d1 * mu * mu * (1.0 - r1)
+    disc = math.hypot(b, 2.0 * math.sqrt(a) * math.sqrt(-c))
+    lam = -2.0 * c / (b + disc) if b > 0.0 else (disc - b) / (2.0 * a)
+    s = p.Lambda / (lam + mu)
+    lt = lam * s * ((q * lam + mu) / (q * h * lam + d1 * mu))
+    it = k1 * lt / d2
+    rt = (p.tau1 * lt + p.tau2 * it) / (q * lam + mu)
+    return _embed([s, lt, it, rt], _TB_SUB_INDICES)
+
+
+def _hiv_axis(p: Parameters, n_ref: Optional[float], r2: float) -> np.ndarray:
+    """The TB-free state (lambdaT = 0), for R2 > 1: S = Lambda/(lambda + mu),
+    I_H = lambda S/c (c = numer/d4) and A = (rho1/d4) I_H, at lambda =
+    mu (R2 - 1) pinned or c (R2 - 1)/(1 + rho1/d4) self-consistent."""
+    numer, d4 = _hiv_threshold_terms(p)
+    c = numer / d4
+    lam = (c * (r2 - 1.0) / (1.0 + p.rho1 / d4) if n_ref is None
+           else p.mu * (r2 - 1.0))
+    s = p.Lambda / (lam + p.mu)
+    i_h = lam * s / c
+    return _embed([s, i_h, p.rho1 / d4 * i_h], _HIV_SUB_INDICES)
+
+
+# by pressure k, the only positive one: its closed form and compartments
+_AXES = ((_tb_axis, _TB_SUB_INDICES), (_hiv_axis, _HIV_SUB_INDICES))
+
+
+def _axis_state(params: Parameters, n_ref: Optional[float], k: int,
+                r: float) -> np.ndarray:
+    """The state where only pressure k (0: TB, 1: HIV) can be positive: the
+    closed form when its reproduction number r exceeds 1, else disease-free."""
+    if r > 1.0:
+        return _AXES[k][0](params, n_ref, r)
+    return _embed(params.Lambda / params.mu, [0])
+
+
+def _stats(state, params: Parameters, n_ref: Optional[float], idx,
+           steps: int) -> dict:
+    j = full_jacobian(state, params, n_ref)[np.ix_(idx, idx)]
+    return {"iterations": steps, "locally_stable": bool(
+        np.linalg.eigvals(j).real.max() < -TOL_EIG)}
 
 
 def _solve(params: Parameters, n_ref: Optional[float],
-           free: Tuple[int, ...]) -> Tuple[np.ndarray, dict]:
+           repro: ReproductionNumbers) -> Tuple[np.ndarray, dict]:
     # Newton from the pressure bound, above every root: from the census
     # seed's pressures it can leave the orthant and settle on an unstable
     # boundary root. It only approaches a root on a face of the orthant, so
-    # a pressure within _STEP_TOL of the bound of 0 is set to 0 and the
-    # solve finishes on the other axis, where that group is exactly 0. A
-    # root with a pressure below that band is no equilibrium: an error.
-    # The state y(lambda) is solved once, at the root of the last pass.
-    idx, bound = _SUPPORT[free], _pressure_bound(params, n_ref)
-    free = tuple(k for k in free if bound[k] > 0.0)   # no weight: always 0
-    lam, root, steps = _newton(params, n_ref, bound, free, bound)
-    _check_nonnegative(lam, free, bound)
-    face = tuple(k for k in free if lam[k] > _STEP_TOL * bound[k])
-    if face != free:
-        lam, root, more = _newton(params, n_ref, lam, face, bound)
-        _check_nonnegative(lam, face, bound)
-        steps += more
-    m, rhs, support = root
-    try:
-        state = _embed(np.linalg.solve(m, rhs), support)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError("singular matrix in the pressure Newton step",
-                               last_iterate=lam) from exc
-    j = full_jacobian(state, params, n_ref)[np.ix_(idx, idx)]
-    return state, {"iterations": steps, "locally_stable": bool(
-        np.linalg.eigvals(j).real.max() < -TOL_EIG)}
+    # a pressure within _STEP_TOL of the bound of 0 is 0, and the state is
+    # that axis's closed form, where the other group is exactly 0. A root
+    # with a pressure below that band is no equilibrium: an error. A
+    # pressure with no weight is always 0, and then no Newton step is made.
+    # Neither pressure can exceed its largest weight, times (Lambda/mu) / n_ref
+    # when pinned: at an equilibrium N <= Lambda/mu.
+    scale = 1.0 if n_ref is None else params.Lambda / params.mu / n_ref
+    bound = flow_matrices(params).weights.max(axis=1) * scale
+    lam, steps = bound, 0
+    if bound.all():
+        lam, m, steps = _newton(params, n_ref, bound)
+        if (lam < -_STEP_TOL * bound).any():
+            raise ConvergenceError("pressure Newton reached a root with a "
+                                   "negative pressure", last_iterate=lam)
+    face = lam > _STEP_TOL * bound
+    if face.all():
+        try:
+            state = np.linalg.solve(m, -flow_matrices(params).b)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError("singular matrix in the pressure Newton "
+                                   "step", last_iterate=lam) from exc
+    else:   # on a face, or at lambda = 0
+        k = int(face.argmax())
+        state = _axis_state(params, n_ref, k, repro[k] if face.any() else 0.0)
+    return state, _stats(state, params, n_ref, np.arange(10), steps)
 
 
 def disease_free(params: Parameters) -> EquilibriumReport:
@@ -184,58 +218,33 @@ def disease_free(params: Parameters) -> EquilibriumReport:
                              repro=r0(params), exists=True)
 
 
-class TbFreeClosedForm(NamedTuple):
-    s: float
-    i_h: float
-    a: float
-    exists: bool
-
-
-def tb_free_closed(params: Parameters, nH: float) -> TbFreeClosedForm:
-    """Closed-form HIV/AIDS equilibrium with the denominator pinned at nH.
-
-    Requires the HIV reproduction number (at nH) above 1; otherwise the
-    infected components are 0 and the existence flag is false.
-    """
-    if nH <= 0:
-        raise DomainError("nH must be positive")
-    p = params
-    r2 = r2_closed(p, nH)
-    if r2 <= 1.0:
-        return TbFreeClosedForm(s=p.Lambda / p.mu, i_h=0.0, a=0.0, exists=False)
-    _, d4 = _hiv_threshold_terms(p)
-    i_h = (r2 - 1.0) * p.mu * nH * d4 / (p.beta2 * (d4 + p.eta * p.rho1))
-    return TbFreeClosedForm(s=p.Lambda / (p.mu * r2), i_h=i_h,
-                            a=p.rho1 / d4 * i_h, exists=True)
-
-
-def _embed(values: np.ndarray, indices) -> np.ndarray:
-    state = np.zeros(10)
-    state[np.asarray(indices)] = values
-    return state
-
-
 def _submodel_equilibrium(params: Parameters, n_ref: Optional[float],
-                          free: Tuple[int, ...], threshold
-                          ) -> EquilibriumReport:
-    state, stats = _embed(params.Lambda / params.mu, [0]), {}
-    if threshold(params, n_ref) > 1.0:
-        state, stats = _solve(params, n_ref, free)
-    kind = _classify_kind(state)
+                          k: int) -> EquilibriumReport:
+    repro = r0(params, n_ref)
+    state = _axis_state(params, n_ref, k, repro[k])
+    stats = (_stats(state, params, n_ref, _AXES[k][1], 0)
+             if repro[k] > 1.0 else {})
+    return _report(state, stats, params, n_ref, repro, ("hiv-free", "tb-free"))
+
+
+def _report(state, stats: dict, params: Parameters, n_ref: Optional[float],
+            repro: ReproductionNumbers, existing) -> EquilibriumReport:
+    # the kind names the infected groups present; exists, that it is existing
+    tb, hiv = (float(state[list(group)].sum()) > _PRESENT_EPS
+               for group in (TB_INFECTED_INDICES, HIV_INFECTED_INDICES))
+    kind = _KINDS[tb, hiv]
     return EquilibriumReport(kind=kind, state=state,
                              residual=residual(state, params, n_ref),
-                             repro=r0(params, n_ref),
-                             exists=kind != "disease-free", stats=stats)
+                             repro=repro, exists=kind in existing, stats=stats)
 
 
 def tb_free_numeric(params: Parameters,
                     n_ref: Optional[float] = None) -> EquilibriumReport:
     """HIV/AIDS-only equilibrium of the (S, I_H, A) submodel, embedded into
-    a full 10-state with zeros elsewhere: the root of the pressure map on
-    its lambdaT = 0 axis. Subthreshold transmission (R2 <= 1) returns the
-    disease-free state without iterating.
-    """
-    return _submodel_equilibrium(params, n_ref, (1,), r2_closed)
+    a full 10-state with zeros elsewhere: the closed-form root of the
+    pressure map on its lambdaT = 0 axis. Subthreshold transmission
+    (R2 <= 1) returns the disease-free state."""
+    return _submodel_equilibrium(params, n_ref, 1)
 
 
 def hiv_free(params: Parameters,
@@ -243,13 +252,7 @@ def hiv_free(params: Parameters,
     """TB-only equilibrium of the 4-compartment submodel, on the
     lambdaH = 0 axis; as tb_free_numeric, gated on the TB reproduction
     number."""
-    return _submodel_equilibrium(params, n_ref, (0,), r1_closed)
-
-
-def _classify_kind(state: np.ndarray) -> str:
-    tb, hiv = (float(state[list(group)].sum()) > _PRESENT_EPS
-               for group in (TB_INFECTED_INDICES, HIV_INFECTED_INDICES))
-    return _KINDS[tb, hiv]
+    return _submodel_equilibrium(params, n_ref, 0)
 
 
 def syndemic(params: Parameters, seed,
@@ -267,9 +270,6 @@ def syndemic(params: Parameters, seed,
         raise DomainError("seed must have 10 components")
     if not 0.0 < total_population(seed) < math.inf:
         raise DomainError("seed population must be finite and positive")
-    state, stats = _solve(params, n_ref, (0, 1))
-    kind = _classify_kind(state)
-    return EquilibriumReport(kind=kind, state=state,
-                             residual=residual(state, params, n_ref),
-                             repro=r0(params, n_ref), exists=kind == "syndemic",
-                             stats=stats)
+    repro = r0(params, n_ref)
+    return _report(*_solve(params, n_ref, repro), params, n_ref, repro,
+                   ("syndemic",))

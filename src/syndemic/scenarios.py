@@ -28,10 +28,10 @@ import numpy as np
 
 from .dynamics import Trajectory, integrate
 from .equilibria import (EquilibriumReport, disease_free, hiv_free, syndemic,
-                         tb_free_closed, tb_free_numeric)
+                         tb_free_numeric)
 from .model import (COMPARTMENTS, INFECTED_INDICES, Parameters, full_rhs,
                     total_population)
-from .reproduction import r0, r2_closed
+from .reproduction import r0
 from .stability import TOL_EIG, _hiv_threshold_terms, stability_report
 
 INITIAL_FRACTIONS = np.array([0.60, 0.14, 0.03, 0.0, 0.04, 0.01,
@@ -180,14 +180,14 @@ def run_table2(params: Optional[Parameters] = None) -> ScenarioResult:
 def run_table3(params: Optional[Parameters] = None) -> ScenarioResult:
     """HIV transmission sweep: R2 and the equilibrium HIV/AIDS counts.
 
-    Each row is computed twice: the closed form with the denominator pinned
-    at the disease-free population (the reference convention) and the fully
-    self-consistent submodel solve, reported side by side. The HIV and AIDS
-    cells printed for beta2 = 0.051, 0.055 and 0.099 contradict the R2 on
-    their own rows (which imply 0 / 0, 113.87 / 17.67 and 5095.02 / 790.80;
-    see HIV_SWEEP_REFERENCE), so those six assertions fail by design and the
-    result does not pass. Criterion 2 of tests/test_acceptance.py scores
-    those rows against the implied values instead.
+    Each row is solved twice: with the denominator pinned at the
+    disease-free population (the reference convention) and self-consistent,
+    reported side by side. The HIV and AIDS cells printed for beta2 = 0.051,
+    0.055 and 0.099 contradict the R2 on their own rows (which imply 0 / 0,
+    113.87 / 17.67 and 5095.02 / 790.80; see HIV_SWEEP_REFERENCE), so those
+    six assertions fail by design and the result does not pass. Criterion 2
+    of tests/test_acceptance.py scores those rows against the implied values
+    instead.
     """
     base = params if params is not None else Parameters(0.0, 0.0)
     n_h = base.Lambda / base.mu
@@ -197,19 +197,19 @@ def run_table3(params: Optional[Parameters] = None) -> ScenarioResult:
     for beta2 in sorted(HIV_SWEEP_REFERENCE):
         p = dataclasses.replace(base, beta1=0.0, beta2=beta2)
         key = f"beta2={beta2:g}"
-        closed = tb_free_closed(p, n_h)
+        pinned = tb_free_numeric(p, n_ref=n_h)
         numeric = tb_free_numeric(p)
         result.equilibria[key] = numeric
         r2_expect, ih_expect, a_expect = HIV_SWEEP_REFERENCE[beta2]
-        r2_val = r2_closed(p, n_h)
-        _record(result, f"{key} R2", r2_expect, r2_val, 5e-5)
+        _record(result, f"{key} R2", r2_expect, pinned.repro.r2, 5e-5)
+        i_h, a = (float(x) for x in pinned.state[[4, 5]])
         _record(result, f"{key} HIV equilibrium (pinned)", ih_expect,
-                closed.i_h, 0.002 * ih_expect)
+                i_h, 0.002 * ih_expect)
         _record(result, f"{key} AIDS equilibrium (pinned)", a_expect,
-                closed.a, 0.002 * a_expect)
-        if closed.exists:
+                a, 0.002 * a_expect)
+        if pinned.exists:
             _record(result, f"{key} AIDS/HIV ratio identity", ratio,
-                    closed.a / closed.i_h, 1e-8)
+                    a / i_h, 1e-8)
         if numeric.exists:
             _record(result, f"{key} AIDS/HIV ratio identity (self-consistent)",
                     ratio, float(numeric.state[5] / numeric.state[4]), 1e-8)

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from syndemic.dynamics import integrate, steady_state_by_integration
-from syndemic.equilibria import syndemic, tb_free_closed
+from syndemic.equilibria import syndemic
 from syndemic.model import (INFECTED_INDICES, Parameters, force_of_infection,
                             full_jacobian, full_rhs, hiv_submodel_rhs,
                             tb_submodel_rhs, validate_parameters)

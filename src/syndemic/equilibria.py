@@ -48,8 +48,7 @@ class EquilibriumReport:
     residual: float               # ||rhs|| / N, 1/year
     repro: ReproductionNumbers
     exists: bool
-    # solves past the threshold only: iterations (Newton steps; 0 for the
-    # closed-form single-disease states), locally_stable
+    # iterations (Newton steps, 0 on an axis), locally_stable; {} if R <= 1
     stats: dict = field(default_factory=dict)
 
 
@@ -204,9 +203,11 @@ def _solve(params: Parameters, n_ref: Optional[float],
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular matrix in the pressure Newton "
                                    "step", last_iterate=lam) from exc
-    else:   # on a face, or at lambda = 0
+    elif face.any():
         k = int(face.argmax())
-        state = _axis_state(params, n_ref, k, repro[k] if face.any() else 0.0)
+        state = _axis_state(params, n_ref, k, repro[k])
+    else:
+        state = _embed(params.Lambda / params.mu, [0])
     return state, _stats(state, params, n_ref, np.arange(10), steps)
 
 
@@ -229,7 +230,7 @@ def _submodel_equilibrium(params: Parameters, n_ref: Optional[float],
 
 def _report(state, stats: dict, params: Parameters, n_ref: Optional[float],
             repro: ReproductionNumbers, existing) -> EquilibriumReport:
-    # the kind names the infected groups present; exists, that it is existing
+    # kind names the infected groups present; exists holds for existing kinds
     tb, hiv = (float(state[list(group)].sum()) > _PRESENT_EPS
                for group in (TB_INFECTED_INDICES, HIV_INFECTED_INDICES))
     kind = _KINDS[tb, hiv]

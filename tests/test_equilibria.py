@@ -104,7 +104,7 @@ def _axis_oracle(p, n_ref, k, guess):
             return pressures(y, exact, n)[k] - lam
 
         guess = np.asarray(guess, dtype=float)
-        start = pressures(guess, p, n_ref if n_ref else guess.sum())[k]
+        start = pressures(guess, p, guess.sum() if n_ref is None else n_ref)[k]
         a, b = dec(start) * dec("0.999"), dec(start) * dec("1.001")
         ga, gb = g(a), g(b)
         for _ in range(100):

@@ -2,29 +2,24 @@
 bifurcation analysis of the HIV-only submodel.
 
 The linearization of the full model is the closed-form Jacobian of
-model.full_jacobian. Central finite differences with one Richardson
-extrapolation level are only the independent route of the bifurcation
-analysis, which requires its hand-coded 3x3 linearization and closed-form
-coefficients to agree with them, and of the tests. The bifurcation analysis
-runs once per set of sub-model rates and evaluates its probes as three
-stacked sub-model calls, one per parameter set; fd_jacobian probes any
-callable one point at a time. Eigenvalues come from one LAPACK
-eigen-decomposition and are checked by their eigenvectors' residuals.
+model.full_jacobian, and the bifurcation analysis takes its null vectors and
+centre-manifold coefficients in closed form too. Central finite differences
+(fd_jacobian) are only the tests' independent route. Eigenvalues come from
+one LAPACK eigen-decomposition and are checked by their eigenvectors'
+residuals.
 """
 from __future__ import annotations
 
-import dataclasses
-import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .model import (DomainError, Parameters, force_of_infection,
-                    full_jacobian, hiv_submodel_rhs)
+                    full_jacobian)
 
 TOL_EIG = 1e-7      # a real part within this of 0 is marginal
-_PROBE_FLOOR = 1e-6  # persons, the smallest jacobian probe step
 
 
 class ConvergenceError(RuntimeError):
@@ -35,51 +30,34 @@ class ConvergenceError(RuntimeError):
         self.last_iterate = last_iterate
 
 
-def _richardson(estimates: np.ndarray) -> np.ndarray:
-    # (4*E_half - E_full)/3 over the leading axis, (step/2, step): cancels
-    # the O(step^2) term of a central-difference estimate.
-    return (4.0 * estimates[0] - estimates[1]) / 3.0
-
-
-def _jacobian_probes(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Probe points of the central-difference Jacobian at x, and its steps.
-
-    Per-coordinate step h_i = max(1e-6, 1e-6*|x_i|), the floor in persons.
-    The rows are x + e_j*s_j and x - e_j*s_j for each coordinate j in turn,
-    first with s = h/2 and then with s = h; the steps are returned as (2, n).
-    """
-    h = np.maximum(_PROBE_FLOOR, 1e-6 * np.abs(x))
-    steps = np.array([h / 2.0, h])
-    shifts = steps[:, :, None] * np.eye(x.size)
-    points = x + np.stack([shifts, -shifts], axis=2)
-    return points.reshape(-1, x.size), steps
-
-
-def _richardson_jacobian(values, steps: np.ndarray) -> np.ndarray:
-    """The Jacobian from the function values at ``_jacobian_probes``'
-    points, in their order: the h/2 and h central differences combined
-    by ``_richardson``."""
-    values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        raise DomainError("non-finite value while probing the jacobian")
-    v = values.reshape(2, steps.shape[1], 2, -1)
-    diffs = (v[:, :, 0] - v[:, :, 1]) / (2.0 * steps[:, :, None])
-    return _richardson(diffs.transpose(0, 2, 1))
-
-
 def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     """Central-difference Jacobian with one Richardson extrapolation level.
 
     Evaluates ``fun`` at x, which fixes the output size, and then at one
-    probe point at a time, so any callable of one state will do; the
-    probes, steps and combination are those of ``_jacobian_probes`` and
-    ``_richardson_jacobian``.
+    probe point at a time, so any callable of one state will do. The step
+    of coordinate j is h_j = max(1e-6, 1e-6*|x_j|), the floor in persons;
+    the central differences with steps h/2 and h are combined as
+    (4*D(h/2) - D(h))/3, which cancels their O(h^2) term.
+
+    The package computes nothing with it: it stays here only because the
+    benchmark's tracer looks it up by name, and moves to the tests with
+    ROADMAP item 6, after item 1.
     """
     x = np.asarray(x, dtype=float)
     n_out = np.asarray(fun(x), dtype=float).size
-    points, steps = _jacobian_probes(x)
-    values = np.reshape([fun(point) for point in points], (len(points), n_out))
-    return _richardson_jacobian(values, steps)
+    h = np.maximum(1e-6, 1e-6 * np.abs(x))
+    steps = np.array([h / 2.0, h])
+    shifts = steps[:, :, None] * np.eye(x.size)
+    # x + e_j*s_j and x - e_j*s_j for each coordinate j in turn, first with
+    # s = h/2 and then with s = h
+    points = (x + np.stack([shifts, -shifts], axis=2)).reshape(-1, x.size)
+    values = np.array([fun(point) for point in points], dtype=float)
+    if not np.isfinite(values).all():
+        raise DomainError("non-finite value while probing the jacobian")
+    v = values.reshape(2, x.size, 2, n_out)
+    diffs = ((v[:, :, 0] - v[:, :, 1])
+             / (2.0 * steps[:, :, None])).transpose(0, 2, 1)
+    return (4.0 * diffs[0] - diffs[1]) / 3.0
 
 
 def eigenvalues(m) -> List[complex]:
@@ -176,17 +154,14 @@ def dfe_trace_det(params: Parameters) -> Tuple[float, float]:
     return trace, det
 
 
-@dataclass(frozen=True)
+@dataclass
 class BifurcationReport:
-    # shared by every caller with the same sub-model rates: frozen, and its
-    # arrays read-only
+    # the HIV-only sub-model at the threshold rate, all in closed form
     beta_star: float
     w: np.ndarray            # right null vector, third component 1
     v: np.ndarray            # left null vector, v.w = 1
     a: float
     b: float
-    a_fd: float
-    b_fd: float
     zero_eig_residual: float
 
 
@@ -205,101 +180,48 @@ def bifurcation_threshold(params: Parameters) -> float:
 
 def bifurcation_analysis(params: Parameters) -> BifurcationReport:
     """Center-manifold coefficients a and b of the HIV-only submodel at the
-    threshold transmission rate.
+    threshold transmission rate (Castillo-Chavez & Song 2004, Theorem 4.1).
 
-    The right/left null vectors of the 3x3 linearization are taken in closed
-    form (third component of w fixed to 1, v.w = 1, both third components
-    positive). The coefficients are evaluated twice, from the closed-form
-    second derivatives and from finite differences of the submodel right-hand
-    side, and must agree to 1e-6 relative.
-
-    The sub-model reads only Lambda, mu, rho1, alpha1, dA and eta, so the
-    analysis is keyed on those six rates alone: the report, finite-difference
-    cross-check included, is computed once per set of them and shared,
-    read-only, by every parameter set that agrees on them, whatever its
-    transmission and TB rates.
+    The right/left null vectors of the 3x3 linearization at the
+    disease-free state are taken in closed form (third component of w fixed
+    to 1, v.w = 1, both third components positive), and so are a and b,
+    from the sub-model's second derivatives on the self-consistent field.
+    Only Lambda, mu, rho1, alpha1, dA and eta are read. Raises DomainError
+    unless rho1 and rho1*mu are positive, or naming every part of the
+    report that is not finite.
     """
-    p = params
-    if p.rho1 <= 0:
-        raise DomainError("rho1 must be positive (null vectors divide by it)")
-    return _bifurcation_at(p.Lambda, p.mu, p.rho1, p.alpha1, p.dA, p.eta)
+    Lambda, mu, rho1, alpha1, eta = (params.Lambda, params.mu, params.rho1,
+                                     params.alpha1, params.eta)
+    if not (rho1 > 0 and rho1 * mu > 0):
+        raise DomainError("rho1 and rho1*mu must be positive (the null "
+                          "vectors divide by them)")
+    numer, d4 = _hiv_threshold_terms(params)
+    bstar = numer / (d4 + eta * rho1)
+    w1, w2 = -numer / (rho1 * mu), d4 / rho1
+    v2 = rho1 / (d4 + rho1 + mu - bstar)
+    v3 = v2 * (rho1 + mu - bstar) / rho1
+    a = -v2 * (2.0 * bstar * mu / Lambda) * (w2 + 1.0) * (w2 + eta)
+    b = v2 * (w2 + eta)
 
-
-@functools.lru_cache(maxsize=64)
-def _bifurcation_at(Lambda: float, mu: float, rho1: float, alpha1: float,
-                    dA: float, eta: float) -> BifurcationReport:
-    # The analysis at pstar: these rates, beta1 0, beta2 the threshold rate
-    # and every other rate at its default, which the sub-model never reads.
-    # A failing rate set raises on every call: lru_cache keeps no exception.
-    pstar = Parameters(beta1=0.0, beta2=0.0, Lambda=Lambda, mu=mu, rho1=rho1,
-                       alpha1=alpha1, dA=dA, eta=eta)
-    pstar = dataclasses.replace(pstar, beta2=bifurcation_threshold(pstar))
-    p, bstar = pstar, pstar.beta2
-    numer, d4 = _hiv_threshold_terms(p)
-    vden = d4 + p.rho1 + p.mu - bstar
-    if vden <= 0:
-        raise ConvergenceError("left null vector extraction failed")
-
-    # Hand-coded linearization of (S, I_H, A) at the disease-free state.
-    j3 = np.array([
-        [-p.mu, -bstar, -bstar * p.eta],
-        [0.0, bstar - p.rho1 - p.mu, bstar * p.eta + p.alpha1],
-        [0.0, p.rho1, -d4],
-    ])
-    w = np.array([-numer / (p.rho1 * p.mu), d4 / p.rho1, 1.0])
-    v2 = p.rho1 / vden
-    v = np.array([0.0, v2, v2 * (p.rho1 + p.mu - bstar) / p.rho1])
-    residual = max(float(np.abs(j3 @ w).max()), float(np.abs(v @ j3).max()))
-
-    w2, w3 = w[1], w[2]
-    a = -v2 * (2.0 * bstar * p.mu / p.Lambda) * (w2 + w3) * (w2 + p.eta * w3)
-    b = v2 * (w2 + p.eta * w3)
-
-    # Independent finite-difference route, at the same threshold rate. The
-    # closed forms differentiate the self-consistent field (the mixing
-    # denominator moves with the state), so the probes do too. The step is
-    # scaled to the population and the quadratic truncation removed by
-    # pairing two step sizes. Each parameter set's probes are one stacked
-    # call.
-    scale = p.Lambda / p.mu
-    dfe3 = np.array([scale, 0.0, 0.0])
-
-    h = 1e-3 * scale / float(np.max(np.abs(w)))
-    steps = np.array([h / 2.0, h])
-    along_w = steps[:, None] * w
-    # rows: the centre, then dfe3 + s*w and dfe3 - s*w for s = h/2, h
-    f = hiv_submodel_rhs(np.vstack([dfe3, dfe3 + along_w, dfe3 - along_w]),
-                         pstar)
-    # h^2 may be 0 or subnormal, and the quotient then inf or nan
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        second = _richardson((f[1:3] - 2.0 * f[0] + f[3:5])
-                             / (steps ** 2)[:, None])
-    if not np.isfinite(second).all():
-        raise DomainError(
-            f"second-difference step h = {h!r} is too small: the difference "
-            f"over h^2 is not finite (population scale Lambda/mu = {scale!r})")
-    a_fd = float(v @ second)
-    if not scale > _PROBE_FLOOR:
-        raise DomainError(
-            f"population scale Lambda/mu = {scale!r} is not above the "
-            f"{_PROBE_FLOOR!r}-person floor of the jacobian probe steps")
-    kappa = 1e-5
-    points, jsteps = _jacobian_probes(dfe3)
-    jp, jm = [_richardson_jacobian(hiv_submodel_rhs(points, pp), jsteps)
-              for pp in (dataclasses.replace(pstar, beta2=bstar + kappa),
-                         dataclasses.replace(pstar, beta2=bstar - kappa))]
-    b_fd = float(v @ ((jp - jm) / (2.0 * kappa)) @ w)
-
-    for closed, fd, name in ((a, a_fd, "a"), (b, b_fd, "b")):
-        if abs(closed - fd) > 1e-6 * max(abs(closed), abs(fd)):
-            raise ConvergenceError(
-                f"bifurcation coefficient {name}: closed form and finite "
-                f"differences disagree ({closed} vs {fd})")
-    for array in (w, v):
-        array.setflags(write=False)
-    return BifurcationReport(beta_star=bstar, w=w, v=v, a=a, b=b,
-                             a_fd=a_fd, b_fd=b_fd,
-                             zero_eig_residual=residual)
+    # J w and v J, which vanish, for the linearization of (S, I_H, A)
+    #   J = [[-mu, -beta*, -beta* eta],
+    #        [0, beta* - rho1 - mu, beta* eta + alpha1],
+    #        [0, rho1, -d4]]
+    # (the first entry of v J is 0 exactly)
+    products = (-mu * w1 - bstar * w2 - bstar * eta,
+                (bstar - rho1 - mu) * w2 + (bstar * eta + alpha1),
+                rho1 * w2 - d4,
+                v2 * (bstar - rho1 - mu) + v3 * rho1,
+                v2 * (bstar * eta + alpha1) - v3 * d4)
+    if not all(map(math.isfinite, (bstar, w1, w2, v2, v3, a, b, *products))):
+        parts = (("beta_star", (bstar,)), ("w", (w1, w2)), ("v", (v2, v3)),
+                 ("a", (a,)), ("b", (b,)), ("zero_eig_residual", products))
+        raise DomainError("threshold analysis: " + ", ".join(
+            name for name, values in parts
+            if not all(map(math.isfinite, values))) + " not finite")
+    return BifurcationReport(beta_star=bstar, w=np.array([w1, w2, 1.0]),
+                             v=np.array([0.0, v2, v3]), a=a, b=b,
+                             zero_eig_residual=max(map(abs, products)))
 
 
 @dataclass

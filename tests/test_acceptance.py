@@ -25,6 +25,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from bifurcation_fd import coefficients_fd
 from syndemic.dynamics import integrate, steady_state_by_integration
 from syndemic.equilibria import syndemic
 from syndemic.model import (INFECTED_INDICES, Parameters, force_of_infection,
@@ -167,8 +168,9 @@ def test_criterion_6_transcritical_threshold():
     assert eigs[1].real == pytest.approx(-p.mu, abs=1e-7)
     assert eigs[2].real < 0.0
     assert rep.a < 0.0 < rep.b
-    assert abs(rep.a - rep.a_fd) <= 1e-6 * abs(rep.a)
-    assert abs(rep.b - rep.b_fd) <= 1e-6 * abs(rep.b)
+    a_fd, b_fd = coefficients_fd(p, rep)
+    assert abs(rep.a - a_fd) <= 1e-6 * abs(rep.a)
+    assert abs(rep.b - b_fd) <= 1e-6 * abs(rep.b)
 
 
 def test_criterion_7_treatment_horizon_totals(treatment_tb_on):

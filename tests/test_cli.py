@@ -1,4 +1,5 @@
 """Command-line surface: config parsing, subcommands, exit codes, SVG."""
+import math
 import os
 import warnings
 
@@ -315,53 +316,34 @@ def test_at_does_not_apply_to_bifurcation(at, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("rate", ["Lambda = 1e-300", "dA = 1e200",
-                                  "rho1 = 1e-300", "dA = 1e160",
-                                  "rho1 = 1e-160"])
-def test_degenerate_rates_name_the_underflowing_step(rate, tmp_path, capsys):
-    # the second-difference step squares to 0, or to a subnormal number
-    # whose quotient overflows; the messages used to be numpy's "divide by
-    # zero encountered in divide" and "overflow encountered in divide". A
-    # failing rate set is not cached, so the second run fails the same way.
+# a and b as printed for each extreme sub-model rate
+EXTREME_RATE_COEFFICIENTS = {
+    "Lambda = 1e-300": ("-1.2271485e+298", "1.0598769"),
+    "Lambda = 1e-8": ("-1227148.5", "1.0598769"),
+    "dA = 1e200": ("-4.5732579e+195", "1"),
+    "dA = 1e160": ("-4.5732579e+155", "1"),
+    "dA = 1e155": ("-4.5732579e+150", "1"),
+    "rho1 = 1e-300": ("-3.6831059e+293", "1"),
+    "rho1 = 1e-160": ("-3.6831059e+153", "1"),
+}
+
+
+@pytest.mark.parametrize("rate", list(EXTREME_RATE_COEFFICIENTS))
+def test_extreme_submodel_rates_have_finite_coefficients(rate, tmp_path,
+                                                        capsys):
+    # the coefficients are closed forms: no difference step can underflow or
+    # square to 0 at these rates, and no probe step sets a population floor
     path = tmp_path / "run.cfg"
     path.write_text(rate + "\n")
-    argv = ["stability", "--config", str(path), "--beta1", "6",
-            "--beta2", "0.1", "--bifurcation"]
-    assert [main(argv), main(argv)] == [2, 2]
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 2 and lines[0] == lines[1]
-    assert lines[0].startswith("error: second-difference step h = ")
-    assert "population scale Lambda/mu = " in lines[0]
-
-
-def test_subnormal_squared_step_with_finite_quotient_passes(tmp_path,
-                                                             capsys):
-    # h^2 is subnormal here too, but the second difference over it is
-    # finite and agrees with the closed form
-    path = tmp_path / "run.cfg"
-    path.write_text("dA = 1e155\n")
     assert main(["stability", "--config", str(path), "--beta1", "6",
                  "--beta2", "0.1", "--bifurcation"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert captured.out.startswith("beta_star = ")
-
-
-def test_population_below_the_probe_floor_is_named(tmp_path, capsys):
-    # Lambda/mu = 7e-7 persons lies below the 1e-6-person floor of the
-    # jacobian probe steps; the message used to blame the population
-    # denominator of a probe point
-    path = tmp_path / "run.cfg"
-    path.write_text("Lambda = 1e-8\n")
-    assert main(["stability", "--config", str(path), "--beta1", "6",
-                 "--beta2", "0.1", "--bifurcation"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: population scale Lambda/mu = 7.000000000000001e-07 is not "
-        "above the 1e-06-person floor of the jacobian probe steps\n")
+    lines = captured.out.splitlines()
+    a, b = EXTREME_RATE_COEFFICIENTS[rate]
+    assert lines[1:3] == [f"a = {a}", f"b = {b}"]
+    assert all(math.isfinite(float(word)) for line in lines
+               for word in line.split("=")[1].split())
 
 
 def test_simulate_writes_csv_and_svg(tmp_path, capsys):

@@ -188,10 +188,10 @@ def test_non_finite_next_generation_matrix_is_a_domain_error():
 
 
 def test_warm_threshold_item_linear_algebra_calls(count_calls, monkeypatch):
-    # one item of the threshold analysis, its bifurcation report already
-    # computed: the 2x2 NGM (one solve, its Perron root in closed form), the
-    # 10x10 spectrum (one eig), the determinant, and no SVD, since every
-    # residual is small
+    # one item of the threshold analysis, after a first run of it: the 2x2
+    # NGM (one solve, its Perron root in closed form), the 10x10 spectrum
+    # (one eig), the determinant, no SVD, since every residual is small, and
+    # none for the bifurcation report, which is closed-form
     p = Parameters(beta1=6.0, beta2=0.1)
     dfe = np.zeros(10)
     dfe[0] = S0

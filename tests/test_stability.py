@@ -1,12 +1,15 @@
 """Jacobians, eigenvalues, threshold crossing, and the persistence check."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+import syndemic.model
 import syndemic.stability
-from syndemic.model import (DomainError, Parameters, flow_matrices,
-                            full_jacobian, full_rhs, hiv_submodel_rhs)
+from bifurcation_fd import coefficients_fd
+from syndemic.model import (DomainError, Parameters, full_jacobian, full_rhs,
+                            hiv_submodel_rhs)
 from syndemic.reproduction import r2_closed
 from syndemic.scenarios import INITIAL_FRACTIONS
 from syndemic.stability import (ConvergenceError, bifurcation_analysis,
@@ -21,8 +24,9 @@ SUPER = Parameters(beta1=6.0, beta2=0.1)
 BETA_STAR = 0.05444651061036972
 COEFF_A = -1.718695316540857e-05
 COEFF_B = 1.0598768702103896
-# The finite-difference route's values, pinned bit for bit: each depends on
-# the exact probes and steps, so any change to that route shows here.
+# The finite-difference route's values (tests/bifurcation_fd.py), pinned bit
+# for bit: each depends on the exact probes and steps, so any change to that
+# route shows here.
 COEFF_A_FD = -1.7186953165400488e-05
 COEFF_B_FD = 1.05987687020947
 
@@ -387,8 +391,9 @@ def test_threshold_analysis_frozen_values():
     assert rep.zero_eig_residual < 1e-8
     assert rep.v[0] == 0.0
     assert rep.w[2] == pytest.approx(1.0)
-    assert abs(rep.a - rep.a_fd) <= 1e-6 * abs(rep.a)
-    assert abs(rep.b - rep.b_fd) <= 1e-6 * abs(rep.b)
+    a_fd, b_fd = coefficients_fd(Parameters(beta1=6.0, beta2=0.1), rep)
+    assert abs(rep.a - a_fd) <= 1e-6 * abs(rep.a)
+    assert abs(rep.b - b_fd) <= 1e-6 * abs(rep.b)
 
 
 @pytest.mark.parametrize("beta1,beta2", [(6.0, 0.1), (2.7, 0.03),
@@ -397,58 +402,25 @@ def test_threshold_analysis_frozen_values():
 def test_threshold_analysis_difference_route_is_pinned(beta1, beta2):
     # beta2 is replaced by the threshold rate and TB plays no part, so every
     # row gives the same coefficients.
-    rep = bifurcation_analysis(Parameters(beta1=beta1, beta2=beta2))
+    p = Parameters(beta1=beta1, beta2=beta2)
+    rep = bifurcation_analysis(p)
     assert (rep.a, rep.b) == (COEFF_A, COEFF_B)
-    assert (rep.a_fd, rep.b_fd) == (COEFF_A_FD, COEFF_B_FD)
+    assert coefficients_fd(p, rep) == (COEFF_A_FD, COEFF_B_FD)
 
 
-def test_threshold_analysis_difference_route_probe_count(monkeypatch):
-    # Three stacked calls, one per parameter set (beta*, beta* +- kappa,
-    # beta1 zeroed), whose rows are the probes of the one-at-a-time route
-    # with its duplicates dropped: the centre and dfe3 +- s*w (s = h/2, h)
-    # for the second derivative, and dfe3 +- e_j*h_j/2 and +- e_j*h_j for
-    # each Richardson Jacobian.
-    calls = []
-    original = syndemic.stability.hiv_submodel_rhs
-
-    def recording(states, params, n_ref=None):
-        calls.append((np.array(states), params))
-        return original(states, params, n_ref)
-
-    monkeypatch.setattr(syndemic.stability, "hiv_submodel_rhs", recording)
-    syndemic.stability._bifurcation_at.cache_clear()
-    rep = bifurcation_analysis(SUPER)
-    bstar = rep.beta_star
-    assert [(p.beta1, p.beta2) for _, p in calls] == [
-        (0.0, bstar), (0.0, bstar + 1e-5), (0.0, bstar - 1e-5)]
-
-    dfe3 = np.array([S0, 0.0, 0.0])
-    h = 1e-3 * S0 / float(np.max(np.abs(rep.w)))
-    along_w = [dfe3] + [dfe3 + sign * (s * rep.w)
-                        for s in (h / 2.0, h) for sign in (1.0, -1.0)]
-    steps = np.maximum(1e-6, 1e-6 * np.abs(dfe3))
-    coordinate = []
-    for s in (steps / 2.0, steps):
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = s[j]
-            coordinate += [dfe3 + e, dfe3 - e]
-    expected = (along_w, coordinate, coordinate)
-    for (states, _), points in zip(calls, expected):
-        assert states.shape == (len(points), 3)
-        assert {tuple(r) for r in states} == {tuple(r) for r in points}
-
-
-def test_threshold_analysis_reuses_flow_matrices():
-    # beta1 is zeroed and beta2 replaced, so every (beta1, beta2) at the
-    # default rates shares the difference route's three parameter sets.
-    syndemic.stability._bifurcation_at.cache_clear()
-    flow_matrices.cache_clear()
-    for beta1, beta2 in zip(np.linspace(1.0, 50.0, 20),
-                            np.linspace(0.01, 0.4, 20)):
-        bifurcation_analysis(Parameters(beta1=float(beta1),
-                                        beta2=float(beta2)))
-    assert flow_matrices.cache_info().misses == 3
+def test_threshold_analysis_needs_no_differences_or_rhs_calls(count_calls):
+    # a, b and the null vectors are closed forms: no sub-model, full-model
+    # or flow-matrix evaluation, and no finite-difference jacobian
+    names = ("fd_jacobian", "hiv_submodel_rhs", "full_rhs", "flow_matrices")
+    calls = [count_calls(syndemic.stability if name == "fd_jacobian"
+                         else syndemic.model, name) for name in names]
+    bifurcation_analysis(SUPER)
+    assert [len(c) for c in calls] == [0, 0, 0, 0]
+    # the counters do see calls made through the package: 1 + 12 probes
+    syndemic.stability.fd_jacobian(
+        lambda y: syndemic.model.hiv_submodel_rhs(y, SUPER),
+        np.array([S0, 0.0, 0.0]))
+    assert [len(c) for c in calls] == [1, 13, 13, 13]
 
 
 def _random_hiv_rates():
@@ -469,13 +441,9 @@ def test_threshold_analysis_random_draws_agree_with_differences():
     for p in _random_hiv_rates():
         rep = bifurcation_analysis(p)
         assert rep.a < 0.0 < rep.b
-        assert abs(rep.a - rep.a_fd) <= 1e-6 * abs(rep.a)
-        assert abs(rep.b - rep.b_fd) <= 1e-6 * abs(rep.b)
-
-
-def _uncached(p):
-    return syndemic.stability._bifurcation_at.__wrapped__(
-        p.Lambda, p.mu, p.rho1, p.alpha1, p.dA, p.eta)
+        a_fd, b_fd = coefficients_fd(p, rep)
+        assert abs(rep.a - a_fd) <= 1e-6 * abs(rep.a)
+        assert abs(rep.b - b_fd) <= 1e-6 * abs(rep.b)
 
 
 def _same_bits(rep, other):
@@ -484,30 +452,16 @@ def _same_bits(rep, other):
                for f in dataclasses.fields(rep))
 
 
-def test_shared_report_equals_an_uncached_evaluation():
-    grid = [Parameters(beta1=float(b1), beta2=float(b2))
-            for b1 in np.geomspace(0.5, 50.0, 5)
-            for b2 in np.geomspace(0.005, 0.5, 5)]
-    reports = [bifurcation_analysis(p) for p in grid]
-    assert all(rep is reports[0] for rep in reports)
-    for p, rep in zip(grid, reports):
-        assert _same_bits(rep, _uncached(p))
-    for p in _random_hiv_rates():
-        assert _same_bits(bifurcation_analysis(p), _uncached(p))
-
-
 def test_sets_differing_only_in_tb_rates_share_one_report():
-    # the key is the six sub-model rates; every TB rate (and beta1, beta2,
-    # alpha2, dTA) is left out of it
+    # the report reads the six sub-model rates only; every TB rate (and
+    # beta1, beta2, alpha2, dTA) leaves it the same, bit for bit
     other = dataclasses.replace(SUPER, beta1=13.0, beta2=0.06, k1=0.7,
                                 k2=2.0, tau1=0.5, tau2=3.0, tau3=1.5,
                                 tau4=0.25, rho2=0.4, rho3=0.2, alpha2=0.5,
                                 psi=1.5, delta=1.2, beta1p=0.5, beta2p=1.4,
                                 dT=0.2, dTA=0.6)
     rep = bifurcation_analysis(SUPER)
-    assert bifurcation_analysis(other) is rep
-    assert _same_bits(rep, _uncached(other))
-    assert _same_bits(rep, _uncached(SUPER))
+    assert _same_bits(bifurcation_analysis(other), rep)
     assert (rep.a, rep.b) == (COEFF_A, COEFF_B)
 
 
@@ -518,22 +472,6 @@ def test_each_submodel_rate_moves_the_report(rate):
     moved = dataclasses.replace(SUPER, **{rate: 1.1 * getattr(SUPER, rate)})
     rep = bifurcation_analysis(moved)
     assert (rep.beta_star, rep.a) != (base.beta_star, base.a)
-    assert _same_bits(rep, _uncached(moved))
-
-
-def test_shared_report_is_read_only():
-    rep = bifurcation_analysis(SUPER)
-    w, v = rep.w.copy(), rep.v.copy()
-    with pytest.raises(ValueError):
-        rep.w[0] = 1.0
-    with pytest.raises(ValueError):
-        rep.v[0] = 1.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        rep.a = 0.0
-    again = bifurcation_analysis(SUPER)
-    assert (again.a, again.b) == (COEFF_A, COEFF_B)
-    assert again.w.tobytes() == w.tobytes()
-    assert again.v.tobytes() == v.tobytes()
 
 
 def test_threshold_analysis_requires_progression():
@@ -541,6 +479,17 @@ def test_threshold_analysis_requires_progression():
     for _ in range(2):
         with pytest.raises(DomainError):
             bifurcation_analysis(dataclasses.replace(SUPER, rho1=0.0))
+
+
+@pytest.mark.parametrize("rates,message", [
+    # numer overflows, and every part of the report with it
+    ({"mu": 1e300, "dA": 1e300},
+     "beta_star, w, v, a, zero_eig_residual not finite"),
+    # rho1*mu underflows to 0, a divisor of w
+    ({"rho1": 1e-300, "mu": 1e-100}, "rho1 and rho1*mu must be positive")])
+def test_threshold_analysis_names_what_is_not_finite(rates, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        bifurcation_analysis(dataclasses.replace(SUPER, **rates))
 
 
 def test_submodel_spectrum_at_threshold():

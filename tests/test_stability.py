@@ -5,11 +5,12 @@ import re
 import numpy as np
 import pytest
 
+import bifurcation_fd
 import syndemic.model
 import syndemic.stability
 from bifurcation_fd import coefficients_fd
-from syndemic.model import (DomainError, Parameters, full_jacobian, full_rhs,
-                            hiv_submodel_rhs)
+from syndemic.model import (DomainError, Parameters, flow_matrices,
+                            full_jacobian, full_rhs, hiv_submodel_rhs)
 from syndemic.reproduction import r2_closed
 from syndemic.scenarios import INITIAL_FRACTIONS
 from syndemic.stability import (ConvergenceError, bifurcation_analysis,
@@ -406,6 +407,64 @@ def test_threshold_analysis_difference_route_is_pinned(beta1, beta2):
     rep = bifurcation_analysis(p)
     assert (rep.a, rep.b) == (COEFF_A, COEFF_B)
     assert coefficients_fd(p, rep) == (COEFF_A_FD, COEFF_B_FD)
+
+
+def test_threshold_analysis_difference_route_probe_count(monkeypatch):
+    # The difference route of tests/bifurcation_fd.py: one stacked call at
+    # beta* whose rows are the centre and dfe3 +- s*w (s = h/2, h), then
+    # fd_jacobian at beta* + kappa and at beta* - kappa, each the centre and
+    # then dfe3 +- e_j*s_j (s = h_j/2, h_j) one probe at a time.
+    calls = []
+    original = bifurcation_fd.hiv_submodel_rhs
+
+    def recording(states, params, n_ref=None):
+        calls.append((np.array(states), params))
+        return original(states, params, n_ref)
+
+    monkeypatch.setattr(bifurcation_fd, "hiv_submodel_rhs", recording)
+    rep = bifurcation_analysis(SUPER)
+    assert calls == []
+    assert coefficients_fd(SUPER, rep) == (COEFF_A_FD, COEFF_B_FD)
+    bstar = rep.beta_star
+    assert [(p.beta1, p.beta2) for _, p in calls] == (
+        [(0.0, bstar)] + [(0.0, bstar + 1e-5)] * 13
+        + [(0.0, bstar - 1e-5)] * 13)
+
+    dfe3 = np.array([S0, 0.0, 0.0])
+    h = 1e-3 * S0 / float(np.max(np.abs(rep.w)))
+    along_w = [dfe3] + [dfe3 + sign * (s * rep.w)
+                        for s in (h / 2.0, h) for sign in (1.0, -1.0)]
+    assert calls[0][0].shape == (len(along_w), 3)
+    assert {tuple(r) for r in calls[0][0]} == {tuple(r) for r in along_w}
+    steps = np.maximum(1e-6, 1e-6 * np.abs(dfe3))
+    coordinate = []
+    for s in (steps / 2.0, steps):
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = s[j]
+            coordinate += [dfe3 + e, dfe3 - e]
+    for jacobian in (calls[1:14], calls[14:]):
+        states = [state for state, _ in jacobian]
+        assert all(state.shape == (3,) for state in states)
+        assert tuple(states[0]) == tuple(dfe3)
+        assert len(states[1:]) == len(coordinate)
+        assert ({tuple(r) for r in states[1:]}
+                == {tuple(r) for r in coordinate})
+
+
+def test_threshold_analysis_reuses_flow_matrices():
+    # The closed forms build no flow matrices. The difference route zeroes
+    # beta1 and replaces beta2, so every (beta1, beta2) at the default rates
+    # shares its three parameter sets (beta*, beta* +- kappa).
+    flow_matrices.cache_clear()
+    grid = [Parameters(beta1=float(beta1), beta2=float(beta2))
+            for beta1, beta2 in zip(np.linspace(1.0, 50.0, 20),
+                                    np.linspace(0.01, 0.4, 20))]
+    reports = [bifurcation_analysis(p) for p in grid]
+    assert flow_matrices.cache_info().misses == 0
+    for p, rep in zip(grid, reports):
+        assert coefficients_fd(p, rep) == (COEFF_A_FD, COEFF_B_FD)
+    assert flow_matrices.cache_info().misses == 3
 
 
 def test_threshold_analysis_needs_no_differences_or_rhs_calls(count_calls):

@@ -6,8 +6,10 @@ first line, as ``$ syndemic ARGS``, then its standard output, then
 it wrote). Each runs with ``--out out`` in a fresh working directory, so
 the paths it prints are the same wherever it runs. Beside them, the CSV
 files that ``write_scenario_csv`` writes for treatment-tb under
-``--deaths on`` and ``off`` and for the table2 and table3 sweeps, under
-the names it gives them.
+``--deaths on`` and ``off`` and for the table2 and table3 sweeps, and the
+summary CSV alone of dfe-stability, syndemic-stability, and treatment-aids
+and treatment-coinfection under both death settings, under the names it
+gives them.
 ``tests/test_golden_trajectories.py`` compares all of them byte for byte.
 
     PYTHONPATH=src python tests/golden/trajectories/regenerate.py
@@ -16,13 +18,16 @@ Rewrite the files only for a change that is meant to move these outputs,
 and read the diff before committing it.
 """
 import contextlib
+import dataclasses
+import functools
 import io
 import os
 import tempfile
 from pathlib import Path
 
 from syndemic.cli import main
-from syndemic.scenarios import (run_table2, run_table3, run_treatment_impact,
+from syndemic.scenarios import (run_dfe_stability, run_syndemic_stability,
+                                run_table2, run_table3, run_treatment_impact,
                                 write_scenario_csv)
 
 HERE = Path(__file__).resolve().parent
@@ -33,6 +38,15 @@ SIMULATE = {
     for beta1, beta2 in (("13", "0.06"), ("6", "0.1"))}
 TREATMENT_DEATHS = ("on", "off")     # treatment-tb, as tests/conftest.py runs it
 TABLES = {"table2": run_table2, "table3": run_table3}   # summary CSV only
+# scenario name -> run, whose summary CSV alone is golden: their trajectory
+# files are large, and the summary holds every asserted number
+SUMMARIES = {
+    "dfe-stability": run_dfe_stability,
+    "syndemic-stability": run_syndemic_stability,
+    **{f"treatment-{family}-deaths-{deaths}": functools.partial(
+        run_treatment_impact, family=family, deaths=deaths)
+       for family in ("aids", "coinfection") for deaths in TREATMENT_DEATHS},
+}
 
 
 def render(argv) -> str:
@@ -64,4 +78,7 @@ if __name__ == "__main__":
             run_treatment_impact(family="tb", deaths=deaths), HERE)
     for run in TABLES.values():
         written += write_scenario_csv(run(), HERE)
+    for run in SUMMARIES.values():
+        written += write_scenario_csv(
+            dataclasses.replace(run(), trajectories={}), HERE)
     print(f"wrote {len(written)} files to {HERE}")

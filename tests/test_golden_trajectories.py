@@ -1,7 +1,8 @@
 """Golden trajectories: two ``simulate`` runs (standard output and
-trajectory.csv), the treatment-tb CSV files under both death settings and
-the table2 and table3 summary CSVs, byte for byte against
-tests/golden/trajectories (see its regenerate.py)."""
+trajectory.csv), the treatment-tb CSV files under both death settings, the
+table2 and table3 summary CSVs and six more scenario summaries, byte for
+byte against tests/golden/trajectories (see its regenerate.py)."""
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -24,6 +25,7 @@ def test_every_golden_file_has_a_source():
               for key in ("with-treatment", "without-treatment",
                           "without-treatment-alt", "summary")]
     names += [f"{table}__summary.csv" for table in golden.TABLES]
+    names += [f"{name}__summary.csv" for name in golden.SUMMARIES]
     assert sorted(p.name for p in GOLDEN.glob("*.*")
                   if p.suffix != ".py") == sorted(names)
 
@@ -53,4 +55,20 @@ def test_table_summaries_match_golden_files(table, request, tmp_path):
     result = request.getfixturevalue(f"{table}_result")
     written = write_scenario_csv(result, tmp_path)
     assert [path.name for path in written] == [f"{table}__summary.csv"]
+    assert written[0].read_bytes() == (GOLDEN / written[0].name).read_bytes()
+
+
+def _fixture(name: str) -> str:
+    # the session fixture of tests/conftest.py that holds the scenario's run
+    if name.startswith("treatment-"):
+        return name.replace("-deaths", "").replace("-", "_")
+    return name.replace("-", "_") + "_result"
+
+
+@pytest.mark.parametrize("name", sorted(golden.SUMMARIES))
+def test_scenario_summaries_match_golden_files(name, request, tmp_path):
+    result = request.getfixturevalue(_fixture(name))
+    written = write_scenario_csv(dataclasses.replace(result, trajectories={}),
+                                 tmp_path)
+    assert [path.name for path in written] == [f"{name}__summary.csv"]
     assert written[0].read_bytes() == (GOLDEN / written[0].name).read_bytes()

@@ -10,7 +10,8 @@ the HIV-positive classes, AIDS classes weighted up by a modifier.
 
 The model is written once, as the flow list _FLOWS. flow_matrices turns it
 into the matrices that the right-hand side, its Jacobian, the infection
-pressures and the next-generation matrices all read. All right-hand sides
+pressures and the next-generation matrices all read, built once per
+Parameters object and kept on it. All right-hand sides
 are pure functions that take one state or a stack of states and return
 fresh arrays; full_rhs can write one state's derivative into a given
 array instead.
@@ -55,7 +56,7 @@ class Parameters:
 
     The two effective contact rates beta1 (TB) and beta2 (HIV) have no
     defaults and must be supplied; every other field carries the baseline
-    calibration value.
+    calibration value. The object keeps its ``flow_matrices`` once built.
     """
 
     beta1: float                 # TB effective contact rate
@@ -81,6 +82,12 @@ class Parameters:
     dT: float = 0.125            # TB-induced death rate
     dA: float = 0.3              # AIDS-induced death rate
     dTA: float = 0.33            # coinfection-induced death rate
+
+    @functools.cached_property
+    def _flow_matrices(self) -> FlowMatrices:
+        # written into the instance __dict__, past the frozen __setattr__;
+        # not a field, so equality, hashing and dataclasses.replace ignore it
+        return _build_flow_matrices(self)
 
 
 PARAMETER_FIELDS = tuple(f.name for f in fields(Parameters))
@@ -174,8 +181,7 @@ class FlowMatrices(NamedTuple):
     stacked: np.ndarray    # (32, 10): the rows of A, CT, CH, then weights
 
 
-@functools.lru_cache(maxsize=64)
-def _cached_flow_matrices(params: Parameters) -> FlowMatrices:
+def _build_flow_matrices(params: Parameters) -> FlowMatrices:
     p = params
     rates = np.fromiter(map(vars(p).get, _RATES, _RATES), float, len(_RATES))
     b1, b2, b2a = p.beta1, p.beta2, p.beta2 * p.eta
@@ -194,11 +200,6 @@ def _cached_flow_matrices(params: Parameters) -> FlowMatrices:
         stacked[_PRESSURE_ROWS:], stacked)
 
 
-# The last Parameters looked up and its matrices, rebound as one tuple so
-# that a concurrent reader sees a consistent pair.
-_last_bound = (None, None)
-
-
 def flow_matrices(params: Parameters) -> FlowMatrices:
     """The model as matrices (b, maps, weights, stacked), with
     f(y) = b + A y + lambdaT CT y + lambdaH CH y, maps = (A, CT, CH) built
@@ -206,30 +207,11 @@ def flow_matrices(params: Parameters) -> FlowMatrices:
     active-TB classes by beta1, lambdaH every HIV-positive class by beta2,
     the AIDS classes by eta times that. stacked holds the rows of maps and
     then of weights as one (32, 10) matrix, so that one product gives
-    A y, CT y, CH y and W y; maps and weights are views of it. Cached per
-    Parameters and read-only, so callers copy before handing an array out.
-
-    The same Parameters object as the last call returns its matrices without
-    hashing the 23 fields; any other goes through a bounded lru_cache, whose
-    ``cache_info`` and ``cache_clear`` this function carries.
+    A y, CT y, CH y and W y; maps and weights are views of it. Built on the
+    first call for a Parameters object and kept on it, read-only, so callers
+    copy before handing an array out.
     """
-    global _last_bound
-    last_params, matrices = _last_bound
-    if params is last_params:
-        return matrices
-    matrices = _cached_flow_matrices(params)
-    _last_bound = (params, matrices)
-    return matrices
-
-
-def _flow_matrices_cache_clear() -> None:
-    global _last_bound
-    _last_bound = (None, None)
-    _cached_flow_matrices.cache_clear()
-
-
-flow_matrices.cache_info = _cached_flow_matrices.cache_info
-flow_matrices.cache_clear = _flow_matrices_cache_clear
+    return params._flow_matrices
 
 
 def force_of_infection(state, params: Parameters,

@@ -304,20 +304,24 @@ def test_full_jacobian_without_transmission_is_the_linear_flow():
         assert np.allclose(j[:, k], full_rhs(e_k, quiet) - f0, rtol=0, atol=1e-12)
 
 
-def test_flow_matrices_binds_the_last_parameters_by_identity():
-    flow_matrices.cache_clear()
+def test_flow_matrices_are_kept_on_each_parameters_object():
     p = Parameters(beta1=6.0, beta2=0.1)
     first = flow_matrices(p)
-    assert flow_matrices(p) is first
-    info = flow_matrices.cache_info()
-    assert (info.hits, info.misses) == (0, 1)    # the same object: no lookup
+    assert flow_matrices(p) is first             # built once, kept on p
     twin = dataclasses.replace(p)
-    assert twin is not p and flow_matrices(twin) is first
-    assert flow_matrices.cache_info().hits == 1  # equal, distinct: an lru hit
-    flow_matrices.cache_clear()                  # forgets the bound twin too
-    assert flow_matrices(twin) is not first
-    info = flow_matrices.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+    second = flow_matrices(twin)
+    assert twin is not p and second is not first  # an equal twin builds its own
+    for mine, theirs in zip(first, second):
+        assert mine.tobytes() == theirs.tobytes()
+        assert not mine.flags.writeable and not theirs.flags.writeable
+    # the kept matrices are not a field: equality, hashing and repr read the
+    # rates alone
+    assert (twin, hash(twin), repr(twin)) == (p, hash(p), repr(p))
+    assert repr(p) == repr(Parameters(beta1=6.0, beta2=0.1))
+    moved = dataclasses.replace(p, beta1=7.0)
+    assert flow_matrices(moved) is not first
+    assert flow_matrices(moved).weights[0].tobytes() != first.weights[0].tobytes()
+    assert flow_matrices(p) is first
 
 
 def test_wrong_state_length_rejected():

@@ -217,6 +217,28 @@ def test_warm_threshold_item_linear_algebra_calls(count_calls, monkeypatch):
     assert len(jacobians) == 2
 
 
+def test_second_pass_over_threshold_grid_builds_no_flow_matrices(count_calls):
+    # the 400 rate pairs of the benchmark's threshold grid, each item run on
+    # one Parameters object: the first pass builds one set of flow matrices
+    # per object, and every later pass finds them kept on it
+    dfe = np.zeros(10)
+    dfe[0] = S0
+    grid = [Parameters(beta1=float(beta1), beta2=float(beta2))
+            for beta1 in np.geomspace(0.5, 50.0, 20)
+            for beta2 in np.geomspace(0.005, 0.5, 20)]
+
+    def item(p):
+        return (r0(p), ngm_decomposition(p), stability_report(dfe, p),
+                dfe_trace_det(p), bifurcation_analysis(p))
+
+    builds = count_calls(syndemic.model, "_build_flow_matrices")
+    for expected in (len(grid), 0):
+        del builds[:]
+        for p in grid:
+            item(p)
+        assert len(builds) == expected
+
+
 def test_decomposition_sign_structure():
     p = Parameters(beta1=6.0, beta2=0.1)
     decomp = ngm_decomposition(p)

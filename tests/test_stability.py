@@ -9,8 +9,8 @@ import bifurcation_fd
 import syndemic.model
 import syndemic.stability
 from bifurcation_fd import coefficients_fd
-from syndemic.model import (DomainError, Parameters, flow_matrices,
-                            full_jacobian, full_rhs, hiv_submodel_rhs)
+from syndemic.model import (DomainError, Parameters, full_jacobian, full_rhs,
+                            hiv_submodel_rhs)
 from syndemic.reproduction import r2_closed
 from syndemic.scenarios import INITIAL_FRACTIONS
 from syndemic.stability import (ConvergenceError, bifurcation_analysis,
@@ -452,19 +452,19 @@ def test_threshold_analysis_difference_route_probe_count(monkeypatch):
                 == {tuple(r) for r in coordinate})
 
 
-def test_threshold_analysis_reuses_flow_matrices():
-    # The closed forms build no flow matrices. The difference route zeroes
-    # beta1 and replaces beta2, so every (beta1, beta2) at the default rates
-    # shares its three parameter sets (beta*, beta* +- kappa).
-    flow_matrices.cache_clear()
+def test_threshold_analysis_reuses_flow_matrices(count_calls):
+    # The closed forms build no flow matrices. The difference route makes
+    # three parameter sets per rate pair (beta*, beta* +- kappa), and each
+    # builds its matrices once, for all of its probes.
+    builds = count_calls(syndemic.model, "_build_flow_matrices")
     grid = [Parameters(beta1=float(beta1), beta2=float(beta2))
             for beta1, beta2 in zip(np.linspace(1.0, 50.0, 20),
                                     np.linspace(0.01, 0.4, 20))]
     reports = [bifurcation_analysis(p) for p in grid]
-    assert flow_matrices.cache_info().misses == 0
+    assert builds == []
     for p, rep in zip(grid, reports):
         assert coefficients_fd(p, rep) == (COEFF_A_FD, COEFF_B_FD)
-    assert flow_matrices.cache_info().misses == 3
+    assert len(builds) == 3 * len(grid)
 
 
 def test_threshold_analysis_needs_no_differences_or_rhs_calls(count_calls):

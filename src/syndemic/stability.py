@@ -199,7 +199,9 @@ def bifurcation_analysis(params: Parameters) -> BifurcationReport:
     bstar = numer / (d4 + eta * rho1)
     w1, w2 = -numer / (rho1 * mu), d4 / rho1
     v2 = rho1 / (d4 + rho1 + mu - bstar)
-    v3 = v2 * (rho1 + mu - bstar) / rho1
+    # rho1 + mu - beta* = rho1 * gap, written without that cancellation
+    gap = (alpha1 + eta * (mu + rho1)) / (d4 + eta * rho1)
+    v3 = v2 * gap
     a = -v2 * (2.0 * bstar * mu / Lambda) * (w2 + 1.0) * (w2 + eta)
     b = v2 * (w2 + eta)
 
@@ -209,9 +211,9 @@ def bifurcation_analysis(params: Parameters) -> BifurcationReport:
     #        [0, rho1, -d4]]
     # (the first entry of v J is 0 exactly)
     products = (-mu * w1 - bstar * w2 - bstar * eta,
-                (bstar - rho1 - mu) * w2 + (bstar * eta + alpha1),
+                -rho1 * gap * w2 + (bstar * eta + alpha1),
                 rho1 * w2 - d4,
-                v2 * (bstar - rho1 - mu) + v3 * rho1,
+                -v2 * rho1 * gap + v3 * rho1,
                 v2 * (bstar * eta + alpha1) - v3 * d4)
     if not all(map(math.isfinite, (bstar, w1, w2, v2, v3, a, b, *products))):
         parts = (("beta_star", (bstar,)), ("w", (w1, w2)), ("v", (v2, v3)),

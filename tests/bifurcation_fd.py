@@ -12,7 +12,13 @@ vectors w and v:
   one Richardson level removes;
 - b_fd = v . (dJ/dbeta2) w, the central difference of two ``fd_jacobian``
   calls at beta* +- 1e-5.
+
+Beside them, ``left_null_vector_exact`` evaluates the closed form of v in
+exact rational arithmetic on the same float rates.
 """
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from syndemic.model import Parameters, hiv_submodel_rhs
@@ -47,3 +53,22 @@ def coefficients_fd(params: Parameters, report) -> tuple[float, float]:
               for beta2 in (bstar + KAPPA, bstar - KAPPA)]
     b_fd = float(v @ ((jp - jm) / (2.0 * KAPPA)) @ w)
     return a_fd, b_fd
+
+
+def left_null_vector_exact(params: Parameters) -> tuple[float, float]:
+    """(v2, v3) of ``bifurcation_analysis(params)`` evaluated in exact
+    rational arithmetic on the same float rates, each rounded once:
+    v2 = rho1 / (d4 + rho1 + mu - beta*), v3 = v2 (rho1 + mu - beta*) / rho1,
+    with d4 = alpha1 + mu + dA and beta* the threshold rate."""
+    mu, rho1, alpha1, d_a, eta = map(Fraction, (
+        params.mu, params.rho1, params.alpha1, params.dA, params.eta))
+    d4 = alpha1 + mu + d_a
+    bstar = (mu * alpha1 + (mu + rho1) * (mu + d_a)) / (d4 + eta * rho1)
+    v2 = rho1 / (d4 + rho1 + mu - bstar)
+    return float(v2), float(v2 * (rho1 + mu - bstar) / rho1)
+
+
+def assert_left_null_vector_exact(params: Parameters, report) -> None:
+    """The report's v2 and v3 within 1 ulp of ``left_null_vector_exact``."""
+    for got, exact in zip(report.v[1:], left_null_vector_exact(params)):
+        assert abs(got - exact) <= math.ulp(exact), (got, exact)

@@ -1,4 +1,5 @@
 """Command-line surface: config parsing, subcommands, exit codes, SVG."""
+import dataclasses
 import math
 import os
 import warnings
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 
 import syndemic.cli
+from bifurcation_fd import assert_left_null_vector_exact
 from syndemic.cli import (ConfigError, RunConfig, emit_svg, format_config,
                           main, parse_config)
 from syndemic.dynamics import IntegrationError, Trajectory
-from syndemic.model import COMPARTMENTS, PARAMETER_FIELDS
-from syndemic.stability import ConvergenceError
+from syndemic.model import COMPARTMENTS, PARAMETER_FIELDS, Parameters
+from syndemic.stability import ConvergenceError, bifurcation_analysis
 
 # The baseline calibration and the standard census, written out in full.
 BASELINE_CONFIG = """\
@@ -344,6 +346,13 @@ def test_extreme_submodel_rates_have_finite_coefficients(rate, tmp_path,
     assert lines[1:3] == [f"a = {a}", f"b = {b}"]
     assert all(math.isfinite(float(word)) for line in lines
                for word in line.split("=")[1].split())
+    # v3 = v2 (rho1 + mu - beta*) / rho1 with that difference taken without
+    # cancellation: it used to read 2.7e-18 at rho1 = 1e-300 and 0 at
+    # dA = 1e155, against exact values of 8.3e-301 and 4.5e-312
+    name, value = rate.split(" = ")
+    params = dataclasses.replace(Parameters(beta1=6.0, beta2=0.1),
+                                 **{name: float(value)})
+    assert_left_null_vector_exact(params, bifurcation_analysis(params))
 
 
 def test_simulate_writes_csv_and_svg(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 import bifurcation_fd
 import syndemic.model
 import syndemic.stability
-from bifurcation_fd import coefficients_fd
+from bifurcation_fd import assert_left_null_vector_exact, coefficients_fd
 from syndemic.model import (DomainError, Parameters, full_jacobian, full_rhs,
                             hiv_submodel_rhs)
 from syndemic.reproduction import r2_closed
@@ -392,6 +392,7 @@ def test_threshold_analysis_frozen_values():
     assert rep.zero_eig_residual < 1e-8
     assert rep.v[0] == 0.0
     assert rep.w[2] == pytest.approx(1.0)
+    assert_left_null_vector_exact(Parameters(beta1=6.0, beta2=0.1), rep)
     a_fd, b_fd = coefficients_fd(Parameters(beta1=6.0, beta2=0.1), rep)
     assert abs(rep.a - a_fd) <= 1e-6 * abs(rep.a)
     assert abs(rep.b - b_fd) <= 1e-6 * abs(rep.b)
@@ -541,9 +542,10 @@ def test_threshold_analysis_requires_progression():
 
 
 @pytest.mark.parametrize("rates,message", [
-    # numer overflows, and every part of the report with it
+    # numer overflows, and every part of the report with it but v, which
+    # the infinite beta* sends to -0
     ({"mu": 1e300, "dA": 1e300},
-     "beta_star, w, v, a, zero_eig_residual not finite"),
+     "beta_star, w, a, zero_eig_residual not finite"),
     # rho1*mu underflows to 0, a divisor of w
     ({"rho1": 1e-300, "mu": 1e-100}, "rho1 and rho1*mu must be positive")])
 def test_threshold_analysis_names_what_is_not_finite(rates, message):

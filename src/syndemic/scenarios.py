@@ -349,15 +349,16 @@ def run_treatment_impact(params: Optional[Parameters] = None,
     result = ScenarioResult(
         spec=ScenarioSpec(name=f"treatment-{family}-deaths-{deaths}"))
     y0 = initial_state()
+    n20 = {}
     for key, p in arms.items():
         traj = integrate(
             lambda t, y, out, _p=p: full_rhs(y, _p, n_ref, out=out),
             y0, 0.0, horizon, report_times=grid)
         result.trajectories[key] = traj
         result.terminal_states[key] = traj.final
-        result.comparisons[f"{key} N(20)"] = total_population(traj.final)
+        n20[key] = total_population(traj.final)
+        result.comparisons[f"{key} N(20)"] = n20[key]
 
-    n20 = {k: total_population(result.terminal_states[k]) for k in arms}
     if deaths == "off":
         # With all disease deaths off, N obeys dN/dt = Lambda - mu N exactly.
         n_inf = base.Lambda / base.mu

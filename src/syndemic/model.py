@@ -11,10 +11,9 @@ the HIV-positive classes, AIDS classes weighted up by a modifier.
 The model is written once, as the flow list _FLOWS. flow_matrices turns it
 into the matrices that the right-hand side, its Jacobian, the infection
 pressures and the next-generation matrices all read, built once per
-Parameters object and kept on it. All right-hand sides
-are pure functions that take one state or a stack of states and return
-fresh arrays; full_rhs can write one state's derivative into a given
-array instead.
+Parameters object and kept on it. All right-hand sides are pure functions
+that take one state or a stack of states and return fresh arrays; full_rhs
+can write one state's derivative into a given array instead.
 """
 from __future__ import annotations
 

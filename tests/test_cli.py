@@ -346,9 +346,8 @@ def test_extreme_submodel_rates_have_finite_coefficients(rate, tmp_path,
     assert lines[1:3] == [f"a = {a}", f"b = {b}"]
     assert all(math.isfinite(float(word)) for line in lines
                for word in line.split("=")[1].split())
-    # v3 = v2 (rho1 + mu - beta*) / rho1 with that difference taken without
-    # cancellation: it used to read 2.7e-18 at rho1 = 1e-300 and 0 at
-    # dA = 1e155, against exact values of 8.3e-301 and 4.5e-312
+    # v against exact rationals: at these rates the difference
+    # rho1 + mu - beta* in v3 cancels unless it is taken in closed form
     name, value = rate.split(" = ")
     params = dataclasses.replace(Parameters(beta1=6.0, beta2=0.1),
                                  **{name: float(value)})

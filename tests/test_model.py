@@ -318,9 +318,9 @@ def test_flow_matrices_are_kept_on_each_parameters_object():
     # rates alone
     assert (twin, hash(twin), repr(twin)) == (p, hash(p), repr(p))
     assert repr(p) == repr(Parameters(beta1=6.0, beta2=0.1))
-    moved = dataclasses.replace(p, beta1=7.0)
-    assert flow_matrices(moved) is not first
-    assert flow_matrices(moved).weights[0].tobytes() != first.weights[0].tobytes()
+    moved = flow_matrices(dataclasses.replace(p, beta1=7.0))
+    assert moved is not first
+    assert moved.weights[0].tobytes() != first.weights[0].tobytes()
     assert flow_matrices(p) is first
 
 

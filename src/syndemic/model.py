@@ -11,9 +11,10 @@ the HIV-positive classes, AIDS classes weighted up by a modifier.
 The model is written once, as the flow list _FLOWS. flow_matrices turns it
 into the matrices that the right-hand side, its Jacobian, the infection
 pressures and the next-generation matrices all read, built once per
-Parameters object and kept on it. All right-hand sides are pure functions
-that take one state or a stack of states and return fresh arrays; full_rhs
-can write one state's derivative into a given array instead.
+Parameters object and kept on it. Every function of a state takes exactly
+one state, and raises DomainError naming the shape of anything else. The
+right-hand sides are pure functions that return fresh arrays; full_rhs can
+write the derivative into a given array instead.
 """
 from __future__ import annotations
 
@@ -104,28 +105,18 @@ def total_population(state: Sequence[float]) -> float:
     return float(np.asarray(state, dtype=float).sum())
 
 
-def _as_state(state, length: int = N_COMPARTMENTS,
-              stack: bool = False) -> np.ndarray:
-    # One state (length,), or with stack=True also a stack (B, length).
+def _as_state(state, length: int = N_COMPARTMENTS) -> np.ndarray:
     y = np.asarray(state, dtype=float)
-    if y.shape != (length,) and not (stack and y.ndim == 2
-                                     and y.shape[1] == length):
-        shapes = f"({length},) or (B, {length})" if stack else f"({length},)"
-        raise DomainError(f"state must have shape {shapes}, got {y.shape}")
+    if y.shape != (length,):
+        raise DomainError(f"state must have shape ({length},), got {y.shape}")
     return y
 
 
-def _denominator(y: np.ndarray, n_ref: Optional[float]):
+def _denominator(y: np.ndarray, n_ref: Optional[float]) -> float:
     # n_ref pins the mixing denominator to a fixed reference population;
-    # by default the instantaneous total is used, per row of a stack as a
-    # (B, 1) column, and every row's must be finite and positive. Callers
-    # check it before any product with y, so a non-finite state is a
-    # DomainError rather than a numpy invalid-value warning.
-    if n_ref is None and y.ndim == 2:
-        n = y.sum(axis=1, keepdims=True)
-        if not ((n > 0.0) & (n < math.inf)).all():
-            raise DomainError("population denominator must be finite and positive")
-        return n
+    # by default the instantaneous total is used. It must be finite and
+    # positive. Callers check it before any product with y, so a non-finite
+    # state is a DomainError rather than a numpy invalid-value warning.
     n = float(n_ref) if n_ref is not None else float(y.sum())
     if not 0.0 < n < math.inf:
         raise DomainError("population denominator must be finite and positive")
@@ -233,26 +224,11 @@ def full_rhs(state, params: Parameters, n_ref: Optional[float] = None,
     identically (births minus natural and disease-induced deaths), which the
     test suite checks to machine precision.
 
-    ``state`` is one state (10,) or a stack (B, 10) of states. A stack is
-    evaluated on the same flow matrices into a (B, 10) stack whose rows are
-    the one-state results bit for bit. One state may be given ``out``, a
-    float (10,) array that receives the derivative and is returned, with
-    the same bits as a fresh result; a stack may not.
+    ``out``, when given, is a float (10,) array that receives the
+    derivative and is returned, with the same bits as a fresh result.
     """
-    y = _as_state(state, stack=True)
-    b, maps, weights, stacked = flow_matrices(params)
-    if y.ndim == 2:
-        if out is not None:
-            raise ValueError("out is for one state only, not a stack")
-        # The one-state products below, batched over the rows as matrix-vector
-        # products, so every row is the one-state result bit for bit.
-        col = y[:, None, :, None]
-        if params.beta1 == 0.0 and params.beta2 == 0.0:
-            return b + (maps[0] @ col[:, 0])[..., 0]
-        n = _denominator(y, n_ref)
-        lam = (weights @ col[:, 0])[..., 0] / n
-        z = (maps @ col)[..., 0]
-        return b + z[:, 0] + (lam[:, None, :] @ z[:, 1:])[:, 0]
+    y = _as_state(state)
+    b, maps, _, stacked = flow_matrices(params)
     if params.beta1 == 0.0 and params.beta2 == 0.0:
         return np.add(b, maps[0] @ y, out=out)
     n = _denominator(y, n_ref)
@@ -297,12 +273,12 @@ _TB_SUB_INDICES = np.array([0, 1, 2, 3])
 
 def _restricted_rhs(y_sub, indices, params: Parameters,
                     n_ref: Optional[float]) -> np.ndarray:
-    # y_sub is one sub-state (k,) or a stack (B, k), padded to (..., 10)
-    y_sub = _as_state(y_sub, len(indices), stack=True)
+    # one sub-state (k,), zero-padded to (10,)
+    y_sub = _as_state(y_sub, len(indices))
     _denominator(y_sub, n_ref)  # zero population rejected even with beta = 0
-    y = np.zeros(y_sub.shape[:-1] + (N_COMPARTMENTS,))
-    y[..., indices] = y_sub
-    return full_rhs(y, params, n_ref)[..., indices]
+    y = np.zeros(N_COMPARTMENTS)
+    y[indices] = y_sub
+    return full_rhs(y, params, n_ref)[indices]
 
 
 def hiv_submodel_rhs(state3, params: Parameters,
@@ -310,8 +286,7 @@ def hiv_submodel_rhs(state3, params: Parameters,
     """Derivative of the 3-compartment HIV-only system (S, pre-AIDS, AIDS).
 
     Equivalent to the full system with every TB compartment held at zero;
-    the denominator is then S + I_H + A. Takes one state (3,) or a stack
-    (B, 3), like ``full_rhs``.
+    the denominator is then S + I_H + A.
     """
     return _restricted_rhs(state3, _HIV_SUB_INDICES, params, n_ref)
 
@@ -319,8 +294,7 @@ def hiv_submodel_rhs(state3, params: Parameters,
 def tb_submodel_rhs(state4, params: Parameters,
                     n_ref: Optional[float] = None) -> np.ndarray:
     """Derivative of the 4-compartment TB-only system (S, latent, active,
-    recovered), the full system with every HIV compartment at zero. Takes
-    one state (4,) or a stack (B, 4), like ``full_rhs``."""
+    recovered), the full system with every HIV compartment at zero."""
     return _restricted_rhs(state4, _TB_SUB_INDICES, params, n_ref)
 
 

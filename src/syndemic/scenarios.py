@@ -474,7 +474,8 @@ def trajectory_csv(traj: Trajectory, spec: str, newline: str) -> str:
 
 
 def write_scenario_csv(result: ScenarioResult, out_dir) -> List[Path]:
-    """One CSV per trajectory plus a summary CSV of the scalar assertions.
+    """One CSV per trajectory plus a summary CSV of the scalar assertions,
+    then each comparison whose name no assertion row has already written.
 
     Trajectory files hold one row per stored time of the trajectory (the
     report grid of the treatment runs, every step of the stability runs),
@@ -491,8 +492,10 @@ def write_scenario_csv(result: ScenarioResult, out_dir) -> List[Path]:
     summary_rows = [[a.name, _format(a.expected), _format(a.actual),
                      _format(a.tolerance), a.status]
                     for a in result.assertions]
-    for name, value in result.comparisons.items():
-        summary_rows.append([name, "", _format(value), "", "info"])
+    asserted = {a.name for a in result.assertions}
+    summary_rows += [[name, "", _format(value), "", "info"]
+                     for name, value in result.comparisons.items()
+                     if name not in asserted]
     path = out / f"{result.spec.name}__summary.csv"
     atomic_write(path, _csv_text(["name", "expected", "actual", "tolerance",
                                   "status"], summary_rows))

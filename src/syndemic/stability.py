@@ -111,7 +111,6 @@ def _classification(dominant: float) -> str:
 
 @dataclass
 class StabilityReport:
-    equilibrium: np.ndarray
     eigenvalues: List[complex]
     classification: str
     dominant_real: float
@@ -121,8 +120,7 @@ def stability_report(state, params: Parameters,
                      n_ref: Optional[float] = None) -> StabilityReport:
     eigs = eigenvalues(full_jacobian(state, params, n_ref))
     dominant = eigs[0].real   # sorted by descending real part
-    return StabilityReport(equilibrium=np.asarray(state, dtype=float),
-                           eigenvalues=eigs,
+    return StabilityReport(eigenvalues=eigs,
                            classification=_classification(dominant),
                            dominant_real=dominant)
 

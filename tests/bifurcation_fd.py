@@ -43,9 +43,10 @@ def coefficients_fd(params: Parameters, report) -> tuple[float, float]:
     h = 1e-3 * scale / float(np.max(np.abs(w)))
     steps = np.array([h / 2.0, h])
     along_w = steps[:, None] * w
+    centre = at(bstar)
     # rows: the centre, then dfe3 + s*w and dfe3 - s*w for s = h/2, h
-    f = hiv_submodel_rhs(np.vstack([dfe3, dfe3 + along_w, dfe3 - along_w]),
-                         at(bstar))
+    f = np.array([hiv_submodel_rhs(y, centre)
+                  for y in (dfe3, *(dfe3 + along_w), *(dfe3 - along_w))])
     second = (f[1:3] - 2.0 * f[0] + f[3:5]) / (steps ** 2)[:, None]
     a_fd = float(v @ ((4.0 * second[0] - second[1]) / 3.0))
 

@@ -1,6 +1,8 @@
 """Right-hand side, infection pressures, and domain checks."""
 import dataclasses
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from syndemic.scenarios import INITIAL_FRACTIONS, INITIAL_POPULATION
 from syndemic.stability import fd_jacobian
 
 BASE = Parameters(beta1=6.0, beta2=0.1)
+NO_TRANSMISSION = dataclasses.replace(BASE, beta1=0.0, beta2=0.0)
 START = INITIAL_FRACTIONS * INITIAL_POPULATION
 
 # Hand-checked derivative at the standard start, time-varying denominator.
@@ -44,21 +47,25 @@ def test_rhs_frozen_literal():
     assert np.max(np.abs(rhs - FROZEN_RHS_AT_START)) < 1e-9
 
 
+def _drawn_parameters(rng) -> Parameters:
+    rates = {name: float(rng.uniform(0.01, 3.0)) for name in PARAMETER_FIELDS}
+    rates.update(Lambda=float(rng.uniform(100.0, 1000.0)),
+                 mu=float(rng.uniform(0.01, 0.1)),
+                 beta1p=float(rng.uniform(0.0, 1.0)),
+                 **{name: float(rng.uniform(1.0, 3.0))
+                    for name in ("beta2p", "psi", "delta", "eta")})
+    return Parameters(**rates)
+
+
 def test_rhs_matches_independent_flow_list():
     # The flow list of flow_list.py is written apart from the model's flow
     # matrices. FROZEN_RHS_AT_START cannot see the R_T and R_TH columns
     # (both are 0 at START), so every compartment here is positive, and the
-    # rates are drawn too.
+    # rates are drawn too; then the baseline and no transmission, which
+    # full_rhs evaluates on A alone.
     rng = np.random.default_rng(2718)
-    for _ in range(1000):
-        rates = {name: float(rng.uniform(0.01, 3.0))
-                 for name in PARAMETER_FIELDS}
-        rates.update(Lambda=float(rng.uniform(100.0, 1000.0)),
-                     mu=float(rng.uniform(0.01, 0.1)),
-                     beta1p=float(rng.uniform(0.0, 1.0)),
-                     **{name: float(rng.uniform(1.0, 3.0))
-                        for name in ("beta2p", "psi", "delta", "eta")})
-        p = Parameters(**rates)
+    drawn = (_drawn_parameters(rng) for _ in range(1000))
+    for p in itertools.chain(drawn, [BASE, NO_TRANSMISSION]):
         y = rng.uniform(0.01, 1.0, N_COMPARTMENTS) * rng.uniform(1e2, 1e5)
         for n_ref in (None, float(rng.uniform(1e3, 1e5))):
             expected = flow_rhs(y, p, n_ref)
@@ -66,60 +73,24 @@ def test_rhs_matches_independent_flow_list():
                     <= 1e-12 * np.max(np.abs(expected)))
 
 
-def _stack_parameters(rng):
-    # the baseline, no transmission, and two draws of every rate
-    drawn = [Parameters(**{name: float(rng.uniform(0.01, 3.0))
-                           for name in PARAMETER_FIELDS})
-             for _ in range(2)]
-    return [BASE, dataclasses.replace(BASE, beta1=0.0, beta2=0.0)] + drawn
-
-
 @pytest.mark.parametrize("rhs,width", [(full_rhs, 10), (hiv_submodel_rhs, 3),
                                        (tb_submodel_rhs, 4)])
-def test_stacked_rhs_matches_row_by_row(rhs, width):
-    # bit for bit: the difference probes of the threshold analysis rely on it
-    rng = np.random.default_rng(3141)
-    for p in _stack_parameters(rng):
-        states = (rng.uniform(0.01, 1.0, (1000, width))
-                  * rng.uniform(1e2, 1e5, (1000, 1)))
-        for n_ref in (None, float(rng.uniform(1e3, 1e5))):
-            rows = np.array([rhs(y, p, n_ref) for y in states])
-            assert np.array_equal(rhs(states, p, n_ref), rows)
-
-
-def test_stacked_rhs_matches_independent_flow_list():
-    rng = np.random.default_rng(2719)
-    for p in _stack_parameters(rng):
-        states = (rng.uniform(0.01, 1.0, (1000, N_COMPARTMENTS))
-                  * rng.uniform(1e2, 1e5, (1000, 1)))
-        for n_ref in (None, float(rng.uniform(1e3, 1e5))):
-            expected = np.array([flow_rhs(y, p, n_ref) for y in states])
-            assert np.all(np.abs(full_rhs(states, p, n_ref) - expected).max(axis=1)
-                          <= 1e-12 * np.abs(expected).max(axis=1))
-
-
-@pytest.mark.parametrize("rhs,width", [(full_rhs, 10), (hiv_submodel_rhs, 3),
-                                       (tb_submodel_rhs, 4)])
-def test_stacked_rhs_domain_checks(rhs, width):
-    states = np.full((5, width), 1000.0)
-    states[3] = 0.0
-    with pytest.raises(DomainError):
-        rhs(states, BASE)
-    states[3, 0] = -1.0
-    with pytest.raises(DomainError):
-        rhs(states, BASE)
-    with pytest.raises(DomainError):
-        rhs(np.ones((2, 5, width)), BASE)
-    with pytest.raises(DomainError):
-        rhs(np.ones((5, width + 1)), BASE)
-    # a row whose total is not finite fails as that row alone does
+def test_rhs_domain_checks(rhs, width):
+    # a total that is zero, negative or not finite, and a state of the
+    # wrong length
+    with pytest.raises(DomainError, match="finite and positive"):
+        rhs(np.zeros(width), BASE)
+    y = np.zeros(width)
+    y[0] = -1.0
+    with pytest.raises(DomainError, match="finite and positive"):
+        rhs(y, BASE)
     for bad in (math.inf, -math.inf, math.nan):
-        states = np.full((5, width), 1000.0)
-        states[2, 1] = bad
-        with pytest.raises(DomainError) as one:
-            rhs(states[2], BASE)
-        with pytest.raises(DomainError, match=str(one.value)):
-            rhs(states, BASE)
+        y = np.full(width, 1000.0)
+        y[1] = bad
+        with pytest.raises(DomainError, match="finite and positive"):
+            rhs(y, BASE)
+    with pytest.raises(DomainError, match="shape"):
+        rhs(np.ones(width + 1), BASE)
 
 
 def test_rhs_into_a_given_array():
@@ -127,7 +98,10 @@ def test_rhs_into_a_given_array():
     # conventions and with no transmission
     rng = np.random.default_rng(1618)
     buf = np.empty(N_COMPARTMENTS)
-    for p in _stack_parameters(rng):
+    parameter_sets = [BASE, NO_TRANSMISSION] + [
+        Parameters(**{name: float(rng.uniform(0.01, 3.0))
+                      for name in PARAMETER_FIELDS}) for _ in range(2)]
+    for p in parameter_sets:
         states = (rng.uniform(0.01, 1.0, (200, N_COMPARTMENTS))
                   * rng.uniform(1e2, 1e5, (200, 1)))
         for n_ref in (None, float(rng.uniform(1e3, 1e5))):
@@ -146,12 +120,6 @@ def test_rhs_into_a_given_array_checks_the_denominator(bad):
         full_rhs(START, BASE, bad, out=np.empty(N_COMPARTMENTS))
 
 
-def test_rhs_into_a_given_array_takes_one_state():
-    with pytest.raises(ValueError, match="one state"):
-        full_rhs(np.vstack([START, START]), BASE,
-                 out=np.empty((2, N_COMPARTMENTS)))
-
-
 @pytest.mark.parametrize("n_ref", [0.0, math.nan, math.inf])
 def test_pinned_denominator_must_be_finite_and_positive(n_ref):
     with pytest.raises(DomainError):
@@ -159,11 +127,16 @@ def test_pinned_denominator_must_be_finite_and_positive(n_ref):
 
 
 def test_one_state_functions_reject_stacks():
-    stack = np.full((2, N_COMPARTMENTS), 1000.0)
-    with pytest.raises(DomainError):
-        force_of_infection(stack, BASE)
-    with pytest.raises(DomainError):
-        full_jacobian(stack, BASE)
+    # every function of a state takes exactly one, and names any other shape
+    out = np.empty(N_COMPARTMENTS)
+    calls = [(force_of_infection, 10, {}), (full_jacobian, 10, {}),
+             (full_rhs, 10, {}), (full_rhs, 10, {"out": out}),
+             (hiv_submodel_rhs, 3, {}), (tb_submodel_rhs, 4, {})]
+    for function, width, kwargs in calls:
+        for shape in [(2, width), (1, width), (2, 5, width), ()]:
+            message = f"state must have shape ({width},), got {shape}"
+            with pytest.raises(DomainError, match=re.escape(message)):
+                function(np.ones(shape), BASE, **kwargs)
 
 
 def test_mass_balance_random_states():

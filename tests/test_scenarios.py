@@ -1,6 +1,7 @@
 """Scenario runners: curated reference sweeps, stability demonstrations,
 treatment switch experiments, and their CSV reports."""
 import csv
+import dataclasses
 import inspect
 
 import numpy as np
@@ -199,6 +200,24 @@ def test_csv_report_layout(tmp_path, treatment_tb_on):
     assert rows[0] == "name,expected,actual,tolerance,status"
     assert any(",pass" in row for row in rows[1:])
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("fixture", [
+    "table2_result", "table3_result", "dfe_stability_result",
+    "syndemic_stability_result", "treatment_tb_on", "treatment_tb_off",
+    "treatment_aids_on", "treatment_aids_off", "treatment_coinfection_on",
+    "treatment_coinfection_off"])
+def test_summary_row_names_are_unique(fixture, request, tmp_path):
+    # a comparison that shares an assertion's name is written once, as the
+    # assertion row, and no name is lost
+    result = request.getfixturevalue(fixture)
+    [path] = write_scenario_csv(dataclasses.replace(result, trajectories={}),
+                                tmp_path)
+    with open(path, newline="") as fh:
+        names = [row[0] for row in csv.reader(fh)][1:]
+    assert len(names) == len(set(names))
+    assert set(names) == ({a.name for a in result.assertions}
+                          | set(result.comparisons))
 
 
 @pytest.mark.parametrize("fixture", ["treatment_tb_on", "dfe_stability_result"])

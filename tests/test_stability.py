@@ -411,16 +411,17 @@ def test_threshold_analysis_difference_route_is_pinned(beta1, beta2):
 
 
 def test_threshold_analysis_difference_route_probe_count(monkeypatch):
-    # The difference route of tests/bifurcation_fd.py: one stacked call at
-    # beta* whose rows are the centre and dfe3 +- s*w (s = h/2, h), then
-    # fd_jacobian at beta* + kappa and at beta* - kappa, each the centre and
-    # then dfe3 +- e_j*s_j (s = h_j/2, h_j) one probe at a time.
+    # The difference route of tests/bifurcation_fd.py: five one-state calls
+    # at beta* on one Parameters object, the centre and dfe3 +- s*w
+    # (s = h/2, h), then fd_jacobian at beta* + kappa and at beta* - kappa,
+    # each the centre and then dfe3 +- e_j*s_j (s = h_j/2, h_j) one probe
+    # at a time.
     calls = []
     original = bifurcation_fd.hiv_submodel_rhs
 
-    def recording(states, params, n_ref=None):
-        calls.append((np.array(states), params))
-        return original(states, params, n_ref)
+    def recording(state, params, n_ref=None):
+        calls.append((np.array(state), params))
+        return original(state, params, n_ref)
 
     monkeypatch.setattr(bifurcation_fd, "hiv_submodel_rhs", recording)
     rep = bifurcation_analysis(SUPER)
@@ -428,15 +429,17 @@ def test_threshold_analysis_difference_route_probe_count(monkeypatch):
     assert coefficients_fd(SUPER, rep) == (COEFF_A_FD, COEFF_B_FD)
     bstar = rep.beta_star
     assert [(p.beta1, p.beta2) for _, p in calls] == (
-        [(0.0, bstar)] + [(0.0, bstar + 1e-5)] * 13
+        [(0.0, bstar)] * 5 + [(0.0, bstar + 1e-5)] * 13
         + [(0.0, bstar - 1e-5)] * 13)
+    assert all(p is calls[0][1] for _, p in calls[:5])
+    assert all(state.shape == (3,) for state, _ in calls)
 
     dfe3 = np.array([S0, 0.0, 0.0])
     h = 1e-3 * S0 / float(np.max(np.abs(rep.w)))
     along_w = [dfe3] + [dfe3 + sign * (s * rep.w)
                         for s in (h / 2.0, h) for sign in (1.0, -1.0)]
-    assert calls[0][0].shape == (len(along_w), 3)
-    assert {tuple(r) for r in calls[0][0]} == {tuple(r) for r in along_w}
+    assert ({tuple(state) for state, _ in calls[:5]}
+            == {tuple(r) for r in along_w})
     steps = np.maximum(1e-6, 1e-6 * np.abs(dfe3))
     coordinate = []
     for s in (steps / 2.0, steps):
@@ -444,9 +447,8 @@ def test_threshold_analysis_difference_route_probe_count(monkeypatch):
             e = np.zeros(3)
             e[j] = s[j]
             coordinate += [dfe3 + e, dfe3 - e]
-    for jacobian in (calls[1:14], calls[14:]):
+    for jacobian in (calls[5:18], calls[18:]):
         states = [state for state, _ in jacobian]
-        assert all(state.shape == (3,) for state in states)
         assert tuple(states[0]) == tuple(dfe3)
         assert len(states[1:]) == len(coordinate)
         assert ({tuple(r) for r in states[1:]}

@@ -9,17 +9,16 @@ from .model import (COMPARTMENTS, DomainError, ForceOfInfection,
                     HIV_INFECTED_INDICES, INFECTED_INDICES, N_COMPARTMENTS,
                     PARAMETER_FIELDS, Parameters, TB_INFECTED_INDICES,
                     force_of_infection, full_jacobian, full_rhs,
-                    hiv_submodel_rhs, tb_submodel_rhs, total_population,
-                    validate_parameters)
+                    total_population, validate_parameters)
 from .dynamics import (IntegrationError, Trajectory, integrate,
                        steady_state_by_integration)
 from .stability import (BifurcationReport, ConvergenceError, H2Evaluation,
                         StabilityReport, bifurcation_analysis,
-                        bifurcation_threshold, classify, dfe_trace_det,
-                        eigenvalues, fd_jacobian, h2_condition_check,
-                        stability_report)
+                        dfe_trace_det, eigenvalues, fd_jacobian,
+                        h2_condition_check, stability_report)
 from .reproduction import (NextGenDecomposition, ReproductionNumbers,
-                           ngm_decomposition, r0, r1_closed, r2_closed)
+                           bifurcation_threshold, ngm_decomposition, r0,
+                           r1_closed, r2_closed)
 from .equilibria import (EquilibriumReport, disease_free, hiv_free, residual,
                          syndemic, tb_free_numeric)
 
@@ -32,13 +31,12 @@ __all__ = [
     "COMPARTMENTS", "N_COMPARTMENTS", "PARAMETER_FIELDS",
     "INFECTED_INDICES", "TB_INFECTED_INDICES", "HIV_INFECTED_INDICES",
     "Parameters", "ForceOfInfection", "DomainError",
-    "force_of_infection", "full_rhs", "full_jacobian", "hiv_submodel_rhs",
-    "tb_submodel_rhs",
-    "total_population", "validate_parameters",
+    "force_of_infection", "full_rhs", "full_jacobian", "total_population",
+    "validate_parameters",
     "Trajectory", "IntegrationError", "integrate",
     "steady_state_by_integration",
     "StabilityReport", "BifurcationReport", "H2Evaluation",
-    "ConvergenceError", "fd_jacobian", "jacobian", "eigenvalues", "classify",
+    "ConvergenceError", "fd_jacobian", "jacobian", "eigenvalues",
     "stability_report", "dfe_trace_det", "bifurcation_threshold",
     "bifurcation_analysis", "h2_condition_check",
     "ReproductionNumbers", "NextGenDecomposition",

@@ -25,9 +25,10 @@ import numpy as np
 
 from .model import (_HIV_SUB_INDICES, _TB_SUB_INDICES, DomainError,
                     HIV_INFECTED_INDICES, Parameters, TB_INFECTED_INDICES,
-                    flow_matrices, full_jacobian, full_rhs, total_population)
+                    flow_matrices, full_jacobian, full_rhs, removal_rates,
+                    total_population)
 from .reproduction import ReproductionNumbers, r0
-from .stability import TOL_EIG, ConvergenceError, _hiv_threshold_terms
+from .stability import TOL_EIG, ConvergenceError
 
 # An infected group is present above this total, in persons, far below one.
 _PRESENT_EPS = 1e-2
@@ -127,7 +128,7 @@ def _tb_axis(p: Parameters, n_ref: Optional[float], r1: float) -> np.ndarray:
     + c = 0 with c = d1 mu^2 (1 - R1) < 0 <= a. Its one positive root, taken
     without cancellation, is -c/b when q = 0; hypot squares nothing."""
     mu, q, k1 = p.mu, p.beta1p, p.k1
-    d1, d2 = k1 + p.tau1 + mu, p.tau2 + p.dT + mu
+    d1, d2 = removal_rates(p)[:2]
     h = mu + k1 * (p.dT + mu) / d2           # d1 - tau1 - tau2 k1/d2
     if n_ref is None:
         a, b0 = q * (mu + k1 * mu / d2), p.tau1 + mu + k1 * (p.tau2 + mu) / d2
@@ -148,8 +149,9 @@ def _hiv_axis(p: Parameters, n_ref: Optional[float], r2: float) -> np.ndarray:
     """The TB-free state (lambdaT = 0), for R2 > 1: S = Lambda/(lambda + mu),
     I_H = lambda S/c (c = numer/d4) and A = (rho1/d4) I_H, at lambda =
     mu (R2 - 1) pinned or c (R2 - 1)/(1 + rho1/d4) self-consistent."""
-    numer, d4 = _hiv_threshold_terms(p)
-    c = numer / d4
+    rates = removal_rates(p)
+    d4 = rates.d4
+    c = rates.numer / d4
     lam = (c * (r2 - 1.0) / (1.0 + p.rho1 / d4) if n_ref is None
            else p.mu * (r2 - 1.0))
     s = p.Lambda / (lam + p.mu)

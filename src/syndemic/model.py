@@ -11,10 +11,12 @@ the HIV-positive classes, AIDS classes weighted up by a modifier.
 The model is written once, as the flow list _FLOWS. flow_matrices turns it
 into the matrices that the right-hand side, its Jacobian, the infection
 pressures and the next-generation matrices all read, built once per
-Parameters object and kept on it. Every function of a state takes exactly
-one state, and raises DomainError naming the shape of anything else. The
-right-hand sides are pure functions that return fresh arrays; full_rhs can
-write the derivative into a given array instead.
+Parameters object and kept on it. removal_rates gives the total outflow
+rate of each infected class, which the closed forms of the threshold
+analysis and the single-disease equilibria read. Every function of a state
+takes exactly one state, and raises DomainError naming the shape of
+anything else. The right-hand sides are pure functions that return fresh
+arrays; full_rhs can write the derivative into a given array instead.
 """
 from __future__ import annotations
 
@@ -91,6 +93,36 @@ class Parameters:
 
 
 PARAMETER_FIELDS = tuple(f.name for f in fields(Parameters))
+
+
+class RemovalRates(NamedTuple):
+    """Total outflow rate of each infected class when both pressures are 0,
+    in the infected ordering (1/year), and the HIV sub-model's numer."""
+
+    d1: float        # latent TB: k1 + tau1 + mu
+    d2: float        # active TB: tau2 + dT + mu
+    d3: float        # HIV: rho1 + mu
+    d4: float        # AIDS: alpha1 + mu + dA
+    d5: float        # latent TB with HIV: k2 + tau4 + mu
+    d6: float        # active TB with HIV: tau3 + rho2 + mu + dT
+    d7: float        # TB-recovered with HIV: rho3 + mu
+    d8: float        # AIDS with TB: alpha2 + mu + dTA
+    numer: float     # d3*d4 - alpha1*rho1, written without that cancellation
+
+
+def removal_rates(params: Parameters) -> RemovalRates:
+    """The removal rates d1..d8 and numer, each summed in one fixed order,
+    so that every closed form that reads them gets the same bits."""
+    p = params
+    return RemovalRates(p.k1 + p.tau1 + p.mu,
+                        p.tau2 + p.dT + p.mu,
+                        p.rho1 + p.mu,
+                        p.alpha1 + p.mu + p.dA,
+                        p.k2 + p.tau4 + p.mu,
+                        p.tau3 + p.rho2 + p.mu + p.dT,
+                        p.rho3 + p.mu,
+                        p.alpha2 + p.mu + p.dTA,
+                        p.mu * p.alpha1 + (p.mu + p.rho1) * (p.mu + p.dA))
 
 
 class ForceOfInfection(NamedTuple):
@@ -264,38 +296,10 @@ def full_jacobian(state, params: Parameters,
     return maps[0] + lam[0] * maps[1] + lam[1] * maps[2] + z[1:].T @ grad
 
 
-# Sub-models are the full system restricted to a zero-padded state, so the
-# restriction property holds bit-for-bit by construction.
-
+# The compartments of the single-disease sub-models, where the other
+# disease is absent: (S, I_H, A) and (S, L_T, I_T, R_T).
 _HIV_SUB_INDICES = np.array([0, 4, 5])
 _TB_SUB_INDICES = np.array([0, 1, 2, 3])
-
-
-def _restricted_rhs(y_sub, indices, params: Parameters,
-                    n_ref: Optional[float]) -> np.ndarray:
-    # one sub-state (k,), zero-padded to (10,)
-    y_sub = _as_state(y_sub, len(indices))
-    _denominator(y_sub, n_ref)  # zero population rejected even with beta = 0
-    y = np.zeros(N_COMPARTMENTS)
-    y[indices] = y_sub
-    return full_rhs(y, params, n_ref)[indices]
-
-
-def hiv_submodel_rhs(state3, params: Parameters,
-                     n_ref: Optional[float] = None) -> np.ndarray:
-    """Derivative of the 3-compartment HIV-only system (S, pre-AIDS, AIDS).
-
-    Equivalent to the full system with every TB compartment held at zero;
-    the denominator is then S + I_H + A.
-    """
-    return _restricted_rhs(state3, _HIV_SUB_INDICES, params, n_ref)
-
-
-def tb_submodel_rhs(state4, params: Parameters,
-                    n_ref: Optional[float] = None) -> np.ndarray:
-    """Derivative of the 4-compartment TB-only system (S, latent, active,
-    recovered), the full system with every HIV compartment at zero."""
-    return _restricted_rhs(state4, _TB_SUB_INDICES, params, n_ref)
 
 
 def validate_parameters(params: Parameters) -> list[str]:

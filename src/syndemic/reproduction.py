@@ -26,8 +26,8 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .model import DomainError, INFECTED_INDICES, Parameters, S, flow_matrices
-from .stability import bifurcation_threshold
+from .model import (DomainError, INFECTED_INDICES, Parameters, S,
+                    flow_matrices, removal_rates)
 
 
 class ReproductionNumbers(NamedTuple):
@@ -50,9 +50,14 @@ def r1_closed(params: Parameters, n_ref: Optional[float] = None) -> float:
     """TB reproduction number: new latent cases per active case, times the
     fraction progressing to active disease."""
     p = params
-    d1 = p.k1 + p.tau1 + p.mu
-    d2 = p.tau2 + p.dT + p.mu
-    return _prefactor(p, n_ref) * p.beta1 * p.k1 / (d1 * d2)
+    rates = removal_rates(p)
+    return _prefactor(p, n_ref) * p.beta1 * p.k1 / (rates.d1 * rates.d2)
+
+
+def bifurcation_threshold(params: Parameters) -> float:
+    """Transmission rate at which the HIV-only submodel's R2 crosses 1."""
+    rates = removal_rates(params)
+    return rates.numer / (rates.d4 + params.eta * params.rho1)
 
 
 def r2_closed(params: Parameters, n_ref: Optional[float] = None) -> float:

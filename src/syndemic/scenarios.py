@@ -30,9 +30,9 @@ from .dynamics import Trajectory, integrate
 from .equilibria import (EquilibriumReport, disease_free, hiv_free, syndemic,
                          tb_free_numeric)
 from .model import (COMPARTMENTS, INFECTED_INDICES, Parameters, full_rhs,
-                    total_population)
+                    removal_rates, total_population)
 from .reproduction import r0
-from .stability import TOL_EIG, _hiv_threshold_terms, stability_report
+from .stability import TOL_EIG, stability_report
 
 INITIAL_FRACTIONS = np.array([0.60, 0.14, 0.03, 0.0, 0.04, 0.01,
                               0.12, 0.05, 0.0, 0.01])
@@ -192,8 +192,7 @@ def run_table3(params: Optional[Parameters] = None) -> ScenarioResult:
     base = params if params is not None else Parameters(0.0, 0.0)
     n_h = base.Lambda / base.mu
     result = ScenarioResult(spec=ScenarioSpec(name="table3"))
-    _, d4 = _hiv_threshold_terms(base)
-    ratio = base.rho1 / d4
+    ratio = base.rho1 / removal_rates(base).d4
     for beta2 in sorted(HIV_SWEEP_REFERENCE):
         p = dataclasses.replace(base, beta1=0.0, beta2=beta2)
         key = f"beta2={beta2:g}"

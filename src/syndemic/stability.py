@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .model import (DomainError, Parameters, force_of_infection,
-                    full_jacobian)
+                    full_jacobian, removal_rates)
 
 TOL_EIG = 1e-7      # a real part within this of 0 is marginal
 
@@ -96,11 +96,6 @@ def eigenvalues(m) -> List[complex]:
     return [complex(v) for v in vals[order].tolist()]
 
 
-def classify(eigs) -> str:
-    """stable / unstable / marginal by the dominant real part."""
-    return _classification(max(e.real for e in eigs))
-
-
 def _classification(dominant: float) -> str:
     if dominant < -TOL_EIG:
         return "stable"
@@ -125,30 +120,32 @@ def stability_report(state, params: Parameters,
                            dominant_real=dominant)
 
 
-def _removal_rates(p: Parameters) -> Tuple[float, ...]:
-    # Total outflow rate of each infected compartment, infected ordering.
-    return (p.k1 + p.tau1 + p.mu,
-            p.tau2 + p.dT + p.mu,
-            p.rho1 + p.mu,
-            p.alpha1 + p.mu + p.dA,
-            p.k2 + p.tau4 + p.mu,
-            p.tau3 + p.rho2 + p.mu + p.dT,
-            p.rho3 + p.mu,
-            p.alpha2 + p.mu + p.dTA)
-
-
 def dfe_trace_det(params: Parameters) -> Tuple[float, float]:
-    """Trace (closed form) and determinant (numeric) of the Jacobian at the
-    disease-free state.
+    """Trace and determinant of the Jacobian at the disease-free state, in
+    closed form from ``removal_rates``; no Jacobian is built.
 
-    The trace is -2*mu - sum of the eight removal rates + beta2; the final
-    term is the HIV infection gain on the diagonal (d(lambdaH*S)/dI_H = beta2
-    when S equals the whole population).
+    There S = Lambda/mu is the whole population, so the infection gains
+    enter with prefactor 1, and the Jacobian is block triangular (van den
+    Driessche & Watmough 2002): S and R_T (-mu each), TB {L_T, I_T}, HIV
+    {I_H, A}, L_TH (-d5) and the cycle {I_TH, R_TH, A_T}. The trace is
+    -2*mu - (d1 + ... + d8) + beta2, the HIV gain on the diagonal being
+    d(lambdaH*S)/dI_H = beta2. The determinant is the blocks' product,
+    mu^2 (d1 d2 - beta1 k1) (numer - beta2 (d4 + eta rho1)) (-d5) (-m): the
+    TB and HIV factors are d1 d2 (1 - R1) and numer (1 - R2), and the
+    cycle's -m = alpha2 (tau3 rho3 + d7 rho2) - d6 d7 d8 < 0 is written, as
+    numer is, as a sum of positive terms. DomainError unless Lambda/mu,
+    which enters neither, is finite and positive.
     """
-    trace = -2.0 * params.mu - sum(_removal_rates(params)) + params.beta2
-    dfe = np.zeros(10)
-    dfe[0] = params.Lambda / params.mu
-    det = float(np.linalg.det(full_jacobian(dfe, params)))
+    p = params
+    if not (p.mu > 0.0 and 0.0 < p.Lambda / p.mu < math.inf):
+        raise DomainError("population denominator must be finite and positive")
+    rates = removal_rates(p)
+    d1, d2, _, d4, d5, d6, d7, _, numer = rates
+    trace = -2.0 * p.mu - sum(rates[:8]) + p.beta2
+    m = (p.alpha2 * (p.mu * p.tau3 + (p.mu + p.dT) * d7)
+         + d6 * d7 * (p.mu + p.dTA))
+    det = (p.mu * p.mu * (d1 * d2 - p.beta1 * p.k1)
+           * (numer - p.beta2 * (d4 + p.eta * p.rho1)) * d5 * m)
     return trace, det
 
 
@@ -160,20 +157,8 @@ class BifurcationReport:
     v: np.ndarray            # left null vector, v.w = 1
     a: float
     b: float
+    # the largest |J w| / (max|J| max|w|) and |v J| / (max|J| max|v|)
     zero_eig_residual: float
-
-
-def _hiv_threshold_terms(p: Parameters) -> Tuple[float, float]:
-    # (numer, d4): d4 the AIDS removal rate and numer = d3*d4 - alpha1*rho1
-    # (d3 = rho1 + mu) written without that cancellation
-    return (p.mu * p.alpha1 + (p.mu + p.rho1) * (p.mu + p.dA),
-            p.alpha1 + p.mu + p.dA)
-
-
-def bifurcation_threshold(params: Parameters) -> float:
-    """Transmission rate at which the HIV-only submodel's R2 crosses 1."""
-    numer, d4 = _hiv_threshold_terms(params)
-    return numer / (d4 + params.eta * params.rho1)
 
 
 def bifurcation_analysis(params: Parameters) -> BifurcationReport:
@@ -184,7 +169,7 @@ def bifurcation_analysis(params: Parameters) -> BifurcationReport:
     disease-free state are taken in closed form (third component of w fixed
     to 1, v.w = 1, both third components positive), and so are a and b,
     from the sub-model's second derivatives on the self-consistent field.
-    Only Lambda, mu, rho1, alpha1, dA and eta are read. Raises DomainError
+    Only Lambda, mu, rho1, alpha1, dA and eta enter it. Raises DomainError
     unless rho1 and rho1*mu are positive, or naming every part of the
     report that is not finite.
     """
@@ -193,7 +178,8 @@ def bifurcation_analysis(params: Parameters) -> BifurcationReport:
     if not (rho1 > 0 and rho1 * mu > 0):
         raise DomainError("rho1 and rho1*mu must be positive (the null "
                           "vectors divide by them)")
-    numer, d4 = _hiv_threshold_terms(params)
+    rates = removal_rates(params)
+    numer, d4 = rates.numer, rates.d4
     bstar = numer / (d4 + eta * rho1)
     w1, w2 = -numer / (rho1 * mu), d4 / rho1
     v2 = rho1 / (d4 + rho1 + mu - bstar)
@@ -208,20 +194,27 @@ def bifurcation_analysis(params: Parameters) -> BifurcationReport:
     #        [0, beta* - rho1 - mu, beta* eta + alpha1],
     #        [0, rho1, -d4]]
     # (the first entry of v J is 0 exactly)
-    products = (-mu * w1 - bstar * w2 - bstar * eta,
-                -rho1 * gap * w2 + (bstar * eta + alpha1),
-                rho1 * w2 - d4,
-                -v2 * rho1 * gap + v3 * rho1,
-                v2 * (bstar * eta + alpha1) - v3 * d4)
-    if not all(map(math.isfinite, (bstar, w1, w2, v2, v3, a, b, *products))):
+    jw = (-mu * w1 - bstar * w2 - bstar * eta,
+          -rho1 * gap * w2 + (bstar * eta + alpha1),
+          rho1 * w2 - d4)
+    vj = (-v2 * rho1 * gap + v3 * rho1,
+          v2 * (bstar * eta + alpha1) - v3 * d4)
+    if not all(map(math.isfinite, (bstar, w1, w2, v2, v3, a, b, *jw, *vj))):
         parts = (("beta_star", (bstar,)), ("w", (w1, w2)), ("v", (v2, v3)),
-                 ("a", (a,)), ("b", (b,)), ("zero_eig_residual", products))
+                 ("a", (a,)), ("b", (b,)), ("zero_eig_residual", jw + vj))
         raise DomainError("threshold analysis: " + ", ".join(
             name for name, values in parts
             if not all(map(math.isfinite, values))) + " not finite")
+    # each J w product relative to max|J| max|w|, each v J product to
+    # max|J| max|v|, divided in turn so that nothing overflows; v is not 0
+    # where w is finite, since v2 >= rho1 / (d4 + rho1 + mu)
+    j_max = max(map(abs, (mu, bstar, bstar * eta, rho1 * gap,
+                          bstar * eta + alpha1, rho1, d4)))
+    residual = max(max(map(abs, jw)) / j_max / max(abs(w1), abs(w2), 1.0),
+                   max(map(abs, vj)) / j_max / max(abs(v2), abs(v3)))
     return BifurcationReport(beta_star=bstar, w=np.array([w1, w2, 1.0]),
                              v=np.array([0.0, v2, v3]), a=a, b=b,
-                             zero_eig_residual=max(map(abs, products)))
+                             zero_eig_residual=residual)
 
 
 @dataclass

@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from syndemic.model import Parameters, hiv_submodel_rhs
+from submodels import hiv_submodel_rhs
+from syndemic.model import Parameters
 from syndemic.stability import fd_jacobian
 
 KAPPA = 1e-5   # the beta2 step of b_fd

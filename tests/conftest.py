@@ -61,8 +61,9 @@ def treatment_coinfection_off():
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """Wrap a package function with a call counter, in every module that
-    bound it by name, and return the list the calls append to."""
+    """Wrap a function with a call counter, in the given module and in
+    every package module that bound it by name, and return the list the
+    calls append to."""
     def install(module, name):
         original = getattr(module, name)
         calls = []
@@ -71,6 +72,7 @@ def count_calls(monkeypatch):
             calls.append(1)
             return original(*args, **kwargs)
 
+        monkeypatch.setattr(module, name, counted)
         for modname, mod in list(sys.modules.items()):
             if (modname.partition(".")[0] == "syndemic"
                     and getattr(mod, name, None) is original):

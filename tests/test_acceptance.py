@@ -26,11 +26,11 @@ import numpy as np
 import pytest
 
 from bifurcation_fd import coefficients_fd
+from submodels import hiv_submodel_rhs, tb_submodel_rhs
 from syndemic.dynamics import integrate, steady_state_by_integration
 from syndemic.equilibria import syndemic
 from syndemic.model import (INFECTED_INDICES, Parameters, force_of_infection,
-                            full_jacobian, full_rhs, hiv_submodel_rhs,
-                            tb_submodel_rhs, validate_parameters)
+                            full_jacobian, full_rhs, validate_parameters)
 from syndemic.reproduction import ngm_decomposition, r0, r2_closed
 from syndemic.scenarios import (ENDEMIC_REFERENCE_STATE, HIV_SWEEP_REFERENCE,
                                 INITIAL_FRACTIONS, INITIAL_POPULATION)

@@ -354,6 +354,17 @@ def test_extreme_submodel_rates_have_finite_coefficients(rate, tmp_path,
     assert_left_null_vector_exact(params, bifurcation_analysis(params))
 
 
+@pytest.mark.parametrize("rate", list(EXTREME_RATE_COEFFICIENTS))
+def test_extreme_submodel_rates_have_null_vectors_to_roundoff(rate):
+    # zero_eig_residual is relative to max|J| times max|w| (or max|v|), so it
+    # reads the null vectors' quality, not the rates' scale: the absolute
+    # products reached 1.2e282 at rho1 = 1e-300
+    name, value = rate.split(" = ")
+    params = dataclasses.replace(Parameters(beta1=6.0, beta2=0.1),
+                                 **{name: float(value)})
+    assert bifurcation_analysis(params).zero_eig_residual <= 1e-15
+
+
 def test_simulate_writes_csv_and_svg(tmp_path, capsys):
     assert main(["simulate", "--beta1", "6", "--beta2", "0.1",
                  "--horizon", "20", "--out", str(tmp_path)]) == 0

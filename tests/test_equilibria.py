@@ -152,7 +152,7 @@ def test_tb_free_closed_form_bad_reference():
 @pytest.mark.parametrize("beta2", sorted(TB_FREE_CLOSED))
 def test_tb_free_closed_satisfies_pinned_balance(beta2):
     # back-substitution into the frozen-denominator sub-system
-    from syndemic.model import hiv_submodel_rhs
+    from submodels import hiv_submodel_rhs
     p = Parameters(beta1=6.0, beta2=beta2)
     report = tb_free_numeric(p, n_ref=S0)
     rhs = hiv_submodel_rhs(report.state[[0, 4, 5]], p, n_ref=S0)

@@ -1,6 +1,7 @@
 """Reproduction numbers and next-generation matrix cross-checks."""
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ import syndemic.model
 import syndemic.stability
 from flow_list import infection_gains
 from syndemic.model import (DomainError, INFECTED_INDICES, Parameters,
-                            full_rhs, validate_parameters)
-from syndemic.reproduction import (_perron_root, ngm_decomposition, r0,
-                                   r1_closed, r2_closed)
+                            full_jacobian, full_rhs, validate_parameters)
+from syndemic.reproduction import (_perron_root, bifurcation_threshold,
+                                   ngm_decomposition, r0, r1_closed,
+                                   r2_closed)
 from syndemic.stability import (bifurcation_analysis, dfe_trace_det,
                                 eigenvalues, fd_jacobian, stability_report)
 
@@ -190,8 +192,9 @@ def test_non_finite_next_generation_matrix_is_a_domain_error():
 def test_warm_threshold_item_linear_algebra_calls(count_calls, monkeypatch):
     # one item of the threshold analysis, after a first run of it: the 2x2
     # NGM (one solve, its Perron root in closed form), the 10x10 spectrum
-    # (one eig), the determinant, no SVD, since every residual is small, and
-    # none for the bifurcation report, which is closed-form
+    # (one eig, the item's one Jacobian), no SVD, since every residual is
+    # small, and none for the trace and determinant or the bifurcation
+    # report, which are closed forms
     p = Parameters(beta1=6.0, beta2=0.1)
     dfe = np.zeros(10)
     dfe[0] = S0
@@ -213,8 +216,77 @@ def test_warm_threshold_item_linear_algebra_calls(count_calls, monkeypatch):
     jacobians = count_calls(syndemic.model, "full_jacobian")
     item()
     assert {name: len(log) for name, log in calls.items()} == {
-        "eig": 1, "svd": 0, "inv": 0, "solve": 1, "det": 1}
-    assert len(jacobians) == 2
+        "eig": 1, "svd": 0, "inv": 0, "solve": 1, "det": 0}
+    assert len(jacobians) == 1
+
+
+def _dfe(p):
+    dfe = np.zeros(10)
+    dfe[0] = p.Lambda / p.mu
+    return dfe
+
+
+def _exact_det(matrix):
+    # Gaussian elimination in rationals on the float entries: no rounding
+    a = [[Fraction(x) for x in row] for row in matrix.tolist()]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next(i for i in range(k, len(a)) if a[i][k] != 0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            factor = a[i][k] / a[k][k]
+            if factor:
+                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def test_dfe_determinant_matches_lapack_on_random_rates():
+    # the block product against LAPACK's det of the 10 x 10 Jacobian: 1e-12
+    # relative, plus the 1e-15/|R - 1| roundoff floor of the TB or HIV
+    # factor, d1 d2 (1 - R1) or numer (1 - R2), for a draw near a threshold
+    rng = np.random.default_rng(2026)
+    for _ in range(1000):
+        p = _random_parameters(rng)
+        _, det = dfe_trace_det(p)
+        lapack = float(np.linalg.det(full_jacobian(_dfe(p), p)))
+        numbers = r0(p)
+        near = min(abs(numbers.r1 - 1.0), abs(numbers.r2 - 1.0))
+        assert abs(det - lapack) <= (1e-12 + 1e-15 / near) * abs(lapack)
+
+
+@pytest.mark.parametrize("excess", [1e-4, 1e-7, 1e-10])
+@pytest.mark.parametrize("disease", ["tb", "hiv"])
+def test_dfe_determinant_near_threshold(disease, excess):
+    # R - 1 = excess for one disease, the other far from its threshold:
+    # within the 1e-15/(R - 1) roundoff floor of R - 1 of the exact
+    # determinant of the same float Jacobian
+    p = Parameters(beta1=2.7, beta2=0.1)
+    if disease == "tb":
+        beta1 = (1.0 + excess) * p.beta1 / r1_closed(p)
+        p = dataclasses.replace(p, beta1=beta1)
+        r = r1_closed(p)
+    else:
+        beta2 = (1.0 + excess) * bifurcation_threshold(p)
+        p = dataclasses.replace(p, beta2=beta2)
+        r = r2_closed(p)
+    assert r - 1.0 == pytest.approx(excess, rel=1e-5)
+    exact = _exact_det(full_jacobian(_dfe(p), p))
+    _, det = dfe_trace_det(p)
+    assert abs(Fraction(det) - exact) <= Fraction(1e-15 / excess) * abs(exact)
+
+
+@pytest.mark.parametrize("rates", [
+    {"Lambda": 1e300, "mu": 1e-10},          # Lambda/mu overflows
+    {"Lambda": 1e-320, "mu": 1e10},          # and underflows to 0
+    {"mu": 0.0}, {"mu": math.nan}, {"Lambda": -714.0}])
+@pytest.mark.parametrize("beta1,beta2", [(6.0, 0.1), (0.0, 0.0)])
+def test_dfe_trace_det_needs_a_disease_free_population(rates, beta1, beta2):
+    p = dataclasses.replace(Parameters(beta1=beta1, beta2=beta2), **rates)
+    with pytest.raises(DomainError, match="finite and positive"):
+        dfe_trace_det(p)
 
 
 def test_second_pass_over_threshold_grid_builds_no_flow_matrices(count_calls):

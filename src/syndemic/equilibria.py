@@ -25,10 +25,10 @@ import numpy as np
 
 from .model import (_HIV_SUB_INDICES, _TB_SUB_INDICES, DomainError,
                     HIV_INFECTED_INDICES, Parameters, TB_INFECTED_INDICES,
-                    flow_matrices, full_jacobian, full_rhs, removal_rates,
-                    total_population)
+                    disease_free_population, flow_matrices, full_rhs,
+                    removal_rates, total_population)
 from .reproduction import ReproductionNumbers, r0
-from .stability import TOL_EIG, ConvergenceError
+from .stability import ConvergenceError
 
 # An infected group is present above this total, in persons, far below one.
 _PRESENT_EPS = 1e-2
@@ -49,7 +49,7 @@ class EquilibriumReport:
     residual: float               # ||rhs|| / N, 1/year
     repro: ReproductionNumbers
     exists: bool
-    # iterations (Newton steps, 0 on an axis), locally_stable; {} if R <= 1
+    # iterations: Newton steps, 0 on an axis; {} for disease_free
     stats: dict = field(default_factory=dict)
 
 
@@ -159,8 +159,8 @@ def _hiv_axis(p: Parameters, n_ref: Optional[float], r2: float) -> np.ndarray:
     return _embed([s, i_h, p.rho1 / d4 * i_h], _HIV_SUB_INDICES)
 
 
-# by pressure k, the only positive one: its closed form and compartments
-_AXES = ((_tb_axis, _TB_SUB_INDICES), (_hiv_axis, _HIV_SUB_INDICES))
+# by pressure k, the only positive one: its closed form
+_AXES = (_tb_axis, _hiv_axis)
 
 
 def _axis_state(params: Parameters, n_ref: Optional[float], k: int,
@@ -168,19 +168,12 @@ def _axis_state(params: Parameters, n_ref: Optional[float], k: int,
     """The state where only pressure k (0: TB, 1: HIV) can be positive: the
     closed form when its reproduction number r exceeds 1, else disease-free."""
     if r > 1.0:
-        return _AXES[k][0](params, n_ref, r)
-    return _embed(params.Lambda / params.mu, [0])
-
-
-def _stats(state, params: Parameters, n_ref: Optional[float], idx,
-           steps: int) -> dict:
-    j = full_jacobian(state, params, n_ref)[np.ix_(idx, idx)]
-    return {"iterations": steps, "locally_stable": bool(
-        np.linalg.eigvals(j).real.max() < -TOL_EIG)}
+        return _AXES[k](params, n_ref, r)
+    return _embed(disease_free_population(params), [0])
 
 
 def _solve(params: Parameters, n_ref: Optional[float],
-           repro: ReproductionNumbers) -> Tuple[np.ndarray, dict]:
+           repro: ReproductionNumbers) -> Tuple[np.ndarray, int]:
     # Newton from the pressure bound, above every root: from the census
     # seed's pressures it can leave the orthant and settle on an unstable
     # boundary root. It only approaches a root on a face of the orthant, so
@@ -190,7 +183,7 @@ def _solve(params: Parameters, n_ref: Optional[float],
     # pressure with no weight is always 0, and then no Newton step is made.
     # Neither pressure can exceed its largest weight, times (Lambda/mu) / n_ref
     # when pinned: at an equilibrium N <= Lambda/mu.
-    scale = 1.0 if n_ref is None else params.Lambda / params.mu / n_ref
+    scale = 1.0 if n_ref is None else disease_free_population(params) / n_ref
     bound = flow_matrices(params).weights.max(axis=1) * scale
     lam, steps = bound, 0
     if bound.all():
@@ -209,13 +202,13 @@ def _solve(params: Parameters, n_ref: Optional[float],
         k = int(face.argmax())
         state = _axis_state(params, n_ref, k, repro[k])
     else:
-        state = _embed(params.Lambda / params.mu, [0])
-    return state, _stats(state, params, n_ref, np.arange(10), steps)
+        state = _embed(disease_free_population(params), [0])
+    return state, steps
 
 
 def disease_free(params: Parameters) -> EquilibriumReport:
     """The no-disease fixed point: everyone susceptible at Lambda/mu."""
-    state = _embed(params.Lambda / params.mu, [0])
+    state = _embed(disease_free_population(params), [0])
     return EquilibriumReport(kind="disease-free", state=state,
                              residual=residual(state, params),
                              repro=r0(params), exists=True)
@@ -225,12 +218,10 @@ def _submodel_equilibrium(params: Parameters, n_ref: Optional[float],
                           k: int) -> EquilibriumReport:
     repro = r0(params, n_ref)
     state = _axis_state(params, n_ref, k, repro[k])
-    stats = (_stats(state, params, n_ref, _AXES[k][1], 0)
-             if repro[k] > 1.0 else {})
-    return _report(state, stats, params, n_ref, repro, ("hiv-free", "tb-free"))
+    return _report(state, 0, params, n_ref, repro, ("hiv-free", "tb-free"))
 
 
-def _report(state, stats: dict, params: Parameters, n_ref: Optional[float],
+def _report(state, steps: int, params: Parameters, n_ref: Optional[float],
             repro: ReproductionNumbers, existing) -> EquilibriumReport:
     # kind names the infected groups present; exists holds for existing kinds
     tb, hiv = (float(state[list(group)].sum()) > _PRESENT_EPS
@@ -238,7 +229,8 @@ def _report(state, stats: dict, params: Parameters, n_ref: Optional[float],
     kind = _KINDS[tb, hiv]
     return EquilibriumReport(kind=kind, state=state,
                              residual=residual(state, params, n_ref),
-                             repro=repro, exists=kind in existing, stats=stats)
+                             repro=repro, exists=kind in existing,
+                             stats={"iterations": steps})
 
 
 def tb_free_numeric(params: Parameters,

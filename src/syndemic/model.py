@@ -13,7 +13,8 @@ into the matrices that the right-hand side, its Jacobian, the infection
 pressures and the next-generation matrices all read, built once per
 Parameters object and kept on it. removal_rates gives the total outflow
 rate of each infected class, which the closed forms of the threshold
-analysis and the single-disease equilibria read. Every function of a state
+analysis and the single-disease equilibria read, and
+disease_free_population the checked Lambda/mu. Every function of a state
 takes exactly one state, and raises DomainError naming the shape of
 anything else. The right-hand sides are pure functions that return fresh
 arrays; full_rhs can write the derivative into a given array instead.
@@ -125,13 +126,6 @@ def removal_rates(params: Parameters) -> RemovalRates:
                         p.mu * p.alpha1 + (p.mu + p.rho1) * (p.mu + p.dA))
 
 
-class ForceOfInfection(NamedTuple):
-    """Per-capita infection pressures, 1/year."""
-
-    lambdaT: float
-    lambdaH: float
-
-
 def total_population(state: Sequence[float]) -> float:
     """Sum of all ten compartments."""
     return float(np.asarray(state, dtype=float).sum())
@@ -150,6 +144,15 @@ def _denominator(y: np.ndarray, n_ref: Optional[float]) -> float:
     # positive. Callers check it before any product with y, so a non-finite
     # state is a DomainError rather than a numpy invalid-value warning.
     n = float(n_ref) if n_ref is not None else float(y.sum())
+    if not 0.0 < n < math.inf:
+        raise DomainError("population denominator must be finite and positive")
+    return n
+
+
+def disease_free_population(params: Parameters) -> float:
+    """The disease-free population Lambda/mu, in Python floats. DomainError
+    unless mu is positive and the quotient finite and positive."""
+    n = params.Lambda / params.mu if params.mu > 0.0 else math.nan
     if not 0.0 < n < math.inf:
         raise DomainError("population denominator must be finite and positive")
     return n
@@ -234,18 +237,6 @@ def flow_matrices(params: Parameters) -> FlowMatrices:
     copy before handing an array out.
     """
     return params._flow_matrices
-
-
-def force_of_infection(state, params: Parameters,
-                       n_ref: Optional[float] = None) -> ForceOfInfection:
-    """Evaluate the TB and HIV infection pressures at the given state: the
-    weights of ``flow_matrices`` applied to it, divided by the instantaneous
-    total population, or by ``n_ref`` when given."""
-    y = _as_state(state)
-    weights = flow_matrices(params).weights
-    n = _denominator(y, n_ref)
-    lam = weights @ y / n
-    return ForceOfInfection(float(lam[0]), float(lam[1]))
 
 
 def full_rhs(state, params: Parameters, n_ref: Optional[float] = None,

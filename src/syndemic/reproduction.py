@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .model import (DomainError, INFECTED_INDICES, Parameters, S,
-                    flow_matrices, removal_rates)
+                    disease_free_population, flow_matrices, removal_rates)
 
 
 class ReproductionNumbers(NamedTuple):
@@ -38,12 +38,15 @@ class ReproductionNumbers(NamedTuple):
 
 
 def _prefactor(params: Parameters, n_ref: Optional[float]) -> float:
-    s0 = params.Lambda / params.mu
+    # (Lambda/mu) / n_ref: exactly 1 under the disease-free convention;
+    # pinned, a quotient that overflows leaves R non-finite, which r0 names
     if n_ref is None:
         return 1.0
     if not 0 < n_ref < math.inf:
         raise DomainError("n_ref must be finite and positive")
-    return s0 / n_ref
+    if not params.mu > 0.0:
+        raise DomainError("population denominator must be finite and positive")
+    return params.Lambda / params.mu / n_ref
 
 
 def r1_closed(params: Parameters, n_ref: Optional[float] = None) -> float:
@@ -83,7 +86,8 @@ def r0(params: Parameters, n_ref: Optional[float] = None) -> ReproductionNumbers
         raise DomainError("reproduction number overflow: "
                           + ", ".join(overflowed))
     return ReproductionNumbers(r1=r1, r2=r2, r0=max(r1, r2),
-                               n_ref=params.Lambda / params.mu if n_ref is None else float(n_ref))
+                               n_ref=(disease_free_population(params)
+                                      if n_ref is None else float(n_ref)))
 
 
 _INFECTED = np.array(INFECTED_INDICES)
@@ -125,7 +129,7 @@ def ngm_decomposition(params: Parameters) -> NextGenDecomposition:
     against finite differences of a flow-list reading of the model.
     """
     p = params
-    n = p.Lambda / p.mu
+    n = disease_free_population(p)
     _, maps, weights, _ = flow_matrices(p)
     u_mat = maps[1:, _INFECTED, S].T * n     # (CT y, CH y) at y = n e_S
     w_mat = (weights / n)[:, _INFECTED]

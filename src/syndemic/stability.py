@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .model import (DomainError, Parameters, force_of_infection,
+from .model import (DomainError, Parameters, disease_free_population,
                     full_jacobian, removal_rates)
 
 TOL_EIG = 1e-7      # a real part within this of 0 is marginal
@@ -137,8 +137,7 @@ def dfe_trace_det(params: Parameters) -> Tuple[float, float]:
     which enters neither, is finite and positive.
     """
     p = params
-    if not (p.mu > 0.0 and 0.0 < p.Lambda / p.mu < math.inf):
-        raise DomainError("population denominator must be finite and positive")
+    disease_free_population(p)
     rates = removal_rates(p)
     d1, d2, _, d4, d5, d6, d7, _, numer = rates
     trace = -2.0 * p.mu - sum(rates[:8]) + p.beta2
@@ -215,40 +214,3 @@ def bifurcation_analysis(params: Parameters) -> BifurcationReport:
     return BifurcationReport(beta_star=bstar, w=np.array([w1, w2, 1.0]),
                              v=np.array([0.0, v2, v3]), a=a, b=b,
                              zero_eig_residual=residual)
-
-
-@dataclass
-class H2Evaluation:
-    state: np.ndarray
-    ghat: np.ndarray                  # 8-vector, infected ordering
-    violating_indices: Tuple[int, ...]  # 0-based positions with ghat < 0
-
-
-def h2_condition_check(state, params: Parameters) -> H2Evaluation:
-    """Evaluate the sign condition used in the global-stability argument.
-
-    The 8 components follow the infected ordering (latent TB, active TB, HIV,
-    AIDS, latent coinfection, active coinfection, recovered coinfection,
-    AIDS+TB). Components 4 and 8 (1-based) are identically zero. A negative
-    component anywhere means the condition fails at this state, which must
-    lie in the feasible region within 1e-6 max(1, Lambda/mu) persons.
-    """
-    y = np.asarray(state, dtype=float)
-    cap = params.Lambda / params.mu
-    tol = 1e-6 * max(1.0, cap)
-    if np.any(y < -tol) or y.sum() > cap + tol:
-        raise DomainError("state outside the feasible region")
-    s, _, i_t, r_t, i_h, _, _, _, r_th, _ = y
-    lam = force_of_infection(y, params)
-    ghat = np.array([
-        lam.lambdaT * (cap - s - params.beta1p * r_t),
-        -params.delta * lam.lambdaH * i_t,
-        lam.lambdaH * (cap - s - r_t - params.psi * i_h),
-        0.0,
-        -params.beta2p * lam.lambdaT * r_th,
-        -(params.delta * lam.lambdaH * i_t + params.psi * lam.lambdaT * i_h),
-        params.beta2p * lam.lambdaT * r_th,
-        0.0,
-    ])
-    violating = tuple(int(i) for i in np.where(ghat < 0.0)[0])
-    return H2Evaluation(state=y, ghat=ghat, violating_indices=violating)

@@ -1,5 +1,6 @@
-"""The single-disease sub-models as right-hand sides of their own, and the
-verdict of a whole spectrum: routes that only the tests use.
+"""The single-disease sub-models as right-hand sides of their own, the
+verdict of a whole spectrum, and a sub-model's verdict at a state: routes
+that only the tests use.
 
 Each sub-model is the full system restricted to a zero-padded state, so the
 restriction property holds bit for bit by construction. ``full_rhs`` is
@@ -13,8 +14,8 @@ import numpy as np
 import syndemic.model as model
 from syndemic.model import (_HIV_SUB_INDICES, _TB_SUB_INDICES,
                             N_COMPARTMENTS, Parameters, _as_state,
-                            _denominator)
-from syndemic.stability import _classification
+                            _denominator, full_jacobian)
+from syndemic.stability import _classification, eigenvalues
 
 
 def _restricted_rhs(y_sub, indices, params: Parameters,
@@ -47,3 +48,11 @@ def tb_submodel_rhs(state4, params: Parameters,
 def classify(eigs) -> str:
     """stable / unstable / marginal by the dominant real part."""
     return _classification(max(e.real for e in eigs))
+
+
+def submodel_classification(state, params: Parameters,
+                            n_ref: Optional[float], indices) -> str:
+    """The verdict of the sub-model on indices at a 10-state: the spectrum,
+    by the checked ``eigenvalues``, of its block of the full Jacobian."""
+    j = full_jacobian(state, params, n_ref)[np.ix_(indices, indices)]
+    return classify(eigenvalues(j))

@@ -26,16 +26,17 @@ import numpy as np
 import pytest
 
 from bifurcation_fd import coefficients_fd
+from h2 import force_of_infection, h2_condition_check
 from submodels import hiv_submodel_rhs, tb_submodel_rhs
 from syndemic.dynamics import integrate, steady_state_by_integration
 from syndemic.equilibria import syndemic
-from syndemic.model import (INFECTED_INDICES, Parameters, force_of_infection,
-                            full_jacobian, full_rhs, validate_parameters)
+from syndemic.model import (INFECTED_INDICES, Parameters, full_jacobian,
+                            full_rhs, validate_parameters)
 from syndemic.reproduction import ngm_decomposition, r0, r2_closed
 from syndemic.scenarios import (ENDEMIC_REFERENCE_STATE, HIV_SWEEP_REFERENCE,
                                 INITIAL_FRACTIONS, INITIAL_POPULATION)
 from syndemic.stability import (bifurcation_analysis, eigenvalues,
-                                fd_jacobian, h2_condition_check)
+                                fd_jacobian, stability_report)
 
 S0 = 714.0 / (1.0 / 70.0)
 START = INITIAL_FRACTIONS * INITIAL_POPULATION
@@ -134,7 +135,8 @@ def test_criterion_4_coexistence_equilibrium_two_routes():
     newton = syndemic(p, START, n_ref=50000.0)
     integrated, converged = steady_state_by_integration(
         p, START, horizon=1500.0, n_ref=50000.0)
-    assert converged and newton.stats["locally_stable"]
+    verdict = stability_report(newton.state, p, 50000.0).classification
+    assert converged and verdict == "stable"
     assert np.max(np.abs(newton.state - reference) / reference) < 0.01
     assert np.max(np.abs(integrated - reference) / reference) < 0.01
     agreement = np.abs(newton.state - integrated) / np.maximum(newton.state, 1.0)

@@ -254,6 +254,22 @@ def test_huge_transmission_equilibrium_solves(argv, kind, capsys):
     assert float(fields[11]) <= 1e-12
 
 
+def test_extreme_rate_root_is_solved_and_its_spectrum_refused(capsys):
+    # the equilibrium command finds the root and judges no spectrum; the
+    # stability command, the one verdict, refuses the spectrum there: the
+    # Jacobian spans 1e-17 to 1e200 and an eigenpair fails its residual
+    rates = ["--beta1", "6", "--beta2", "1e200"]
+    assert main(["equilibrium", "--kind", "syndemic", *rates]) == 0
+    fields = capsys.readouterr().out.splitlines()[1].split(",")
+    state = np.array([float(v) for v in fields[1:11]])
+    assert fields[0] == "syndemic"
+    assert np.all(np.isfinite(state)) and np.all(state >= 0.0)
+    assert main(["stability", "--at", "syndemic", *rates]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eigenvalue failed the residual check\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["r0", "--beta1", "6", "--beta2", "1e307"],
     ["sweep", "--beta1", "6", "--beta2", "0.1", "--param", "beta2",

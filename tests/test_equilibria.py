@@ -13,15 +13,19 @@ from scipy.optimize import fsolve
 
 from flow_list import arrows, flow_rhs, pressures
 from ptc import _ptc, ptc_hiv_free, ptc_syndemic, ptc_tb_free
+from submodels import submodel_classification
 from syndemic import equilibria
 from syndemic.equilibria import (EquilibriumReport, disease_free, hiv_free,
                                  residual, syndemic, tb_free_numeric)
-from syndemic.model import (PARAMETER_FIELDS, DomainError, Parameters,
-                            full_rhs)
-from syndemic.reproduction import r1_closed, r2_closed
+from syndemic.model import (_HIV_SUB_INDICES, _TB_SUB_INDICES,
+                            PARAMETER_FIELDS, DomainError, Parameters,
+                            disease_free_population, full_rhs)
+from syndemic.reproduction import (ngm_decomposition, r0, r1_closed,
+                                   r2_closed)
 from syndemic.scenarios import INITIAL_FRACTIONS, INITIAL_POPULATION
 from syndemic.stability import (TOL_EIG, ConvergenceError,
-                                bifurcation_analysis, fd_jacobian)
+                                bifurcation_analysis, fd_jacobian,
+                                stability_report)
 
 S0 = 714.0 / (1.0 / 70.0)
 START = INITIAL_FRACTIONS * INITIAL_POPULATION
@@ -59,6 +63,18 @@ SYNDEMIC_PINNED = np.array([
     4766.224459, 2020.127362, 943.285860, 28625.633020, 362.496254,
     56.263277, 31.389270, 55.133584, 495.475792, 112.293451,
 ])
+
+
+def _stable_report(report, p, n_ref):
+    # the full model's verdict at a solve's root
+    return stability_report(report.state, p, n_ref).classification == "stable"
+
+
+def _axis_stable(solve, report, p, n_ref):
+    # the verdict of the sub-model that the single-disease solve solves
+    indices = _TB_SUB_INDICES if solve is hiv_free else _HIV_SUB_INDICES
+    return submodel_classification(report.state, p, n_ref,
+                                   indices) == "stable"
 
 
 def _axis_oracle(p, n_ref, k, guess):
@@ -173,7 +189,7 @@ def test_tb_free_numeric_self_consistent(beta2):
     p = Parameters(beta1=6.0, beta2=beta2)
     report = tb_free_numeric(p)
     assert report.kind == "tb-free"
-    assert report.exists and report.stats["locally_stable"]
+    assert report.exists and _axis_stable(tb_free_numeric, report, p, None)
     got = report.state[[0, 4, 5]]
     assert np.allclose(got, TB_FREE_SELF[beta2], rtol=1e-6)
     assert np.all(report.state[[1, 2, 3, 6, 7, 8, 9]] == 0.0)
@@ -213,7 +229,7 @@ def test_syndemic_equilibrium_self_consistent():
     p = Parameters(beta1=6.0, beta2=0.1)
     report = syndemic(p, START)
     assert report.kind == "syndemic"
-    assert report.exists and report.stats["locally_stable"]
+    assert report.exists and _stable_report(report, p, None)
     assert np.allclose(report.state, SYNDEMIC_SELF, rtol=1e-5)
     assert report.residual < 1e-10
 
@@ -264,7 +280,7 @@ def test_tb_free_numeric_reaches_the_endemic_root():
     # R2 > 1: the disease-free root is unstable and must not be returned
     p = Parameters(beta1=6.0, beta2=0.137)
     report = tb_free_numeric(p, n_ref=S0)
-    assert report.stats["locally_stable"]
+    assert _axis_stable(tb_free_numeric, report, p, S0)
     assert np.allclose(report.state, _axis_oracle(p, S0, 1, report.state),
                        rtol=1e-8)
 
@@ -283,23 +299,23 @@ def test_tb_free_numeric_accurate_near_threshold(excess):
 
 def test_syndemic_solve_iterations():
     # deterministic work, pinned within a band; wall time is not gated
-    stats = syndemic(Parameters(beta1=6.0, beta2=0.1), START,
-                     n_ref=50000.0).stats
-    assert stats.keys() == {"iterations", "locally_stable"}
-    assert 7 <= stats["iterations"] <= 9                  # 8 measured
-    assert stats["locally_stable"]
+    p = Parameters(beta1=6.0, beta2=0.1)
+    report = syndemic(p, START, n_ref=50000.0)
+    assert report.stats.keys() == {"iterations"}
+    assert 7 <= report.stats["iterations"] <= 9           # 8 measured
+    assert _stable_report(report, p, 50000.0)
 
 
 def test_boundary_root_lands_on_its_face():
     # Newton only approaches a root with lambdaH = 0; the solve finishes on
     # that axis, so every HIV class is exactly 0
-    report = syndemic(Parameters(beta1=6.0, beta2=0.03),
-                      np.full(10, 5000.0), n_ref=50000.0)
+    p = Parameters(beta1=6.0, beta2=0.03)
+    report = syndemic(p, np.full(10, 5000.0), n_ref=50000.0)
     assert report.kind == "hiv-free"
     assert np.all(report.state[4:] == 0.0)
     assert np.all(report.state[:4] > 0.0)
     assert 7 <= report.stats["iterations"] <= 9           # 8 measured
-    assert report.stats["locally_stable"]
+    assert _stable_report(report, p, 50000.0)
 
 
 @pytest.mark.parametrize("solve,n_ref", [
@@ -307,17 +323,19 @@ def test_boundary_root_lands_on_its_face():
     (tb_free_numeric, None)])
 def test_submodel_solve_iterations(solve, n_ref):
     # the single-disease states are closed forms: no Newton step
-    stats = solve(Parameters(beta1=6.0, beta2=0.1), n_ref=n_ref).stats
-    assert stats["iterations"] == 0
-    assert stats["locally_stable"]
+    p = Parameters(beta1=6.0, beta2=0.1)
+    report = solve(p, n_ref=n_ref)
+    assert report.stats == {"iterations": 0}
+    assert _axis_stable(solve, report, p, n_ref)
 
 
 def test_extreme_transmission_solve_iterations():
     # `syndemic equilibrium --beta1 1e4 --beta2 50`: an explicit integrator
     # needs over 14,000 steps to relax it
-    report = syndemic(Parameters(beta1=1e4, beta2=50.0), START)
+    p = Parameters(beta1=1e4, beta2=50.0)
+    report = syndemic(p, START)
     assert report.stats["iterations"] <= 6                # 4 measured
-    assert report.stats["locally_stable"]
+    assert _stable_report(report, p, None)
     assert report.residual < 1e-10
 
 
@@ -353,14 +371,15 @@ def test_near_threshold_solve_reaches_the_root(solve, n_ref, excess):
 
 @pytest.mark.parametrize("solve,beta1,beta2,n_ref,kind,iterations,solves", [
     (syndemic, 6.0, 0.1, 50000.0, "syndemic", 8, 1),
+    (syndemic, 6.0, 1e200, None, "syndemic", 5, 1),   # an extreme rate
     (syndemic, 13.0, 0.06, None, "hiv-free", 6, 0),   # lands on a face
     (hiv_free, 6.0, 0.1, None, "hiv-free", 0, 0),
     (tb_free_numeric, 6.0, 0.1, S0, "tb-free", 0, 0)])
 def test_solve_linear_algebra_calls(solve, beta1, beta2, n_ref, kind,
                                     iterations, solves, monkeypatch):
-    # one inverse per Newton step, one solve for the state at an interior
-    # root (a face root and the single-disease states are closed forms),
-    # and the spectrum of the Jacobian there
+    # one inverse per Newton step and one solve for the state at an
+    # interior root (a face root and the single-disease states are closed
+    # forms); no spectrum: stability_report alone judges one
     calls = {name: [] for name in ("inv", "solve", "eig", "eigvals", "svd",
                                    "det", "lstsq")}
     for name, log in calls.items():
@@ -377,7 +396,7 @@ def test_solve_linear_algebra_calls(solve, beta1, beta2, n_ref, kind,
     assert report.kind == kind
     assert report.stats["iterations"] == iterations
     assert {name: len(log) for name, log in calls.items()} == {
-        "inv": iterations, "solve": solves, "eig": 0, "eigvals": 1,
+        "inv": iterations, "solve": solves, "eig": 0, "eigvals": 0,
         "svd": 0, "det": 0, "lstsq": 0}
 
 
@@ -392,7 +411,7 @@ def test_hiv_free_near_threshold_reaches_the_root(excess, n_ref):
     report = hiv_free(p, n_ref=n_ref)
     reference, _ = ptc_hiv_free(p, n_ref=n_ref)
     assert report.kind == "hiv-free"
-    assert report.stats["locally_stable"]
+    assert _axis_stable(hiv_free, report, p, n_ref)
     assert _agreement(report.state, reference) < 1e-10
 
 
@@ -426,6 +445,29 @@ def test_syndemic_seed_without_people_is_an_error():
         syndemic(Parameters(beta1=6.0, beta2=0.1), np.zeros(10))
     with pytest.raises(DomainError):
         syndemic(Parameters(beta1=6.0, beta2=0.1), np.full(10, np.nan))
+
+
+@pytest.mark.parametrize("rates,pinned", [
+    ({"mu": 0.0}, True), ({"mu": -1.0 / 70.0}, True),
+    # the pinned prefactor overflows with it, and r0 names that overflow
+    ({"Lambda": 1e300, "mu": 1e-10}, False)])
+def test_disease_free_population_must_be_finite_and_positive(rates, pinned):
+    # every call that reads Lambda/mu checks it first, so a zero mu is a
+    # DomainError, not a ZeroDivisionError
+    p = dataclasses.replace(Parameters(beta1=6.0, beta2=0.1), **rates)
+    calls = [lambda: r0(p), lambda: ngm_decomposition(p),
+             lambda: disease_free(p), lambda: hiv_free(p),
+             lambda: tb_free_numeric(p), lambda: syndemic(p, START)]
+    if pinned:
+        calls += [lambda: r0(p, S0), lambda: hiv_free(p, n_ref=S0),
+                  lambda: tb_free_numeric(p, n_ref=S0),
+                  lambda: syndemic(p, START, n_ref=50000.0)]
+    for call in calls:
+        with pytest.raises(DomainError, match="population denominator must "
+                                              "be finite and positive"):
+            call()
+    base = Parameters(beta1=6.0, beta2=0.1)
+    assert disease_free_population(base) == base.Lambda / base.mu
 
 
 # The pseudo-transient route of tests/ptc.py: its work counters, pinned
@@ -509,21 +551,21 @@ def test_syndemic_matches_pseudo_transient_route(beta1, beta2, n_ref):
     reference, stats = ptc_syndemic(p, START, n_ref=n_ref)
     assert _agreement(report.state, reference) < 1e-10
     assert report.kind == _ptc_kind(reference)
-    assert report.stats["locally_stable"] == stats["locally_stable"]
+    assert _stable_report(report, p, n_ref) == stats["locally_stable"]
 
 
 def test_submodels_match_pseudo_transient_route():
     for (beta1, beta2), n_ref in itertools.product(SUBMODEL_RATES,
                                                    CONVENTIONS):
         p = Parameters(beta1=beta1, beta2=beta2)
-        for solve, route in ((hiv_free, ptc_hiv_free),
-                             (tb_free_numeric, ptc_tb_free)):
+        for k, solve, route in ((0, hiv_free, ptc_hiv_free),
+                                (1, tb_free_numeric, ptc_tb_free)):
             report = solve(p, n_ref=n_ref)
             reference, stats = route(p, n_ref=n_ref)
             assert _agreement(report.state, reference) < 1e-10
             assert report.kind == _ptc_kind(reference)
-            if report.stats:    # the reproduction number gate opened
-                assert (report.stats["locally_stable"]
+            if report.repro[k] > 1.0:    # the reproduction number gate opened
+                assert (_axis_stable(solve, report, p, n_ref)
                         == stats["locally_stable"])
 
 
@@ -532,12 +574,12 @@ def test_scenario_equilibria_match_pseudo_transient_route(
     base = Parameters(beta1=0.0, beta2=0.0)
     for key, report in table2_result.equilibria.items():
         p = Parameters(beta1=float(key.split("=")[1]), beta2=0.0)
-        if report.stats:
+        if report.repro.r1 > 1.0:
             reference, _ = ptc_hiv_free(p, n_ref=base.Lambda / base.mu)
             assert _agreement(report.state, reference) < 1e-10
     for key, report in table3_result.equilibria.items():
         p = Parameters(beta1=0.0, beta2=float(key.split("=")[1]))
-        if report.stats:
+        if report.repro.r2 > 1.0:
             reference, _ = ptc_tb_free(p)
             assert _agreement(report.state, reference) < 1e-10
     newton = syndemic_stability_result.equilibria["newton"]

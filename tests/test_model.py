@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from flow_list import flow_rhs
+from h2 import force_of_infection
 from submodels import hiv_submodel_rhs, tb_submodel_rhs
 from syndemic.model import (COMPARTMENTS, DomainError, INFECTED_INDICES,
                             N_COMPARTMENTS, PARAMETER_FIELDS, Parameters,
-                            flow_matrices, force_of_infection,
-                            full_jacobian, full_rhs, total_population,
-                            validate_parameters)
+                            flow_matrices, full_jacobian, full_rhs,
+                            total_population, validate_parameters)
 from syndemic.scenarios import INITIAL_FRACTIONS, INITIAL_POPULATION
 from syndemic.stability import fd_jacobian
 

@@ -10,13 +10,14 @@ import submodels
 import syndemic.model
 import syndemic.stability
 from bifurcation_fd import assert_left_null_vector_exact, coefficients_fd
+from h2 import h2_condition_check
 from submodels import classify, hiv_submodel_rhs
 from syndemic.model import DomainError, Parameters, full_jacobian, full_rhs
 from syndemic.reproduction import bifurcation_threshold, r2_closed
 from syndemic.scenarios import INITIAL_FRACTIONS
 from syndemic.stability import (ConvergenceError, bifurcation_analysis,
                                 dfe_trace_det, eigenvalues, fd_jacobian,
-                                h2_condition_check, stability_report)
+                                stability_report)
 
 S0 = 714.0 / (1.0 / 70.0)
 SUB = Parameters(beta1=2.7, beta2=0.03)

@@ -380,8 +380,10 @@ def _cmd_scenario(args) -> int:
     out = _out_dir(args, cfg)
     files = write_scenario_csv(result, out)
     for record in result.assertions:
-        print(f"[{record.status}] {record.name}: "
-              f"expected {record.expected:.8g} actual {record.actual:.8g}")
+        expected = ("" if record.passed is None
+                    else f"expected {record.expected:.8g} ")
+        print(f"[{record.status}] {record.name}: {expected}"
+              f"actual {record.actual:.8g}")
     print(f"wrote {len(files)} files to {out}")
     return 0 if result.passed else 1
 

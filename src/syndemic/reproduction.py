@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,15 +38,12 @@ class ReproductionNumbers(NamedTuple):
 
 
 def _prefactor(params: Parameters, n_ref: Optional[float]) -> float:
-    # (Lambda/mu) / n_ref: exactly 1 under the disease-free convention;
-    # pinned, a quotient that overflows leaves R non-finite, which r0 names
+    # (Lambda/mu) / n_ref: exactly 1 under the disease-free convention
     if n_ref is None:
         return 1.0
     if not 0 < n_ref < math.inf:
         raise DomainError("n_ref must be finite and positive")
-    if not params.mu > 0.0:
-        raise DomainError("population denominator must be finite and positive")
-    return params.Lambda / params.mu / n_ref
+    return disease_free_population(params) / n_ref
 
 
 def r1_closed(params: Parameters, n_ref: Optional[float] = None) -> float:
@@ -75,8 +72,10 @@ def r0(params: Parameters, n_ref: Optional[float] = None) -> ReproductionNumbers
 
     The closed forms compute in Python floats, which overflow to inf (or
     reach nan) without a warning, so a non-finite R1 or R2 raises
-    DomainError naming the overflow.
+    DomainError naming the overflow. Lambda/mu is checked first, so a
+    population denominator that is not finite and positive is named as such.
     """
+    n_dfe = disease_free_population(params)
     r1 = r1_closed(params, n_ref)
     r2 = r2_closed(params, n_ref)
     overflowed = [f"{name} = {value!r}"
@@ -86,8 +85,7 @@ def r0(params: Parameters, n_ref: Optional[float] = None) -> ReproductionNumbers
         raise DomainError("reproduction number overflow: "
                           + ", ".join(overflowed))
     return ReproductionNumbers(r1=r1, r2=r2, r0=max(r1, r2),
-                               n_ref=(disease_free_population(params)
-                                      if n_ref is None else float(n_ref)))
+                               n_ref=n_dfe if n_ref is None else float(n_ref))
 
 
 _INFECTED = np.array(INFECTED_INDICES)
@@ -96,9 +94,6 @@ _INFECTED_BLOCK = np.ix_(_INFECTED, _INFECTED)
 
 @dataclass
 class NextGenDecomposition:
-    infected_indices: Tuple[int, ...]
-    F: np.ndarray            # 8x8 new-infection matrix, U W
-    V: np.ndarray            # 8x8 transition matrix, -A_inf
     K_small: np.ndarray      # 2x2 W V^-1 U, diag(R1, R2)
     rho: float
 
@@ -125,8 +120,9 @@ def ngm_decomposition(params: Parameters) -> NextGenDecomposition:
     (a + d)/2 + sqrt(((a - d)/2)^2 + b c), taken in closed form with no
     eigen-decomposition; it reproduces max(r1, r2) at the disease-free
     scale. The tests check that, the diagonal of K_small against r1 and r2
-    separately, rho against the eigenvalues of K_small, and F and V
-    against finite differences of a flow-list reading of the model.
+    separately, rho against the eigenvalues of K_small, and both against
+    the spectrum of F V^-1 with F and V taken from finite differences of
+    a flow-list reading of the model.
     """
     p = params
     n = disease_free_population(p)
@@ -141,6 +137,4 @@ def ngm_decomposition(params: Parameters) -> NextGenDecomposition:
     rho = _perron_root(k_small)
     if not math.isfinite(rho):
         raise DomainError("next-generation matrix entries must be finite")
-    return NextGenDecomposition(infected_indices=INFECTED_INDICES,
-                                F=u_mat @ w_mat, V=v_mat, K_small=k_small,
-                                rho=rho)
+    return NextGenDecomposition(K_small=k_small, rho=rho)

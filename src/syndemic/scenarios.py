@@ -3,8 +3,9 @@
 Each runner reproduces one benchmark experiment: the two equilibrium sweeps,
 the two long-run stability illustrations, and the treatment-impact
 comparisons. Expected values are curated reference numbers shipped with the
-package; each assertion records name, expected, actual, tolerance, and
-status, and the whole result can be dumped to CSV.
+package; each row of a result records name, expected, actual, tolerance,
+and status (``info`` for a number reported without a verdict), and the
+whole result can be dumped to CSV.
 
 The sweep and stability targets were generated under a pinned incidence
 denominator (the tables pin it at the disease-free population, the
@@ -29,8 +30,9 @@ import numpy as np
 from .dynamics import Trajectory, integrate
 from .equilibria import (EquilibriumReport, disease_free, hiv_free, syndemic,
                          tb_free_numeric)
-from .model import (COMPARTMENTS, INFECTED_INDICES, Parameters, full_rhs,
-                    removal_rates, total_population)
+from .model import (COMPARTMENTS, INFECTED_INDICES, Parameters,
+                    disease_free_population, full_rhs, removal_rates,
+                    total_population)
 from .reproduction import r0
 from .stability import TOL_EIG, stability_report
 
@@ -108,7 +110,6 @@ class ScenarioResult:
     trajectories: Dict[str, Trajectory] = field(default_factory=dict)
     terminal_states: Dict[str, np.ndarray] = field(default_factory=dict)
     equilibria: Dict[str, EquilibriumReport] = field(default_factory=dict)
-    comparisons: Dict[str, float] = field(default_factory=dict)
     assertions: List[AssertionRecord] = field(default_factory=list)
 
     @property
@@ -128,10 +129,9 @@ def _record(result: ScenarioResult, name: str, expected: float, actual: float,
         passed=bool(abs(actual - expected) <= tolerance)))
 
 
-def _record_stable(result: ScenarioResult, name: str, comparison: str, state,
+def _record_stable(result: ScenarioResult, name: str, state,
                    params: Parameters, n_ref: Optional[float] = None) -> None:
     report = stability_report(state, params, n_ref)
-    result.comparisons[comparison] = report.dominant_real
     result.assertions.append(AssertionRecord(
         name=name, expected=0.0, actual=report.dominant_real,
         tolerance=TOL_EIG, passed=report.classification == "stable"))
@@ -155,7 +155,7 @@ def run_table2(params: Optional[Parameters] = None) -> ScenarioResult:
     values were generated under. A zero-transmission sanity row is appended.
     """
     base = params if params is not None else Parameters(0.0, 0.0)
-    n_ref = base.Lambda / base.mu
+    n_ref = disease_free_population(base)
     result = ScenarioResult(spec=ScenarioSpec(name="table2"))
     for beta1 in sorted(TB_SWEEP_REFERENCE):
         p = dataclasses.replace(base, beta1=beta1, beta2=0.0)
@@ -181,8 +181,8 @@ def run_table3(params: Optional[Parameters] = None) -> ScenarioResult:
     """HIV transmission sweep: R2 and the equilibrium HIV/AIDS counts.
 
     Each row is solved twice: with the denominator pinned at the
-    disease-free population (the reference convention) and self-consistent,
-    reported side by side. The HIV and AIDS cells printed for beta2 = 0.051,
+    disease-free population (the reference convention) and self-consistent;
+    the self-consistent counts follow the sweep as info rows. The HIV and AIDS cells printed for beta2 = 0.051,
     0.055 and 0.099 contradict the R2 on their own rows (which imply 0 / 0,
     113.87 / 17.67 and 5095.02 / 790.80; see HIV_SWEEP_REFERENCE), so those
     six assertions fail by design and the result does not pass. Criterion 2
@@ -190,7 +190,7 @@ def run_table3(params: Optional[Parameters] = None) -> ScenarioResult:
     instead.
     """
     base = params if params is not None else Parameters(0.0, 0.0)
-    n_h = base.Lambda / base.mu
+    n_h = disease_free_population(base)
     result = ScenarioResult(spec=ScenarioSpec(name="table3"))
     ratio = base.rho1 / removal_rates(base).d4
     for beta2 in sorted(HIV_SWEEP_REFERENCE):
@@ -212,10 +212,11 @@ def run_table3(params: Optional[Parameters] = None) -> ScenarioResult:
         if numeric.exists:
             _record(result, f"{key} AIDS/HIV ratio identity (self-consistent)",
                     ratio, float(numeric.state[5] / numeric.state[4]), 1e-8)
-        result.comparisons[f"{key} HIV equilibrium (self-consistent)"] = \
-            float(numeric.state[4])
-        result.comparisons[f"{key} AIDS equilibrium (self-consistent)"] = \
-            float(numeric.state[5])
+    for key, report in result.equilibria.items():
+        _record_info(result, f"{key} HIV equilibrium (self-consistent)",
+                     float(report.state[4]))
+        _record_info(result, f"{key} AIDS equilibrium (self-consistent)",
+                     float(report.state[5]))
     return result
 
 
@@ -256,7 +257,7 @@ def run_dfe_stability(params: Optional[Parameters] = None) -> ScenarioResult:
 
     _record_stable(
         result, "disease-free state locally stable (dominant eigenvalue < -1e-7)",
-        "disease-free dominant eigenvalue", disease_free(base).state, base)
+        disease_free(base).state, base)
 
     pair = r0(base, INITIAL_POPULATION)
     _record(result, "R1 at the initial census scale",
@@ -302,8 +303,7 @@ def run_syndemic_stability(params: Optional[Parameters] = None) -> ScenarioResul
             _max_relative_deviation(finals["base"], newton.state), 1e-3)
     _record_stable(result,
                    "endemic state locally stable under the pinned denominator",
-                   "endemic dominant eigenvalue (pinned)", newton.state, base,
-                   n_ref)
+                   newton.state, base, n_ref)
     return result
 
 
@@ -356,11 +356,10 @@ def run_treatment_impact(params: Optional[Parameters] = None,
         result.trajectories[key] = traj
         result.terminal_states[key] = traj.final
         n20[key] = total_population(traj.final)
-        result.comparisons[f"{key} N(20)"] = n20[key]
 
     if deaths == "off":
         # With all disease deaths off, N obeys dN/dt = Lambda - mu N exactly.
-        n_inf = base.Lambda / base.mu
+        n_inf = disease_free_population(base)
         analytic = n_inf + (INITIAL_POPULATION - n_inf) * math.exp(-horizon * base.mu)
         for key in arms:
             _record(result, f"{key} N(20) matches demographic decay",
@@ -388,13 +387,16 @@ def run_treatment_impact(params: Optional[Parameters] = None,
                 0.0, r_th_max, 1e-9)
         with_i = result.trajectories["with-treatment"]
         crossing = _first_crossing(with_i, wo, component=7, after=0.1)
-        result.comparisons["coinfected crossover year"] = crossing
         if deaths == "off":
             _record(result,
                     "active coinfection drops below the treated arm near year 7",
                     7.0, crossing, 1.5)
         else:
             _record_info(result, "coinfected crossover year", crossing)
+
+    if family != "tb" or deaths == "off":   # else asserted above
+        for key in arms:
+            _record_info(result, f"{key} N(20)", n20[key])
     return result
 
 
@@ -473,8 +475,8 @@ def trajectory_csv(traj: Trajectory, spec: str, newline: str) -> str:
 
 
 def write_scenario_csv(result: ScenarioResult, out_dir) -> List[Path]:
-    """One CSV per trajectory plus a summary CSV of the scalar assertions,
-    then each comparison whose name no assertion row has already written.
+    """One CSV per trajectory plus a summary CSV with one row per assertion
+    record, in order.
 
     Trajectory files hold one row per stored time of the trajectory (the
     report grid of the treatment runs, every step of the stability runs),
@@ -491,10 +493,6 @@ def write_scenario_csv(result: ScenarioResult, out_dir) -> List[Path]:
     summary_rows = [[a.name, _format(a.expected), _format(a.actual),
                      _format(a.tolerance), a.status]
                     for a in result.assertions]
-    asserted = {a.name for a in result.assertions}
-    summary_rows += [[name, "", _format(value), "", "info"]
-                     for name, value in result.comparisons.items()
-                     if name not in asserted]
     path = out / f"{result.spec.name}__summary.csv"
     atomic_write(path, _csv_text(["name", "expected", "actual", "tolerance",
                                   "status"], summary_rows))

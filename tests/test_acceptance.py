@@ -100,6 +100,8 @@ def test_criterion_2_hiv_sweep_reference_rows(table3_result):
 
 def test_criterion_2_companion_attainable_rows(table3_result):
     for record in table3_result.assertions:
+        if record.status == "info":     # a reported number, not a verdict
+            continue
         if record.name.endswith("R2") or "ratio identity" in record.name:
             assert record.status == "pass", record.name
         if record.name.startswith(("beta2=0.07 ", "beta2=0.09 ")):

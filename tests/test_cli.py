@@ -1,4 +1,5 @@
 """Command-line surface: config parsing, subcommands, exit codes, SVG."""
+import csv
 import dataclasses
 import math
 import os
@@ -293,6 +294,20 @@ def test_overflowing_reproduction_number_is_an_input_error(argv, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("nref", [[], ["--nref", "50000"]])
+def test_overflowing_population_is_an_input_error(nref, tmp_path, capsys):
+    # both rates are finite and positive, but Lambda/mu overflows; pinned or
+    # not, the error names the population, not an overflow of R1 and R2
+    config = tmp_path / "huge.cfg"
+    config.write_text("Lambda = 1e300\nmu = 1e-10\n")
+    assert main(["r0", "--config", str(config), "--beta1", "6",
+                 "--beta2", "0.1", *nref]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: population denominator must be finite and positive\n")
+
+
 def test_stability_command_at_state_file(tmp_path, capsys):
     path = tmp_path / "state.txt"
     path.write_text(" ".join(["49980"] + ["0"] * 9))
@@ -434,6 +449,24 @@ def test_scenario_exit_codes(tmp_path):
     assert main(["scenario", "--name", "table2", "--out", str(tmp_path)]) == 0
     assert main(["scenario", "--name", "table3", "--out", str(tmp_path)]) == 1
     assert (tmp_path / "table3__summary.csv").exists()
+
+
+@pytest.mark.parametrize("name,summary,code", [
+    ("table3", "table3__summary.csv", 1),
+    ("treatment-aids", "treatment-aids-deaths-on__summary.csv", 0)])
+def test_scenario_prints_the_summary_rows(name, summary, code, tmp_path,
+                                          capsys):
+    # one line per summary row, in order, then the files line; an info row
+    # prints its actual value alone, with no nan for what it does not have
+    assert main(["scenario", "--name", name, "--out", str(tmp_path)]) == code
+    lines = capsys.readouterr().out.splitlines()
+    with open(tmp_path / summary, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(lines) == len(rows) + 1
+    for line, (row_name, _, _, _, status) in zip(lines, rows):
+        assert line.startswith(f"[{status}] {row_name}: "), line
+    assert lines[-1].startswith("wrote ")
+    assert not [line for line in lines if "nan" in line]
 
 
 @pytest.mark.parametrize("name,deaths,code", [

@@ -8,9 +8,9 @@ import pytest
 
 import syndemic.model
 import syndemic.stability
-from flow_list import infection_gains
+from flow_list import flow_rhs, infection_gains
 from syndemic.model import (DomainError, INFECTED_INDICES, Parameters,
-                            full_jacobian, full_rhs, validate_parameters)
+                            full_jacobian, validate_parameters)
 from syndemic.reproduction import (_perron_root, bifurcation_threshold,
                                    ngm_decomposition, r0, r1_closed,
                                    r2_closed)
@@ -76,7 +76,6 @@ def test_bundle_takes_max():
 @pytest.mark.parametrize("params,n_ref,named", [
     (Parameters(beta1=6.0, beta2=1e307), None, "R2 = inf"),
     (Parameters(beta1=1e308, beta2=0.1, k1=10.0), None, "R1 = inf"),
-    (Parameters(beta1=0.0, beta2=0.1, Lambda=1e300, mu=1e-10), 1.0, "R1 = nan"),
 ])
 def test_non_finite_reproduction_number_is_a_domain_error(params, n_ref,
                                                           named):
@@ -311,18 +310,10 @@ def test_second_pass_over_threshold_grid_builds_no_flow_matrices(count_calls):
         assert len(builds) == expected
 
 
-def test_decomposition_sign_structure():
-    p = Parameters(beta1=6.0, beta2=0.1)
-    decomp = ngm_decomposition(p)
-    assert decomp.infected_indices == INFECTED_INDICES
-    assert np.min(decomp.F) >= -1e-9
-    off_diag = decomp.V - np.diag(np.diag(decomp.V))
-    assert np.max(off_diag) <= 1e-9       # losses leave, never enter
-    assert np.min(np.diag(decomp.V)) > 0.0
-
-
-# Independent route: the new-infection flows of the test-side flow list
-# (flow_list.py), and both matrices differentiated numerically.
+# Independent route: F and V from the test-side flow list (flow_list.py),
+# differentiated numerically on the infected block at the disease-free
+# state: F from the new-infection inflows, V = F - J from the whole
+# right-hand side J.
 
 def _infected_block_derivative(fun, params):
     idx = list(INFECTED_INDICES)
@@ -337,23 +328,53 @@ def _infected_block_derivative(fun, params):
     return fd_jacobian(lambda z: fun(embed(z), params)[idx], dfe[idx])
 
 
+def _flow_list_f_and_v(params):
+    f_mat = _infected_block_derivative(infection_gains, params)
+    return f_mat, f_mat - _infected_block_derivative(flow_rhs, params)
+
+
 CROSS_CHECK_SETS = ([Parameters(beta1=b1, beta2=b2) for b1, b2 in PAIRED_SETS]
                     + _random_draws())
 
 
-def test_new_infection_matrix_matches_flow_list_differences():
+def test_decomposition_sign_structure():
+    # new infections only enter, losses only leave, and so K_small = W V^-1 U
+    # is nonnegative
     for p in CROSS_CHECK_SETS:
-        f_mat = ngm_decomposition(p).F
-        numeric = _infected_block_derivative(infection_gains, p)
-        assert np.max(np.abs(f_mat - numeric)) <= 1e-6 * np.max(np.abs(f_mat))
+        f_mat, v_mat = _flow_list_f_and_v(p)
+        band = 1e-6 * np.max(np.abs(f_mat))
+        assert np.min(f_mat) >= -band
+        assert np.max(v_mat - np.diag(np.diag(v_mat))) <= band
+        assert np.min(np.diag(v_mat)) > 0.0
+        assert np.min(ngm_decomposition(p).K_small) >= 0.0
+
+
+def test_new_infection_matrix_matches_flow_list_differences():
+    # F has rank 2, so F V^-1 has two nonzero eigenvalues: diag(K_small),
+    # the larger of them rho
+    for p in CROSS_CHECK_SETS:
+        f_mat, v_mat = _flow_list_f_and_v(p)
+        decomp = ngm_decomposition(p)
+        spectrum = np.linalg.eigvals(f_mat @ np.linalg.inv(v_mat))
+        spectrum = spectrum[np.argsort(-np.abs(spectrum))]
+        band = 1e-6 * decomp.rho
+        assert np.max(np.abs(spectrum[2:])) <= band
+        assert np.max(np.abs(np.sort(spectrum[:2].real)
+                             - np.sort(np.diag(decomp.K_small)))) <= band
+        assert np.max(np.abs(spectrum[:2].imag)) <= band
+        assert abs(abs(spectrum[0]) - decomp.rho) <= band
 
 
 def test_decomposition_reproduces_infected_jacobian_block():
+    # F - V of the flow list is the infected block of the model's Jacobian
+    idx = np.ix_(INFECTED_INDICES, INFECTED_INDICES)
     for p in CROSS_CHECK_SETS:
-        decomp = ngm_decomposition(p)
-        numeric = _infected_block_derivative(full_rhs, p)
-        assert (np.max(np.abs((decomp.F - decomp.V) - numeric))
-                <= 1e-6 * np.max(np.abs(decomp.F)))
+        f_mat, v_mat = _flow_list_f_and_v(p)
+        dfe = np.zeros(10)
+        dfe[0] = p.Lambda / p.mu
+        jac = full_jacobian(dfe, p)[idx]
+        assert (np.max(np.abs((f_mat - v_mat) - jac))
+                <= 1e-6 * np.max(np.abs(f_mat)))
 
 
 def test_decomposition_needs_no_differences_or_rhs_calls(count_calls):

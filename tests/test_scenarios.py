@@ -55,8 +55,9 @@ def test_hiv_sweep_rates_and_ratios_pass(table3_result):
 
 
 def test_hiv_sweep_self_consistent_comparisons_present(table3_result):
-    key = "beta2=0.07 HIV equilibrium (self-consistent)"
-    assert table3_result.comparisons[key] == pytest.approx(5908.8058, rel=1e-4)
+    row = _by_name(table3_result, "beta2=0.07 HIV equilibrium (self-consistent)")
+    assert row.status == "info"
+    assert row.actual == pytest.approx(5908.8058, rel=1e-4)
 
 
 def test_subcritical_scenario(dfe_stability_result):
@@ -208,16 +209,15 @@ def test_csv_report_layout(tmp_path, treatment_tb_on):
     "treatment_aids_on", "treatment_aids_off", "treatment_coinfection_on",
     "treatment_coinfection_off"])
 def test_summary_row_names_are_unique(fixture, request, tmp_path):
-    # a comparison that shares an assertion's name is written once, as the
-    # assertion row, and no name is lost
+    # the summary is the result's rows, in order, and no name repeats
     result = request.getfixturevalue(fixture)
     [path] = write_scenario_csv(dataclasses.replace(result, trajectories={}),
                                 tmp_path)
     with open(path, newline="") as fh:
-        names = [row[0] for row in csv.reader(fh)][1:]
-    assert len(names) == len(set(names))
-    assert set(names) == ({a.name for a in result.assertions}
-                          | set(result.comparisons))
+        rows = list(csv.reader(fh))[1:]
+    assert [(name, status) for name, _, _, _, status in rows] == [
+        (a.name, a.status) for a in result.assertions]
+    assert len({name for name, *_ in rows}) == len(rows)
 
 
 @pytest.mark.parametrize("fixture", ["treatment_tb_on", "dfe_stability_result"])

@@ -20,7 +20,8 @@ from syndemic.equilibria import (EquilibriumReport, disease_free, hiv_free,
                                  residual, syndemic, tb_free_numeric)
 from syndemic.model import (_HIV_SUB_INDICES, _TB_SUB_INDICES,
                             PARAMETER_FIELDS, DomainError, Parameters,
-                            disease_free_population, full_rhs)
+                            disease_free_population, full_rhs,
+                            validate_parameters)
 from syndemic.reproduction import (ngm_decomposition, r0, r1_closed,
                                    r2_closed)
 from syndemic.scenarios import INITIAL_FRACTIONS, INITIAL_POPULATION
@@ -448,14 +449,17 @@ def test_syndemic_seed_without_people_is_an_error():
         syndemic(Parameters(beta1=6.0, beta2=0.1), np.full(10, np.nan))
 
 
-@pytest.mark.parametrize("rates", [
-    {"mu": 0.0}, {"mu": -1.0 / 70.0}, {"Lambda": 1e300, "mu": 1e-10},
-    {"mu": math.nan}])
-def test_disease_free_population_must_be_finite_and_positive(rates):
+@pytest.mark.parametrize("rates,rejected", [
+    ({"mu": 0.0}, True), ({"mu": -1.0 / 70.0}, True),
+    # each rate is valid on its own; only the quotient overflows
+    ({"Lambda": 1e300, "mu": 1e-10}, False),
+    ({"mu": math.nan}, True)])
+def test_disease_free_population_must_be_finite_and_positive(rates, rejected):
     # every call that reads Lambda/mu checks it first, so a zero mu is a
     # DomainError, not a ZeroDivisionError, and a NaN or overflowing
     # quotient is named as the denominator, not as an overflow of R
     p = dataclasses.replace(Parameters(beta1=6.0, beta2=0.1), **rates)
+    assert bool(validate_parameters(p)) == rejected
     calls = [lambda: r0(p), lambda: ngm_decomposition(p),
              lambda: disease_free(p), lambda: hiv_free(p),
              lambda: tb_free_numeric(p), lambda: syndemic(p, START),

@@ -76,6 +76,9 @@ def test_bundle_takes_max():
 @pytest.mark.parametrize("params,n_ref,named", [
     (Parameters(beta1=6.0, beta2=1e307), None, "R2 = inf"),
     (Parameters(beta1=1e308, beta2=0.1, k1=10.0), None, "R1 = inf"),
+    # a pinned reference below Lambda/mu overflows the prefactor, and
+    # inf * k1 = inf * 0 is nan
+    (Parameters(beta1=1e308, beta2=0.1, k1=0.0), 1.0, "R1 = nan"),
 ])
 def test_non_finite_reproduction_number_is_a_domain_error(params, n_ref,
                                                           named):

@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .scenarios import (SCENARIOS, atomic_write, initial_state,
 from .stability import (ConvergenceError, bifurcation_analysis,
                         stability_report)
 
-_OPTION_KEYS = ("horizon", "rel_tol", "abs_tol", "n_ref", "out")
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
@@ -146,36 +145,6 @@ def _number(token: str, lineno: int) -> float:
         return float(token)
     except ValueError:
         raise ConfigError(f"line {lineno}: malformed number {token!r}")
-
-
-def format_config(cfg: RunConfig) -> str:
-    """Serialize a RunConfig; parse_config(format_config(c)) == c.
-
-    A string option (n_ref, out) that the line format cannot hold, because
-    it contains ``#`` or a line break or has surrounding whitespace, is a
-    ConfigError rather than a file that reads back differently.
-    """
-    # repr(float(x)): numpy 2 writes a np.float64 as "np.float64(6.0)"
-    lines: List[str] = []
-    for key in sorted(cfg.assignments):
-        lines.append(f"{key} = {float(cfg.assignments[key])!r}")
-    if cfg.init_values is not None:
-        for name, value in zip(COMPARTMENTS, cfg.init_values):
-            lines.append(f"init.{name} = {float(value)!r}")
-        if cfg.init_total is not None:
-            lines.append(f"init.total = {float(cfg.init_total)!r}")
-    defaults = RunConfig()
-    for key in _OPTION_KEYS:
-        value = getattr(cfg, key)
-        if value == getattr(defaults, key):
-            continue
-        if isinstance(value, str) and ("#" in value or value != value.strip()
-                                       or len(value.splitlines()) > 1):
-            raise ConfigError(f"{key} {value!r} cannot be written to a "
-                              "config line")
-        lines.append(f"{key} = {float(value)!r}" if isinstance(value, float)
-                     else f"{key} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 def _load_config(args) -> RunConfig:

@@ -394,7 +394,7 @@ def run_treatment_impact(params: Optional[Parameters] = None,
         else:
             _record_info(result, "coinfected crossover year", crossing)
 
-    if family != "tb" or deaths == "off":   # else asserted above
+    if deaths == "on" and family != "tb":   # else N(20) is asserted above
         for key in arms:
             _record_info(result, f"{key} N(20)", n20[key])
     return result

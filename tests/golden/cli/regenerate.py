@@ -47,6 +47,11 @@ def _invocations():
     for beta1, beta2 in RATE_PAIRS[:2]:
         table[f"bifurcation_{beta1}_{beta2}"] = (
             "stability", "--beta1", beta1, "--beta2", beta2, "--bifurcation")
+    # the threshold analysis takes no state and no denominator: input errors
+    for flag, value in (("--nref", "50000"), ("--at", "syndemic")):
+        table[f"bifurcation_6_0.1_{flag[2:]}-{value}"] = (
+            "stability", "--beta1", "6", "--beta2", "0.1", "--bifurcation",
+            flag, value)
     for beta1, beta2 in EQUILIBRIUM_PAIRS:
         for nref in DENOMINATORS:
             for kind in EQUILIBRIUM_KINDS:

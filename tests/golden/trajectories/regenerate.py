@@ -1,10 +1,11 @@
 """Regenerate the golden trajectory outputs in this directory.
 
-Two ``simulate`` invocations, each as ``NAME.txt`` (the command on its
-first line, as ``$ syndemic ARGS``, then its standard output, then
-``exit CODE``, as in ``../cli``) and ``NAME.csv`` (the ``trajectory.csv``
-it wrote). Each runs with ``--out out`` in a fresh working directory, so
-the paths it prints are the same wherever it runs. Beside them, the CSV
+Two ``simulate`` and two ``sweep`` invocations, each as ``NAME.txt`` (the
+command on its first line, as ``$ syndemic ARGS``, then its standard
+output, then ``exit CODE``, as in ``../cli``) and ``NAME.csv`` (the one CSV
+file it wrote: ``trajectory.csv`` or ``sweep.csv``). Each runs with
+``--out out`` in a fresh working directory, so the paths it prints are the
+same wherever it runs. Beside them, the CSV
 files that ``write_scenario_csv`` writes for treatment-tb under
 ``--deaths on`` and ``off`` and for the table2 and table3 sweeps, and the
 summary CSV alone of dfe-stability, syndemic-stability, and treatment-aids
@@ -36,6 +37,16 @@ SIMULATE = {
     f"simulate_{beta1}_{beta2}": ("simulate", "--beta1", beta1,
                                   "--beta2", beta2, "--out", "out")
     for beta1, beta2 in (("13", "0.06"), ("6", "0.1"))}
+# R2 across its threshold, and R1 across its own under the census
+# denominator
+SWEEP = {
+    "sweep_beta2": ("sweep", "--beta1", "6", "--beta2", "0.1", "--param",
+                    "beta2", "--values", "0.03,0.055,0.07,0.1", "--out",
+                    "out"),
+    "sweep_beta1_nref-N0": ("sweep", "--beta1", "6", "--beta2", "0.1",
+                            "--param", "beta1", "--values", "2.7,4.5,6,13",
+                            "--nref", "N0", "--out", "out"),
+}
 TREATMENT_DEATHS = ("on", "off")     # treatment-tb, as tests/conftest.py runs it
 TABLES = {"table2": run_table2, "table3": run_table3}   # summary CSV only
 # scenario name -> run, whose summary CSV alone is golden: their trajectory
@@ -63,13 +74,13 @@ if __name__ == "__main__":
     for stale in [*HERE.glob("*.txt"), *HERE.glob("*.csv")]:
         stale.unlink()
     home, written = os.getcwd(), []
-    for name, argv in SIMULATE.items():
+    for name, argv in {**SIMULATE, **SWEEP}.items():
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)
             try:
                 (HERE / f"{name}.txt").write_bytes(render(argv).encode())
-                (HERE / f"{name}.csv").write_bytes(
-                    Path("out", "trajectory.csv").read_bytes())
+                [report] = Path("out").glob("*.csv")
+                (HERE / f"{name}.csv").write_bytes(report.read_bytes())
                 written += [HERE / f"{name}.txt", HERE / f"{name}.csv"]
             finally:
                 os.chdir(home)

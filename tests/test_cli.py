@@ -10,8 +10,9 @@ import pytest
 
 import syndemic.cli
 from bifurcation_fd import assert_left_null_vector_exact
-from syndemic.cli import (ConfigError, RunConfig, emit_svg, format_config,
-                          main, parse_config)
+from config_format import format_config
+from syndemic.cli import (ConfigError, RunConfig, emit_svg, main,
+                          parse_config)
 from syndemic.dynamics import IntegrationError, Trajectory
 from syndemic.model import COMPARTMENTS, PARAMETER_FIELDS, Parameters
 from syndemic.stability import ConvergenceError, bifurcation_analysis

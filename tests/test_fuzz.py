@@ -4,7 +4,8 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from syndemic.cli import ConfigError, RunConfig, format_config, parse_config
+from config_format import format_config
+from syndemic.cli import ConfigError, RunConfig, parse_config
 from syndemic.model import PARAMETER_FIELDS, Parameters, validate_parameters
 
 # Deterministic and bounded, so tier-1 stays reproducible and fast.

@@ -1,7 +1,8 @@
 """Golden trajectories: two ``simulate`` runs (standard output and
-trajectory.csv), the treatment-tb CSV files under both death settings, the
-table2 and table3 summary CSVs and six more scenario summaries, byte for
-byte against tests/golden/trajectories (see its regenerate.py)."""
+trajectory.csv), two ``sweep`` runs (standard output and sweep.csv), the
+treatment-tb CSV files under both death settings, the table2 and table3
+summary CSVs and six more scenario summaries, byte for byte against
+tests/golden/trajectories (see its regenerate.py)."""
 import dataclasses
 import importlib.util
 from pathlib import Path
@@ -18,7 +19,7 @@ _spec.loader.exec_module(golden)
 
 
 def test_every_golden_file_has_a_source():
-    names = [f"{name}.{suffix}" for name in golden.SIMULATE
+    names = [f"{name}.{suffix}" for name in [*golden.SIMULATE, *golden.SWEEP]
              for suffix in ("txt", "csv")]
     names += [f"treatment-tb-deaths-{deaths}__{key}.csv"
               for deaths in golden.TREATMENT_DEATHS
@@ -30,14 +31,25 @@ def test_every_golden_file_has_a_source():
                   if p.suffix != ".py") == sorted(names)
 
 
-@pytest.mark.parametrize("name", sorted(golden.SIMULATE))
-def test_simulate_matches_golden_files(name, tmp_path, monkeypatch):
+def _replay(name, argv, report, tmp_path, monkeypatch):
+    # run in tmp_path, as regenerate.py runs in a fresh directory
     monkeypatch.delenv("SYNDEMIC_OUT_DIR", raising=False)
     monkeypatch.chdir(tmp_path)
-    text = golden.render(golden.SIMULATE[name])
+    text = golden.render(argv)
     assert text.encode() == (GOLDEN / f"{name}.txt").read_bytes()
-    assert ((tmp_path / "out" / "trajectory.csv").read_bytes()
+    assert ((tmp_path / "out" / report).read_bytes()
             == (GOLDEN / f"{name}.csv").read_bytes())
+
+
+@pytest.mark.parametrize("name", sorted(golden.SIMULATE))
+def test_simulate_matches_golden_files(name, tmp_path, monkeypatch):
+    _replay(name, golden.SIMULATE[name], "trajectory.csv", tmp_path,
+            monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(golden.SWEEP))
+def test_sweep_matches_golden_files(name, tmp_path, monkeypatch):
+    _replay(name, golden.SWEEP[name], "sweep.csv", tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("deaths", golden.TREATMENT_DEATHS)

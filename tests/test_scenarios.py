@@ -220,6 +220,20 @@ def test_summary_row_names_are_unique(fixture, request, tmp_path):
     assert len({name for name, *_ in rows}) == len(rows)
 
 
+@pytest.mark.parametrize("fixture", [
+    "treatment_tb_on", "treatment_tb_off", "treatment_aids_on",
+    "treatment_aids_off", "treatment_coinfection_on",
+    "treatment_coinfection_off"])
+def test_each_arm_reports_its_n20_once(fixture, request):
+    # as an assertion's actual value or as an info row, never both
+    result = request.getfixturevalue(fixture)
+    for arm in ("with-treatment", "without-treatment",
+                "without-treatment-alt"):
+        rows = [r.name for r in result.assertions
+                if r.name.startswith(f"{arm} N(20)")]
+        assert len(rows) == 1, rows
+
+
 @pytest.mark.parametrize("fixture", ["treatment_tb_on", "dfe_stability_result"])
 def test_csv_rows_match_per_value_formatting(fixture, request, tmp_path):
     # every trajectory file against the per-value route: numpy scalars

@@ -17,12 +17,14 @@ analysis and the single-disease equilibria read, and
 disease_free_population the checked Lambda/mu. Every function of a state
 takes exactly one state, and raises DomainError naming the shape of
 anything else. The right-hand sides are pure functions that return fresh
-arrays; full_rhs can write the derivative into a given array instead.
+arrays; full_rhs can write the derivative into a given array instead, and
+keeps its intermediate products in work arrays built once per thread.
 """
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional, Sequence
 
@@ -143,7 +145,7 @@ def _denominator(y: np.ndarray, n_ref: Optional[float]) -> float:
     # by default the instantaneous total is used. It must be finite and
     # positive. Callers check it before any product with y, so a non-finite
     # state is a DomainError rather than a numpy invalid-value warning.
-    n = float(n_ref) if n_ref is not None else float(y.sum())
+    n = float(n_ref) if n_ref is not None else float(np.add.reduce(y))
     if not 0.0 < n < math.inf:
         raise DomainError("population denominator must be finite and positive")
     return n
@@ -239,6 +241,22 @@ def flow_matrices(params: Parameters) -> FlowMatrices:
     return params._flow_matrices
 
 
+class _WorkArrays(threading.local):
+    # full_rhs's work arrays, built once in each thread that reads them: the
+    # (32,) product z = stacked @ y, its views A y, W y and the (2, 10)
+    # pressure maps (CT y; CH y), the 2 pressures and the 10 gains. Per
+    # thread, so that concurrent calls never write each other's products
+    def __init__(self):
+        z = np.empty(_PRESSURE_ROWS + 2)
+        self.arrays = (z, z[:N_COMPARTMENTS], z[_PRESSURE_ROWS:],
+                       z[N_COMPARTMENTS:_PRESSURE_ROWS].reshape(
+                           2, N_COMPARTMENTS),
+                       np.empty(2), np.empty(N_COMPARTMENTS))
+
+
+_work = _WorkArrays()
+
+
 def full_rhs(state, params: Parameters, n_ref: Optional[float] = None,
              out: Optional[np.ndarray] = None) -> np.ndarray:
     """Time derivative of the full 10-compartment system, people/year.
@@ -248,19 +266,22 @@ def full_rhs(state, params: Parameters, n_ref: Optional[float] = None,
     test suite checks to machine precision.
 
     ``out``, when given, is a float (10,) array that receives the
-    derivative and is returned, with the same bits as a fresh result.
+    derivative and is returned, with the same bits as a fresh result; with
+    transmission the call then allocates no array. Without it the result
+    is a fresh array.
     """
     y = _as_state(state)
     b, maps, _, stacked = flow_matrices(params)
     if params.beta1 == 0.0 and params.beta2 == 0.0:
         return np.add(b, maps[0] @ y, out=out)
     n = _denominator(y, n_ref)
+    z, ay, wy, pressure_maps, lam, gain = _work.arrays
     # one matrix-vector product gives A y, CT y, CH y and W y, with the sums
     # of the separate products bit for bit
-    z = np.dot(stacked, y)
-    out = np.add(b, z[:N_COMPARTMENTS], out=out)
-    out += np.dot(z[_PRESSURE_ROWS:] / n,
-                  z[N_COMPARTMENTS:_PRESSURE_ROWS].reshape(2, N_COMPARTMENTS))
+    np.dot(stacked, y, out=z)
+    out = np.add(b, ay, out=out)
+    np.divide(wy, n, out=lam)
+    out += np.dot(lam, pressure_maps, out=gain)
     return out
 
 

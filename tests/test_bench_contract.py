@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import syndemic
+import syndemic.cli
 from syndemic.model import full_jacobian
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -49,3 +50,29 @@ def test_scenario_result_fields_the_harness_reads(treatment_tb_on):
     assert treatment_tb_on.spec.name == "treatment-tb-deaths-on"
     for arm, traj in treatment_tb_on.trajectories.items():
         assert np.array_equal(treatment_tb_on.terminal_states[arm], traj.final)
+
+
+def test_full_rhs_calls_equal_integrate_rhs_evals(count_calls, monkeypatch,
+                                                  tmp_path):
+    # the traced runs check model.full_rhs.calls == dynamics.integrate
+    # .rhs_evals on treatment-trajectories: every model evaluation of an
+    # integration is one full_rhs call, made through the binding that the
+    # tracer wraps. The same, for one treatment runner and one simulate
+    calls = count_calls(syndemic.model, "full_rhs")
+    evals = []
+    original = syndemic.dynamics.integrate
+
+    def recorded(*args, **kwargs):
+        traj = original(*args, **kwargs)
+        evals.append(traj.stats["rhs_evals"])
+        return traj
+
+    for module in (syndemic.scenarios, syndemic.cli):
+        monkeypatch.setattr(module, "integrate", recorded)
+    syndemic.scenarios.run_treatment_impact(family="aids", deaths="off")
+    assert len(evals) == 3 and len(calls) == sum(evals) > 0
+    calls.clear()
+    evals.clear()
+    assert syndemic.cli.main(["simulate", "--beta1", "13", "--beta2", "0.06",
+                              "--out", str(tmp_path)]) == 0
+    assert len(evals) == 1 and len(calls) == sum(evals) > 0

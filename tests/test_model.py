@@ -3,6 +3,8 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -118,6 +120,57 @@ def test_rhs_into_a_given_array_checks_the_denominator(bad):
         full_rhs(y, BASE, out=np.empty(N_COMPARTMENTS))
     with pytest.raises(DomainError):
         full_rhs(START, BASE, bad, out=np.empty(N_COMPARTMENTS))
+
+
+def test_rhs_results_share_no_memory():
+    # without out each call returns a fresh array, which a later call
+    # leaves alone, under both conventions and with no transmission
+    for p, n_ref in [(BASE, None), (BASE, 50000.0), (NO_TRANSMISSION, None)]:
+        first = full_rhs(START, p, n_ref)
+        kept = first.copy()
+        second = full_rhs(2.0 * START, p, n_ref)
+        buf = full_rhs(3.0 * START, p, n_ref, out=np.empty(N_COMPARTMENTS))
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, buf)
+        assert first.tobytes() == kept.tobytes()
+
+
+def test_rhs_is_thread_safe():
+    # four threads, switched every microsecond, each evaluate their own
+    # parameters and states, into a given array and fresh, and must get
+    # the bits that one thread alone gets
+    rng = np.random.default_rng(4242)
+    work = []
+    for _ in range(4):
+        p = _drawn_parameters(rng)
+        states = (rng.uniform(0.01, 1.0, (100, N_COMPARTMENTS))
+                  * rng.uniform(1e2, 1e5, (100, 1)))
+        cases = [(y, p, n_ref) for y in states for n_ref in (None, 5e4)]
+        work.append([(case, full_rhs(*case).tobytes()) for case in cases])
+    mismatches = [None] * len(work)
+
+    def run(i):
+        buf = np.empty(N_COMPARTMENTS)
+        bad = 0
+        for _ in range(5):
+            for case, expected in work[i]:
+                bad += full_rhs(*case, out=buf).tobytes() != expected
+                bad += full_rhs(*case).tobytes() != expected
+        mismatches[i] = bad
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(work))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == [0] * len(work)
 
 
 @pytest.mark.parametrize("n_ref", [0.0, math.nan, math.inf])

@@ -218,9 +218,9 @@ def emit_svg(traj: Trajectory, selection: Sequence[str]) -> str:
                  f'font-size="13" text-anchor="middle">time (years)</text>')
     for slot, (name, idx) in enumerate(zip(selection, indices)):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in
-                          zip(sx(traj.times).tolist(),
-                              sy(traj.states[:, idx]).tolist()))
+        points = " ".join(["%.2f,%.2f" % xy for xy in
+                           zip(sx(traj.times).tolist(),
+                               sy(traj.states[:, idx]).tolist())])
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{points}"/>')
         ly = top + 14 + slot * 18
@@ -252,7 +252,7 @@ def _cmd_simulate(args) -> int:
     if horizon <= 0.0:
         raise ConfigError("horizon must be positive")
     n_ref = cfg.resolve_n_ref()
-    traj = integrate(lambda t, y, out: full_rhs(y, params, n_ref, out=out),
+    traj = integrate(lambda t, y, out: full_rhs(y, params, n_ref, out),
                      cfg.initial_state(), 0.0, horizon,
                      rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
                      report_times=np.linspace(0.0, horizon, 241))

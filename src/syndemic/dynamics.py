@@ -81,23 +81,26 @@ def integrate(rhs: Callable[[float, np.ndarray, np.ndarray], object],
     read. It must not keep ``y`` or ``out``, which the integrator reuses,
     and it may raise DomainError at a state outside the model's domain.
     The model's rhs is ``lambda t, y, out: full_rhs(y, params, n_ref,
-    out=out)``.
+    out)``.
 
     The step size is capped so that t1 and every report time are landed on
     exactly, so a report grid caps the steps too. With report_times the
     returned trajectory holds the states at t0, at each report time and at
     t1, sorted and without repeats; without them it holds every accepted
-    step. Its stats count every step either way.
+    step. Its stats count every step either way: the accepted and the
+    rejected steps, the rhs evaluations, and ``clamped``, the accepted
+    steps whose shallow dip was clamped to zero.
 
     The fifth-order solution is the last stage's state, and that stage's
     derivative starts the next step (first-same-as-last). One minimum over
     the new state decides both dips: a component in (-abs_tol, 0) is
     clamped to zero, after which the next step evaluates rhs afresh; a dip
-    at or below -abs_tol rejects the step outright (a drop that large is
-    solver failure, not roundoff), and so does a trial stage at which rhs
-    raises DomainError. Raises DomainError unless the times are finite and
-    the tolerances finite and positive, and IntegrationError with the last
-    good time and state if the step size underflows.
+    at or below -abs_tol rejects the step outright and halves it (a drop
+    that large is solver failure, not roundoff), and so do a trial stage
+    at which rhs raises DomainError and a NaN error norm.
+    Raises DomainError unless the times are finite and the tolerances
+    finite and positive, and IntegrationError with the last good time and
+    state if the step size underflows.
     """
     y = np.asarray(state0, dtype=float).copy()
     rep = np.asarray([] if report_times is None else report_times, dtype=float)
@@ -135,12 +138,19 @@ def integrate(rhs: Callable[[float, np.ndarray, np.ndarray], object],
     # conversion it makes of a Python float at every call
     h_now = np.empty(())
     rel, atol = np.array(rel_tol, dtype=float), np.array(abs_tol, dtype=float)
+    size = y.size
+    # the step loop calls numpy through local names and passes out
+    # positionally, but by keyword to maximum, whose positional out numpy 2
+    # serves about a microsecond slower
+    dot, add, multiply, divide = np.dot, np.add, np.multiply, np.divide
+    absolute, maximum = np.abs, np.maximum
+    add_reduce = np.add.reduce
 
     times = [t]
     states = [y.copy()]
     h = (t1 - t0) / 1000.0
     err_prev = 1.0
-    accepted = rejected = 0
+    accepted = rejected = clamped = 0
     next_cp = 0
     fsal_valid = True
     # a step ending this close short of a checkpoint is stretched onto it,
@@ -166,9 +176,9 @@ def integrate(rhs: Callable[[float, np.ndarray, np.ndarray], object],
         h_now[()] = h
         try:
             for c, a, k_prev, k_i in stages:
-                np.dot(a, k_prev, out=dy)
-                dy *= h_now
-                np.add(y, dy, out=y_new)            # y + h * (a . k)
+                dot(a, k_prev, dy)
+                multiply(dy, h_now, dy)
+                add(y, dy, y_new)                   # y + h * (a . k)
                 n_evals += 1
                 rhs(t + c * h, y_new, k_i)
         except DomainError:
@@ -179,23 +189,26 @@ def integrate(rhs: Callable[[float, np.ndarray, np.ndarray], object],
             # y_new is the last stage's state, the fifth-order solution;
             # scale = abs_tol + rel_tol * max(y, |y_new|) (y >= 0) and
             # dy = h * (E . k) / scale, the error in units of the tolerance
-            np.abs(y_new, out=scale)
-            np.maximum(y, scale, out=scale)
-            scale *= rel
-            scale += atol
-            np.dot(_E, k, out=dy)
-            dy *= h_now
-            dy /= scale
-            np.multiply(dy, dy, out=dy)
-            err = math.sqrt(np.add.reduce(dy) / dy.size)
-            y_min = np.minimum.reduce(y_new)
-            halve = bool(y_min <= -abs_tol)
+            absolute(y_new, scale)
+            maximum(y, scale, out=scale)
+            multiply(scale, rel, scale)
+            add(scale, atol, scale)
+            dot(_E, k, dy)
+            multiply(dy, h_now, dy)
+            divide(dy, scale, dy)
+            multiply(dy, dy, dy)
+            err = math.sqrt(add_reduce(dy) / size)
+            # a Python min costs half a ufunc reduce; they differ only on a
+            # NaN state, whose NaN error norm rejects and halves the step
+            y_min = min(y_new.tolist())
+            halve = y_min <= -abs_tol
             step_accepted = err <= 1.0 and not halve
         if step_accepted:
             t = target if lands else t + h
             if y_min < 0.0:
-                np.maximum(y_new, 0.0, out=y_new)   # clamp the shallow dip
+                maximum(y_new, 0.0, out=y_new)      # clamp the shallow dip
                 fsal_valid = False
+                clamped += 1
             else:
                 k0[...] = k6
             y, y_new = y_new, y
@@ -207,7 +220,9 @@ def integrate(rhs: Callable[[float, np.ndarray, np.ndarray], object],
             err_prev = max(err, 1e-10)
         else:
             rejected += 1
-            fac = 0.5 if halve else _SAFETY * err ** -0.2
+            # a NaN error norm (a non-finite stage) halves the step too: as
+            # a factor it would make h NaN, which never underflows
+            fac = 0.5 if halve or err != err else _SAFETY * err ** -0.2
         h *= min(max(fac, _FAC_MIN), _FAC_MAX)
         if h < _H_MIN and not step_accepted:
             raise IntegrationError("step size underflow", t, y)
@@ -216,7 +231,7 @@ def integrate(rhs: Callable[[float, np.ndarray, np.ndarray], object],
 
     return Trajectory(times=np.asarray(times), states=np.asarray(states),
                       stats={"accepted": accepted, "rejected": rejected,
-                             "rhs_evals": n_evals})
+                             "rhs_evals": n_evals, "clamped": clamped})
 
 
 def steady_state_by_integration(params: Parameters,
@@ -235,7 +250,7 @@ def steady_state_by_integration(params: Parameters,
         raise DomainError("horizon must be finite and positive")
 
     def rhs(t, y, out):
-        full_rhs(y, params, n_ref, out=out)
+        full_rhs(y, params, n_ref, out)
 
     y = np.asarray(state0, dtype=float).copy()
     # keep integration noise well below the settle target, else the

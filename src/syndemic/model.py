@@ -244,17 +244,22 @@ def flow_matrices(params: Parameters) -> FlowMatrices:
 class _WorkArrays(threading.local):
     # full_rhs's work arrays, built once in each thread that reads them: the
     # (32,) product z = stacked @ y, its views A y, W y and the (2, 10)
-    # pressure maps (CT y; CH y), the 2 pressures and the 10 gains. Per
-    # thread, so that concurrent calls never write each other's products
+    # pressure maps (CT y; CH y), the denominator as a 0-d array (a ufunc
+    # converts a Python float at every call), the 2 pressures and the 10
+    # gains. Per thread, so that concurrent calls never write each other's
+    # products
     def __init__(self):
         z = np.empty(_PRESSURE_ROWS + 2)
         self.arrays = (z, z[:N_COMPARTMENTS], z[_PRESSURE_ROWS:],
                        z[N_COMPARTMENTS:_PRESSURE_ROWS].reshape(
                            2, N_COMPARTMENTS),
-                       np.empty(2), np.empty(N_COMPARTMENTS))
+                       np.empty(()), np.empty(2), np.empty(N_COMPARTMENTS))
 
 
 _work = _WorkArrays()
+# full_rhs calls numpy through these names, and passes out positionally
+_asarray, _dot, _add, _divide = np.asarray, np.dot, np.add, np.divide
+_add_reduce = np.add.reduce
 
 
 def full_rhs(state, params: Parameters, n_ref: Optional[float] = None,
@@ -270,19 +275,27 @@ def full_rhs(state, params: Parameters, n_ref: Optional[float] = None,
     transmission the call then allocates no array. Without it the result
     is a fresh array.
     """
-    y = _as_state(state)
+    # _as_state and _denominator written out, the model's hottest call
+    y = _asarray(state, float)
+    if y.shape != (N_COMPARTMENTS,):
+        raise DomainError(
+            f"state must have shape ({N_COMPARTMENTS},), got {y.shape}")
     b, maps, _, stacked = flow_matrices(params)
     if params.beta1 == 0.0 and params.beta2 == 0.0:
-        return np.add(b, maps[0] @ y, out=out)
-    n = _denominator(y, n_ref)
-    z, ay, wy, pressure_maps, lam, gain = _work.arrays
+        return _add(b, maps[0] @ y, out)
+    z, ay, wy, pressure_maps, n_now, lam, gain = _work.arrays
+    if n_ref is None:
+        n = float(_add_reduce(y, out=n_now))
+    else:
+        n = n_now[()] = float(n_ref)
+    if not 0.0 < n < math.inf:
+        raise DomainError("population denominator must be finite and positive")
     # one matrix-vector product gives A y, CT y, CH y and W y, with the sums
     # of the separate products bit for bit
-    np.dot(stacked, y, out=z)
-    out = np.add(b, ay, out=out)
-    np.divide(wy, n, out=lam)
-    out += np.dot(lam, pressure_maps, out=gain)
-    return out
+    _dot(stacked, y, z)
+    out = _add(b, ay, out)
+    _divide(wy, n_now, lam)
+    return _add(out, _dot(lam, pressure_maps, gain), out)
 
 
 def full_jacobian(state, params: Parameters,

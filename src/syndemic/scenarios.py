@@ -247,7 +247,7 @@ def run_dfe_stability(params: Optional[Parameters] = None) -> ScenarioResult:
     horizon = 500.0
     result = ScenarioResult(spec=ScenarioSpec(name="dfe-stability"))
     for key, y0 in _perturbed_starts().items():
-        traj = integrate(lambda t, y, out: full_rhs(y, base, out=out), y0,
+        traj = integrate(lambda t, y, out: full_rhs(y, base, None, out), y0,
                          0.0, horizon)
         result.trajectories[key] = traj
         result.terminal_states[key] = traj.final
@@ -280,7 +280,7 @@ def run_syndemic_stability(params: Optional[Parameters] = None) -> ScenarioResul
     horizon = 500.0
     result = ScenarioResult(spec=ScenarioSpec(name="syndemic-stability"))
     for key, y0 in _perturbed_starts().items():
-        traj = integrate(lambda t, y, out: full_rhs(y, base, n_ref, out=out),
+        traj = integrate(lambda t, y, out: full_rhs(y, base, n_ref, out),
                          y0, 0.0, horizon)
         result.trajectories[key] = traj
         result.terminal_states[key] = traj.final
@@ -351,7 +351,7 @@ def run_treatment_impact(params: Optional[Parameters] = None,
     n20 = {}
     for key, p in arms.items():
         traj = integrate(
-            lambda t, y, out, _p=p: full_rhs(y, _p, n_ref, out=out),
+            lambda t, y, out, _p=p: full_rhs(y, _p, n_ref, out),
             y0, 0.0, horizon, report_times=grid)
         result.trajectories[key] = traj
         result.terminal_states[key] = traj.final
@@ -463,13 +463,15 @@ def _format(x: float) -> str:
 def trajectory_csv(traj: Trajectory, spec: str, newline: str) -> str:
     """A trajectory as CSV text: a header line, then for each stored time
     the time in years, the ten compartments in model order and the total,
-    each number formatted with the format spec ``spec`` and every line
-    ended by ``newline``. The states are finite (``integrate`` accepts no
-    other), so no field needs quoting."""
+    each number formatted as ``"%" + spec`` formats it (the same text as
+    ``format(v, spec)`` for the specs used here, such as ".10g") and every
+    line ended by ``newline``. The states are finite (``integrate`` accepts
+    no other), so no field needs quoting."""
+    row = ",".join(["%" + spec] * (len(COMPARTMENTS) + 2))
     lines = [",".join(["time_years", *COMPARTMENTS, "total"])]
-    for t, y, total in zip(traj.times.tolist(), traj.states.tolist(),
-                           traj.states.sum(axis=1).tolist()):
-        lines.append(",".join([format(v, spec) for v in (t, *y, total)]))
+    lines += [row % (t, *y, total) for t, y, total in
+              zip(traj.times.tolist(), traj.states.tolist(),
+                  traj.states.sum(axis=1).tolist())]
     lines.append("")
     return newline.join(lines)
 

@@ -52,7 +52,8 @@ def test_report_times_are_landed_exactly():
     assert np.array_equal(traj.times, grid)
     assert traj.states.shape == (241, 10)
     # the work of every step, stored or not
-    assert traj.stats == {"accepted": 373, "rejected": 0, "rhs_evals": 2239}
+    assert traj.stats == {"accepted": 373, "rejected": 0, "rhs_evals": 2239,
+                          "clamped": 0}
 
 
 def test_report_grid_is_sorted_without_repeats():
@@ -122,6 +123,50 @@ def test_finite_time_blowup_raises():
                   np.array([1.0]), 0.0, 2.0)
     assert 0.9 < exc.value.time <= 2.0
     assert np.all(np.isfinite(exc.value.state))
+
+
+class _Spun(Exception):
+    """Raised by a right-hand side called far past what its test needs."""
+
+
+def _sentinel(rhs, calls, limit=10_000):
+    # rhs counting its calls into the list calls, which raises _Spun past
+    # limit, so that a step loop that spins fails fast instead of hanging
+    def counted(t, y, out):
+        calls.append(t)
+        if len(calls) > limit:
+            raise _Spun(f"rhs called more than {limit} times")
+        rhs(t, y, out)
+    return counted
+
+
+def test_nan_derivative_underflows_the_step():
+    # a NaN error norm halves the step, as a deep dip does, until it
+    # underflows; as a step factor it would make h NaN, which never does
+    def rhs(t, y, out):
+        if t > 0.5:
+            out.fill(math.nan)
+        else:
+            np.negative(y, out=out)
+
+    calls = []
+    with pytest.raises(IntegrationError, match="step size underflow") as exc:
+        integrate(_sentinel(rhs, calls), np.array([1.0]), 0.0, 1.0)
+    assert exc.value.time == pytest.approx(0.5)
+    assert len(calls) <= 1000                            # 643 measured
+
+
+def test_overflowing_transmission_underflows_the_step():
+    # beta1 = 1e300 overflows the TB pressure at the first trial stage
+    params = Parameters(beta1=1e300, beta2=0.06)
+    calls = []
+    rhs = _sentinel(lambda t, y, out: full_rhs(y, params, 50000.0, out),
+                    calls)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(IntegrationError, match="step size underflow") as exc:
+        integrate(rhs, START, 0.0, 20.0)
+    assert exc.value.time == 0.0
+    assert len(calls) <= 1000                            # 211 measured
 
 
 def test_agrees_with_library_integrator():

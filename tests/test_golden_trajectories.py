@@ -2,13 +2,16 @@
 trajectory.csv), two ``sweep`` runs (standard output and sweep.csv), the
 treatment-tb CSV files under both death settings, the table2 and table3
 summary CSVs and six more scenario summaries, byte for byte against
-tests/golden/trajectories (see its regenerate.py)."""
+tests/golden/trajectories (see its regenerate.py); and the exact work
+counters of the two simulate runs."""
 import dataclasses
 import importlib.util
 from pathlib import Path
 
 import pytest
 
+from syndemic import cli
+from syndemic.dynamics import integrate
 from syndemic.scenarios import write_scenario_csv
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "trajectories"
@@ -45,6 +48,31 @@ def _replay(name, argv, report, tmp_path, monkeypatch):
 def test_simulate_matches_golden_files(name, tmp_path, monkeypatch):
     _replay(name, golden.SIMULATE[name], "trajectory.csv", tmp_path,
             monkeypatch)
+
+
+# the exact work of each golden simulate run's integration: accepted and
+# rejected steps, rhs evaluations, clamped steps
+SIMULATE_STATS = {
+    "simulate_13_0.06": {"accepted": 592, "rejected": 0, "rhs_evals": 3553,
+                         "clamped": 0},
+    "simulate_6_0.1": {"accepted": 373, "rejected": 0, "rhs_evals": 2239,
+                       "clamped": 0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(golden.SIMULATE))
+def test_simulate_work_counters(name, tmp_path, monkeypatch):
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "integrate", recorded)
+    monkeypatch.delenv("SYNDEMIC_OUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    golden.render(golden.SIMULATE[name])
+    assert [run.stats for run in runs] == [SIMULATE_STATS[name]]
 
 
 @pytest.mark.parametrize("name", sorted(golden.SWEEP))

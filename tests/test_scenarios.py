@@ -253,40 +253,66 @@ def test_csv_rows_match_per_value_formatting(fixture, request, tmp_path):
                    for traj in result.trajectories.values())
 
 
-# Exact work of the long runs: accepted and rejected steps and rhs
-# evaluations of each start. A change that moves any of them changes the
-# step sequence, and with it the numbers.
+# Exact work of the long runs: accepted and rejected steps, rhs
+# evaluations and clamped steps of each start or arm. A change that moves
+# any of them changes the step sequence, and with it the numbers.
 SYNDEMIC_STABILITY_STATS = {
-    "base": (747, 2, 4495), "perturbed-1": (745, 2, 4483),
-    "perturbed-2": (746, 2, 4489), "perturbed-3": (748, 2, 4501),
-    "perturbed-4": (746, 2, 4489), "perturbed-5": (749, 2, 4507),
+    "base": (747, 2, 4495, 0), "perturbed-1": (745, 2, 4483, 0),
+    "perturbed-2": (746, 2, 4489, 0), "perturbed-3": (748, 2, 4501, 0),
+    "perturbed-4": (746, 2, 4489, 0), "perturbed-5": (749, 2, 4507, 0),
 }
 DFE_STABILITY_STATS = {
-    "base": (653, 2, 4202), "perturbed-1": (652, 2, 4197),
-    "perturbed-2": (653, 2, 4202), "perturbed-3": (654, 2, 4207),
-    "perturbed-4": (652, 2, 4195), "perturbed-5": (655, 2, 4212),
+    "base": (653, 2, 4202, 271), "perturbed-1": (652, 2, 4197, 272),
+    "perturbed-2": (653, 2, 4202, 271), "perturbed-3": (654, 2, 4207, 270),
+    "perturbed-4": (652, 2, 4195, 271), "perturbed-5": (655, 2, 4212, 269),
 }
-TREATMENT_TB_ON_STATS = {
-    "with-treatment": (537, 0, 3223), "without-treatment": (521, 0, 3127),
-    "without-treatment-alt": (533, 0, 3199),
+# each treatment fixture's arms: with-treatment, without-treatment and
+# without-treatment-alt, in that order
+TREATMENT_STATS = {
+    "treatment_tb_on": [(537, 0, 3223, 0), (521, 0, 3127, 0),
+                        (533, 0, 3199, 0)],
+    "treatment_tb_off": [(532, 0, 3193, 0), (534, 0, 3205, 0),
+                         (396, 0, 2377, 0)],
+    "treatment_aids_on": [(537, 0, 3223, 0), (525, 0, 3151, 0),
+                          (519, 0, 3115, 0)],
+    "treatment_aids_off": [(532, 0, 3193, 0), (546, 0, 3277, 0),
+                           (541, 0, 3247, 0)],
+    "treatment_coinfection_on": [(537, 0, 3223, 0), (520, 0, 3121, 0),
+                                 (539, 0, 3235, 0)],
+    "treatment_coinfection_off": [(532, 0, 3193, 0), (571, 0, 3427, 0),
+                                  (377, 0, 2263, 0)],
 }
 
 
 def _stats(result):
     return {key: (traj.stats["accepted"], traj.stats["rejected"],
-                  traj.stats["rhs_evals"])
+                  traj.stats["rhs_evals"], traj.stats["clamped"])
             for key, traj in result.trajectories.items()}
 
 
 def test_long_horizon_work_counters(syndemic_stability_result,
-                                    dfe_stability_result, treatment_tb_on):
+                                    dfe_stability_result):
     assert _stats(syndemic_stability_result) == SYNDEMIC_STABILITY_STATS
     assert _stats(dfe_stability_result) == DFE_STABILITY_STATS
-    assert _stats(treatment_tb_on) == TREATMENT_TB_ON_STATS
-    # six evaluations per step and one at the start, and in the dfe runs
-    # one more after each step that clamped a dip to zero, since the last
-    # stage was then taken at the unclamped state
-    for accepted, rejected, evals in SYNDEMIC_STABILITY_STATS.values():
-        assert evals == 6 * (accepted + rejected) + 1
-    for accepted, rejected, evals in DFE_STABILITY_STATS.values():
-        assert evals > 6 * (accepted + rejected) + 1
+    # six evaluations per step and one at the start, and one more after
+    # each step that clamped a dip to zero, whose last stage was taken at
+    # the unclamped state, so the next step evaluates rhs afresh: unless
+    # the clamped step was the last, whose state then holds the clamp's
+    # exact zero (dfe perturbed-4; the other final states are positive)
+    for result in (syndemic_stability_result, dfe_stability_result):
+        for (accepted, rejected, evals, clamped), traj in zip(
+                _stats(result).values(), result.trajectories.values()):
+            last_clamped = int(traj.states[-1].min() == 0.0)
+            assert evals == (6 * (accepted + rejected) + 1 + clamped
+                             - last_clamped)
+
+
+@pytest.mark.parametrize("fixture", sorted(TREATMENT_STATS))
+def test_treatment_work_counters(fixture, request):
+    # no arm rejects or clamps a step: six evaluations per step, one more
+    # at the start
+    result = request.getfixturevalue(fixture)
+    arms = ("with-treatment", "without-treatment", "without-treatment-alt")
+    assert _stats(result) == dict(zip(arms, TREATMENT_STATS[fixture]))
+    for accepted, rejected, evals, clamped in TREATMENT_STATS[fixture]:
+        assert evals == 6 * accepted + 1

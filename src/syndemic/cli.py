@@ -3,9 +3,11 @@
 Config files are line-oriented ``key = value`` with ``#`` comments. Keys are
 the parameter field names (case-sensitive), ``init.<compartment>`` entries
 for the starting state (absolute counts, or fractions plus ``init.total``),
-and the run options horizon, rel_tol, abs_tol, n_ref, out. Keys left out take
-the ``Parameters`` defaults and the standard census; beta1 and beta2 have no
-default and must be supplied by config or flag before any run command.
+and the run options of ``RUN_OPTIONS``. Keys left out take the
+``Parameters`` defaults and the standard census; beta1 and beta2 have no
+default and must be supplied by config or flag before any run command. A
+flag that names a config key wins over it; ``SYNDEMIC_OUT_DIR`` wins over
+both for the output directory.
 """
 from __future__ import annotations
 
@@ -32,6 +34,12 @@ from .stability import (ConvergenceError, bifurcation_analysis,
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
+
+# the run options: config key -> type of its value; a flag of the same
+# dest (--horizon, --nref, --out) is merged over the key
+RUN_OPTIONS = {"horizon": float, "rel_tol": float, "abs_tol": float,
+               "n_ref": str, "out": str}
+
 
 class ConfigError(ValueError):
     pass
@@ -110,16 +118,9 @@ def parse_config(text: str) -> RunConfig:
                 init_entries[name] = _number(value, lineno)
             else:
                 raise ConfigError(f"line {lineno}: unknown compartment {name!r}")
-        elif key == "horizon":
-            cfg.horizon = _number(value, lineno)
-        elif key == "rel_tol":
-            cfg.rel_tol = _number(value, lineno)
-        elif key == "abs_tol":
-            cfg.abs_tol = _number(value, lineno)
-        elif key == "n_ref":
-            cfg.n_ref = value
-        elif key == "out":
-            cfg.out = value
+        elif key in RUN_OPTIONS:
+            setattr(cfg, key, value if RUN_OPTIONS[key] is str
+                    else _number(value, lineno))
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     if init_entries or cfg.init_total is not None:
@@ -147,27 +148,25 @@ def _number(token: str, lineno: int) -> float:
         raise ConfigError(f"line {lineno}: malformed number {token!r}")
 
 
-def _load_config(args) -> RunConfig:
-    cfg = (parse_config(Path(args.config).read_text())
-           if getattr(args, "config", None) else RunConfig())
-    for name in ("beta1", "beta2"):
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg.assignments[name] = float(value)
-    if getattr(args, "nref", None):
-        cfg.n_ref = args.nref
+def _merge(args) -> RunConfig:
+    """The config file, with each flag that names a config key (--beta1,
+    --beta2 and the run options) applied over that key. An empty text flag
+    counts as not given."""
+    cfg = (parse_config(Path(args.config).read_text()) if args.config
+           else RunConfig())
+    for key in ("beta1", "beta2", *RUN_OPTIONS):
+        value = getattr(args, key, None)
+        if value is None or value == "":
+            continue
+        if key in RUN_OPTIONS:
+            setattr(cfg, key, value)
+        else:
+            cfg.assignments[key] = value
     return cfg
 
 
-def _out_dir(args, cfg: RunConfig) -> Path:
-    env = os.environ.get("SYNDEMIC_OUT_DIR")
-    if env:
-        return Path(env)               # env wins over --out
-    if getattr(args, "out", None):
-        return Path(args.out)
-    if cfg.out:
-        return Path(cfg.out)
-    return Path(".")
+def _out_dir(cfg: RunConfig) -> Path:
+    return Path(os.environ.get("SYNDEMIC_OUT_DIR") or cfg.out or ".")
 
 
 def emit_svg(traj: Trajectory, selection: Sequence[str]) -> str:
@@ -243,10 +242,9 @@ def _nice_ceiling(value: float) -> float:
     return 10.0 ** (exp + 1)
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+def _cmd_simulate(args, cfg: RunConfig) -> int:
     params = cfg.parameters()
-    horizon = args.horizon if args.horizon is not None else cfg.horizon
+    horizon = cfg.horizon
     if not math.isfinite(horizon):     # np.linspace warns on an infinite end
         raise ConfigError("horizon must be finite")
     if horizon <= 0.0:
@@ -256,7 +254,7 @@ def _cmd_simulate(args) -> int:
                      cfg.initial_state(), 0.0, horizon,
                      rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
                      report_times=np.linspace(0.0, horizon, 241))
-    out = _out_dir(args, cfg)
+    out = _out_dir(cfg)
     atomic_write(out / "trajectory.csv", trajectory_csv(traj, ".8g", "\n"))
     atomic_write(out / "trajectory.svg", emit_svg(traj, COMPARTMENTS))
     final = traj.final
@@ -266,8 +264,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_r0(args) -> int:
-    cfg = _load_config(args)
+def _cmd_r0(args, cfg: RunConfig) -> int:
     params = cfg.parameters()
     n_ref = cfg.resolve_n_ref()
     numbers = r0(params, n_ref)
@@ -282,8 +279,7 @@ def _cmd_r0(args) -> int:
     return 0
 
 
-def _cmd_equilibrium(args) -> int:
-    cfg = _load_config(args)
+def _cmd_equilibrium(args, cfg: RunConfig) -> int:
     if args.kind == "dfe":
         # the disease-free state does not depend on the transmission rates
         cfg.assignments.setdefault("beta1", 0.0)
@@ -304,14 +300,13 @@ def _cmd_equilibrium(args) -> int:
     return 0
 
 
-def _cmd_stability(args) -> int:
+def _cmd_stability(args, cfg: RunConfig) -> int:
     if args.bifurcation:
         # the threshold analysis is taken at the disease-free state and the
         # population Lambda/mu
-        for flag, value in (("--at", args.at), ("--nref", args.nref)):
+        for flag, value in (("--at", args.at), ("--nref", args.n_ref)):
             if value is not None:
                 raise ConfigError(f"{flag} does not apply to --bifurcation")
-    cfg = _load_config(args)
     params = cfg.parameters()
     n_ref = cfg.resolve_n_ref()
     if args.bifurcation:
@@ -338,15 +333,13 @@ def _cmd_stability(args) -> int:
     return 0
 
 
-def _cmd_scenario(args) -> int:
-    cfg = _load_config(args)
-    explicit = (getattr(args, "config", None) or args.beta1 is not None
-                or args.beta2 is not None)
-    params = cfg.parameters() if explicit else None
+def _cmd_scenario(args, cfg: RunConfig) -> int:
+    # without a config file, only --beta1 and --beta2 assign parameters
+    params = cfg.parameters() if args.config or cfg.assignments else None
     if args.deaths is not None and not args.name.startswith("treatment-"):
         raise ConfigError("--deaths applies to the treatment scenarios only")
     result = SCENARIOS[args.name](params, args.deaths or "on")
-    out = _out_dir(args, cfg)
+    out = _out_dir(cfg)
     files = write_scenario_csv(result, out)
     for record in result.assertions:
         expected = ("" if record.passed is None
@@ -357,8 +350,7 @@ def _cmd_scenario(args) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+def _cmd_sweep(args, cfg: RunConfig) -> int:
     if args.param not in PARAMETER_FIELDS:
         raise ConfigError(f"unknown parameter {args.param!r}")
     try:
@@ -379,8 +371,7 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"{args.param} = {value!r}: {exc}") from exc
         rows.append(f"{value:.8g},{numbers.r1:.8g},{numbers.r2:.8g},"
                     f"{numbers.r0:.8g}")
-    out = _out_dir(args, cfg)
-    path = out / args.report
+    path = _out_dir(cfg) / "sweep.csv"
     atomic_write(path, "\n".join(rows) + "\n")
     print(f"wrote {path}")
     return 0
@@ -391,58 +382,50 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="syndemic",
         description="TB-HIV coinfection transmission model toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="path to a key=value config file")
+    common.add_argument("--beta1", type=float, help="TB transmission rate")
+    common.add_argument("--beta2", type=float, help="HIV transmission rate")
+    nref = argparse.ArgumentParser(add_help=False)
+    nref.add_argument("--nref", dest="n_ref", metavar="NREF",
+                      help="population convention: dfe, N0, or a number")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output directory")
 
-    def common(sp):
-        sp.add_argument("--config", help="path to a key=value config file")
-        sp.add_argument("--beta1", type=float, help="TB transmission rate")
-        sp.add_argument("--beta2", type=float, help="HIV transmission rate")
+    def command(name, func, help, *shared):
+        sp = sub.add_parser(name, help=help, parents=[common, *shared])
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("simulate", help="integrate and write CSV + SVG")
-    common(sp)
+    sp = command("simulate", _cmd_simulate, "integrate and write CSV + SVG",
+                 out)
     sp.add_argument("--horizon", type=float, help="years to integrate")
-    sp.add_argument("--out", help="output directory")
-    sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser("r0", help="print reproduction numbers")
-    common(sp)
-    sp.add_argument("--nref", help="population convention: dfe, N0, or a number")
-    sp.set_defaults(func=_cmd_r0)
+    command("r0", _cmd_r0, "print reproduction numbers", nref)
 
-    sp = sub.add_parser("equilibrium", help="print an equilibrium report row")
-    common(sp)
+    sp = command("equilibrium", _cmd_equilibrium,
+                 "print an equilibrium report row", nref)
     sp.add_argument("--kind", required=True,
                     choices=["dfe", "tbfree", "hivfree", "syndemic"])
-    sp.add_argument("--nref", help="population convention: dfe, N0, or a number")
-    sp.set_defaults(func=_cmd_equilibrium)
 
-    sp = sub.add_parser("stability", help="eigenvalues and classification")
-    common(sp)
+    sp = command("stability", _cmd_stability,
+                 "eigenvalues and classification", nref)
     sp.add_argument("--at",
                     help="dfe, syndemic, or a file holding a 10-number state")
-    sp.add_argument("--nref", help="population convention: dfe, N0, or a number")
     sp.add_argument("--bifurcation", action="store_true",
                     help="print the threshold analysis instead")
-    sp.set_defaults(func=_cmd_stability)
 
-    sp = sub.add_parser("scenario", help="run a canned experiment")
-    common(sp)
+    sp = command("scenario", _cmd_scenario, "run a canned experiment", out)
     sp.add_argument("--name", required=True, choices=list(SCENARIOS))
     sp.add_argument("--deaths", choices=["on", "off"],
                     help="disease-induced death switch for treatment runs "
                          "(default on)")
-    sp.add_argument("--out", help="output directory")
-    sp.set_defaults(func=_cmd_scenario)
 
-    sp = sub.add_parser("sweep", help="1-D parameter sweep of R1, R2, R0")
-    common(sp)
+    sp = command("sweep", _cmd_sweep, "1-D parameter sweep of R1, R2, R0",
+                 nref, out)
     sp.add_argument("--param", required=True, help="parameter field to sweep")
     sp.add_argument("--values", required=True,
                     help="comma-separated parameter values")
-    sp.add_argument("--report", default="sweep.csv",
-                    help="report file name (relative to the output directory)")
-    sp.add_argument("--nref", help="population convention: dfe, N0, or a number")
-    sp.add_argument("--out", help="output directory")
-    sp.set_defaults(func=_cmd_sweep)
     return parser
 
 
@@ -456,7 +439,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # an overflow or invalid value (extreme transmission rates) is an
         # input error, not a warning beside a wrong number
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
+            return args.func(args, _merge(args))
     except (ConfigError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

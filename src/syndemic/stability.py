@@ -18,6 +18,7 @@ import numpy as np
 
 from .model import (DomainError, Parameters, disease_free_population,
                     full_jacobian, removal_rates)
+from .reproduction import bifurcation_threshold
 
 TOL_EIG = 1e-7      # a real part within this of 0 is marginal
 
@@ -179,7 +180,7 @@ def bifurcation_analysis(params: Parameters) -> BifurcationReport:
                           "vectors divide by them)")
     rates = removal_rates(params)
     numer, d4 = rates.numer, rates.d4
-    bstar = numer / (d4 + eta * rho1)
+    bstar = bifurcation_threshold(params)
     w1, w2 = -numer / (rho1 * mu), d4 / rho1
     v2 = rho1 / (d4 + rho1 + mu - bstar)
     # rho1 + mu - beta* = rho1 * gap, written without that cancellation

@@ -3,10 +3,8 @@ use, to check that parse_config reads back what it describes, beside
 tests/h2.py."""
 from typing import List
 
-from syndemic.cli import ConfigError, RunConfig
+from syndemic.cli import RUN_OPTIONS, ConfigError, RunConfig
 from syndemic.model import COMPARTMENTS
-
-OPTION_KEYS = ("horizon", "rel_tol", "abs_tol", "n_ref", "out")
 
 
 def format_config(cfg: RunConfig) -> str:
@@ -26,7 +24,7 @@ def format_config(cfg: RunConfig) -> str:
         if cfg.init_total is not None:
             lines.append(f"init.total = {float(cfg.init_total)!r}")
     defaults = RunConfig()
-    for key in OPTION_KEYS:
+    for key in RUN_OPTIONS:
         value = getattr(cfg, key)
         if value == getattr(defaults, key):
             continue

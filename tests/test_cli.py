@@ -3,18 +3,22 @@ import csv
 import dataclasses
 import math
 import os
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import syndemic.cli
+import writers_reference as reference
 from bifurcation_fd import assert_left_null_vector_exact
 from config_format import format_config
 from syndemic.cli import (ConfigError, RunConfig, emit_svg, main,
                           parse_config)
 from syndemic.dynamics import IntegrationError, Trajectory
 from syndemic.model import COMPARTMENTS, PARAMETER_FIELDS, Parameters
+from syndemic.reproduction import r0
 from syndemic.stability import ConvergenceError, bifurcation_analysis
 
 # The baseline calibration and the standard census, written out in full.
@@ -416,34 +420,17 @@ def test_simulate_writes_csv_and_svg(tmp_path, capsys):
 def test_simulate_output_matches_per_value_formatting(fixture, key, request,
                                                       tmp_path, monkeypatch,
                                                       capsys):
-    # the CSV rows and SVG polylines, against the per-value route: numpy
-    # scalars formatted one by one, each row summed alone, each point
-    # scaled alone
+    # the CSV and SVG files, against the per-value reference writers
     traj = request.getfixturevalue(fixture).trajectories[key]
     if fixture == "dfe_stability_result":
         assert (traj.states == 0.0).any()
     monkeypatch.setattr(syndemic.cli, "integrate", lambda *a, **k: traj)
     assert main(["simulate", "--beta1", "6", "--beta2", "0.1",
                  "--out", str(tmp_path)]) == 0
-    rows = [",".join([f"{t:.8g}"] + [f"{v:.8g}" for v in y]
-                     + [f"{y.sum():.8g}"])
-            for t, y in zip(traj.times, traj.states)]
-    assert (tmp_path / "trajectory.csv").read_text().splitlines()[1:] == rows
-
-    t0, t1 = float(traj.times[0]), float(traj.times[-1])
-    y_max = syndemic.cli._nice_ceiling(float(np.max(traj.states)))
-
-    def sx(t):
-        return 70 + (t - t0) / max(t1 - t0, 1e-30) * 540
-
-    def sy(v):
-        return 20 + 430 - v / y_max * 430
-
-    svg = (tmp_path / "trajectory.svg").read_text()
-    polylines = [part.split('"')[0] for part in svg.split('points="')[1:]]
-    assert polylines == [" ".join(f"{sx(t):.2f},{sy(v):.2f}"
-                                  for t, v in zip(traj.times, traj.states[:, i]))
-                         for i in range(len(COMPARTMENTS))]
+    assert ((tmp_path / "trajectory.csv").read_bytes()
+            == reference.trajectory_csv(traj, ".8g", "\n").encode())
+    assert ((tmp_path / "trajectory.svg").read_bytes()
+            == reference.emit_svg(traj, COMPARTMENTS).encode())
 
 
 def test_scenario_exit_codes(tmp_path):
@@ -511,6 +498,85 @@ def test_out_dir_environment_override(tmp_path, monkeypatch, capsys):
                  "--horizon", "1", "--out", str(ignored)]) == 0
     assert (wanted / "trajectory.csv").exists()
     assert not ignored.exists()
+
+
+@pytest.mark.parametrize("config,flags,beta,n_ref", [
+    ("", ["--beta1", "6", "--beta2", "0.1", "--nref", "50000"],
+     (6.0, 0.1), 50000.0),
+    ("beta1 = 5\nbeta2 = 0.2\nn_ref = 25000\n", [], (5.0, 0.2), 25000.0),
+    ("beta1 = 5\nbeta2 = 0.2\nn_ref = 25000\n",
+     ["--beta1", "6", "--beta2", "0.1", "--nref", "50000"], (6.0, 0.1), 50000.0),
+    ("beta1 = 5\nbeta2 = 0.2\nn_ref = 25000\n", ["--nref", ""],
+     (5.0, 0.2), 25000.0),
+    ("beta1 = 5\n", ["--beta2", "0.1"], (5.0, 0.1), None),
+], ids=["flags", "config", "flag-over-config", "empty-nref", "default-nref"])
+def test_rates_and_nref_flag_over_config_over_default(config, flags, beta,
+                                                     n_ref, tmp_path, capsys):
+    # a flag wins over its config key, the key over the default (dfe); an
+    # empty --nref counts as not given
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    assert main(["r0", "--config", str(path), *flags]) == 0
+    numbers = r0(Parameters(beta1=beta[0], beta2=beta[1]), n_ref)
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        f"R1 = {numbers.r1:.8g}", f"R2 = {numbers.r2:.8g}"]
+
+
+def test_rates_have_no_default(tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text("beta1 = 5\n")
+    assert main(["r0", "--config", str(tmp_path / "run.cfg")]) == 2
+    assert capsys.readouterr().err == ("error: beta1 and beta2 must be set "
+                                       "(config or flag)\n")
+
+
+@pytest.mark.parametrize("config,flags,env,horizon,out", [
+    ("", [], None, 20, "."),
+    ("horizon = 0.25\nout = from-config\n", [], None, 0.25, "from-config"),
+    ("horizon = 0.25\nout = from-config\n",
+     ["--horizon", "0.5", "--out", "from-flag"], None, 0.5, "from-flag"),
+    ("horizon = 0.25\nout = from-config\n", ["--out", ""], None, 0.25,
+     "from-config"),
+    ("out = from-config\n", ["--horizon", "0.5", "--out", "from-flag"],
+     "from-env", 0.5, "from-env"),
+    ("out = from-config\n", ["--horizon", "0.5"], "from-env", 0.5,
+     "from-env"),
+], ids=["defaults", "config", "flag-over-config", "empty-out",
+        "env-over-flag", "env-over-config"])
+def test_horizon_and_out_flag_over_config_over_default(
+        config, flags, env, horizon, out, tmp_path, monkeypatch, capsys):
+    # SYNDEMIC_OUT_DIR > --out > config out > the current directory; a flag
+    # wins over its config key, the key over the default; an empty --out
+    # counts as not given
+    monkeypatch.chdir(tmp_path)
+    if env is None:
+        monkeypatch.delenv("SYNDEMIC_OUT_DIR", raising=False)
+    else:
+        monkeypatch.setenv("SYNDEMIC_OUT_DIR", env)
+    (tmp_path / "run.cfg").write_text(config)
+    assert main(["simulate", "--config", "run.cfg", "--beta1", "6",
+                 "--beta2", "0.1", *flags]) == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith(
+        f"integrated {horizon:.8g} years, ")
+    written = sorted(p.relative_to(tmp_path).as_posix()
+                     for p in tmp_path.rglob("trajectory.*"))
+    prefix = "" if out == "." else out + "/"
+    assert written == [prefix + "trajectory.csv", prefix + "trajectory.svg"]
+
+
+def test_readme_command_examples_parse():
+    # every `syndemic ...` line of README's "Command line" block, with its
+    # backslash continuations joined, parses (nothing runs)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("syndemic ")]
+    assert len(commands) >= 10
+    for command in commands:
+        try:
+            syndemic.cli._build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {command}")
 
 
 def test_sweep_writes_report(tmp_path, capsys):

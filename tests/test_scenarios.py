@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import syndemic.scenarios
+import writers_reference as reference
 from syndemic.dynamics import integrate
 from syndemic.scenarios import (SCENARIOS, AssertionRecord,
                                 run_treatment_impact, write_scenario_csv)
@@ -236,18 +237,14 @@ def test_each_arm_reports_its_n20_once(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["treatment_tb_on", "dfe_stability_result"])
 def test_csv_rows_match_per_value_formatting(fixture, request, tmp_path):
-    # every trajectory file against the per-value route: numpy scalars
-    # formatted one by one and each row summed alone; the dfe-stability
-    # trajectories hold every step, clamped zeros among them
+    # every trajectory file against the per-value reference writer; the
+    # dfe-stability trajectories hold every step, clamped zeros among them
     result = request.getfixturevalue(fixture)
     write_scenario_csv(result, tmp_path)
     for key, traj in result.trajectories.items():
         path = tmp_path / f"{result.spec.name}__{key}.csv"
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
-        assert rows == [[f"{t:.10g}"] + [f"{v:.10g}" for v in y]
-                        + [f"{y.sum():.10g}"]
-                        for t, y in zip(traj.times, traj.states)]
+        assert (path.read_bytes()
+                == reference.trajectory_csv(traj, ".10g", "\r\n").encode())
     if fixture == "dfe_stability_result":
         assert any((traj.states == 0.0).any()
                    for traj in result.trajectories.values())

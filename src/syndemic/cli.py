@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -70,7 +71,19 @@ class RunConfig:
         return values
 
     def resolve_n_ref(self) -> Optional[float]:
-        return _parse_nref_token(self.n_ref, self)
+        token = self.n_ref
+        if token is None or token == "dfe":
+            return None
+        if token == "N0":
+            return float(self.initial_state().sum())
+        try:
+            value = float(token)
+        except ValueError:
+            raise ConfigError(f"n_ref must be dfe, N0, or a number, got {token!r}")
+        if not 0 < value < math.inf:
+            raise ConfigError(
+                f"n_ref must be a finite positive number, got {token!r}")
+        return value
 
 
 def _checked(params: Parameters, what: str) -> Parameters:
@@ -78,20 +91,6 @@ def _checked(params: Parameters, what: str) -> Parameters:
     if problems:
         raise ConfigError(f"invalid {what}: " + "; ".join(problems))
     return params
-
-
-def _parse_nref_token(token: Optional[str], cfg: "RunConfig") -> Optional[float]:
-    if token is None or token == "dfe":
-        return None
-    if token == "N0":
-        return float(cfg.initial_state().sum())
-    try:
-        value = float(token)
-    except ValueError:
-        raise ConfigError(f"n_ref must be dfe, N0, or a number, got {token!r}")
-    if not 0 < value < math.inf:
-        raise ConfigError(f"n_ref must be a finite positive number, got {token!r}")
-    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -137,7 +136,7 @@ def parse_config(text: str) -> RunConfig:
                     f"{total!r}, expected 1 within 1e-9")
         cfg.init_values = values
     if cfg.n_ref is not None:
-        _parse_nref_token(cfg.n_ref, cfg)   # validate the token early
+        cfg.resolve_n_ref()   # validate the token early
     return cfg
 
 
@@ -336,9 +335,13 @@ def _cmd_stability(args, cfg: RunConfig) -> int:
 def _cmd_scenario(args, cfg: RunConfig) -> int:
     # without a config file, only --beta1 and --beta2 assign parameters
     params = cfg.parameters() if args.config or cfg.assignments else None
-    if args.deaths is not None and not args.name.startswith("treatment-"):
-        raise ConfigError("--deaths applies to the treatment scenarios only")
-    result = SCENARIOS[args.name](params, args.deaths or "on")
+    # each experiment fixes its own horizon, tolerances, denominator and census
+    unread = [key for key in RUN_OPTIONS if key != "out"
+              and getattr(cfg, key) != getattr(RunConfig(), key)]
+    unread += ["init.*"] if cfg.init_values is not None else []
+    if unread:
+        raise ConfigError("scenario does not read " + ", ".join(unread))
+    result = SCENARIOS[args.name](params)
     out = _out_dir(cfg)
     files = write_scenario_csv(result, out)
     for record in result.assertions:
@@ -377,6 +380,7 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="syndemic",
@@ -417,9 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = command("scenario", _cmd_scenario, "run a canned experiment", out)
     sp.add_argument("--name", required=True, choices=list(SCENARIOS))
-    sp.add_argument("--deaths", choices=["on", "off"],
-                    help="disease-induced death switch for treatment runs "
-                         "(default on)")
 
     sp = command("sweep", _cmd_sweep, "1-D parameter sweep of R1, R2, R0",
                  nref, out)

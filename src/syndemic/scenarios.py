@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import math
@@ -416,18 +417,15 @@ def _first_crossing(with_traj: Trajectory, without_traj: Trajectory,
     return float(times[below][0]) if below.any() else math.inf
 
 
-# Every canned experiment by name, as runner(params, deaths); params None
-# runs the experiment's own defaults, and deaths ("on" or "off") matters to
-# the treatment runners only.
-SCENARIOS: Dict[str, Callable[[Optional[Parameters], str], ScenarioResult]] = {
-    "table2": lambda params, deaths: run_table2(params),
-    "table3": lambda params, deaths: run_table3(params),
-    "dfe-stability": lambda params, deaths: run_dfe_stability(params),
-    "syndemic-stability": lambda params, deaths: run_syndemic_stability(params),
-    **{f"treatment-{family}":
-       lambda params, deaths, family=family: run_treatment_impact(
-           params, family=family, deaths=deaths)
-       for family in _TREATMENT_FAMILIES},
+# Every canned experiment by the name of its result and files, as
+# runner(params); params None runs the experiment's own defaults.
+SCENARIOS: Dict[str, Callable[[Optional[Parameters]], ScenarioResult]] = {
+    "table2": run_table2, "table3": run_table3,
+    "dfe-stability": run_dfe_stability,
+    "syndemic-stability": run_syndemic_stability,
+    **{f"treatment-{family}-deaths-{deaths}": functools.partial(
+        run_treatment_impact, family=family, deaths=deaths)
+       for family in _TREATMENT_FAMILIES for deaths in ("on", "off")},
 }
 
 

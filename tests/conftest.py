@@ -5,58 +5,70 @@ import sys
 
 import pytest
 
-from syndemic.scenarios import (run_dfe_stability, run_syndemic_stability,
-                                run_table2, run_table3, run_treatment_impact)
+from syndemic.scenarios import SCENARIOS
 
 
 @pytest.fixture(scope="session")
-def table2_result():
-    return run_table2()
+def scenario_results():
+    """Each canned experiment's default result by its ``SCENARIOS`` name,
+    run on first request and kept for the session."""
+    results = {}
+
+    def get(name):
+        if name not in results:
+            results[name] = SCENARIOS[name](None)
+        return results[name]
+    return get
 
 
 @pytest.fixture(scope="session")
-def table3_result():
-    return run_table3()
+def table2_result(scenario_results):
+    return scenario_results("table2")
 
 
 @pytest.fixture(scope="session")
-def dfe_stability_result():
-    return run_dfe_stability()
+def table3_result(scenario_results):
+    return scenario_results("table3")
 
 
 @pytest.fixture(scope="session")
-def syndemic_stability_result():
-    return run_syndemic_stability()
+def dfe_stability_result(scenario_results):
+    return scenario_results("dfe-stability")
 
 
 @pytest.fixture(scope="session")
-def treatment_tb_on():
-    return run_treatment_impact(family="tb", deaths="on")
+def syndemic_stability_result(scenario_results):
+    return scenario_results("syndemic-stability")
 
 
 @pytest.fixture(scope="session")
-def treatment_tb_off():
-    return run_treatment_impact(family="tb", deaths="off")
+def treatment_tb_on(scenario_results):
+    return scenario_results("treatment-tb-deaths-on")
 
 
 @pytest.fixture(scope="session")
-def treatment_aids_on():
-    return run_treatment_impact(family="aids", deaths="on")
+def treatment_tb_off(scenario_results):
+    return scenario_results("treatment-tb-deaths-off")
 
 
 @pytest.fixture(scope="session")
-def treatment_aids_off():
-    return run_treatment_impact(family="aids", deaths="off")
+def treatment_aids_on(scenario_results):
+    return scenario_results("treatment-aids-deaths-on")
 
 
 @pytest.fixture(scope="session")
-def treatment_coinfection_on():
-    return run_treatment_impact(family="coinfection", deaths="on")
+def treatment_aids_off(scenario_results):
+    return scenario_results("treatment-aids-deaths-off")
 
 
 @pytest.fixture(scope="session")
-def treatment_coinfection_off():
-    return run_treatment_impact(family="coinfection", deaths="off")
+def treatment_coinfection_on(scenario_results):
+    return scenario_results("treatment-coinfection-deaths-on")
+
+
+@pytest.fixture(scope="session")
+def treatment_coinfection_off(scenario_results):
+    return scenario_results("treatment-coinfection-deaths-off")
 
 
 @pytest.fixture

@@ -6,11 +6,11 @@ output, then ``exit CODE``, as in ``../cli``) and ``NAME.csv`` (the one CSV
 file it wrote: ``trajectory.csv`` or ``sweep.csv``). Each runs with
 ``--out out`` in a fresh working directory, so the paths it prints are the
 same wherever it runs. Beside them, the CSV
-files that ``write_scenario_csv`` writes for treatment-tb under
-``--deaths on`` and ``off`` and for the table2 and table3 sweeps, and the
+files that ``write_scenario_csv`` writes for treatment-tb-deaths-on and
+treatment-tb-deaths-off and for the table2 and table3 sweeps, and the
 summary CSV alone of dfe-stability, syndemic-stability, and treatment-aids
 and treatment-coinfection under both death settings, under the names it
-gives them.
+gives them: each run's ``SCENARIOS`` name.
 ``tests/test_golden_trajectories.py`` compares all of them byte for byte.
 
     PYTHONPATH=src python tests/golden/trajectories/regenerate.py
@@ -20,16 +20,13 @@ and read the diff before committing it.
 """
 import contextlib
 import dataclasses
-import functools
 import io
 import os
 import tempfile
 from pathlib import Path
 
 from syndemic.cli import main
-from syndemic.scenarios import (run_dfe_stability, run_syndemic_stability,
-                                run_table2, run_table3, run_treatment_impact,
-                                write_scenario_csv)
+from syndemic.scenarios import SCENARIOS, write_scenario_csv
 
 HERE = Path(__file__).resolve().parent
 
@@ -47,17 +44,15 @@ SWEEP = {
                             "--param", "beta1", "--values", "2.7,4.5,6,13",
                             "--nref", "N0", "--out", "out"),
 }
-TREATMENT_DEATHS = ("on", "off")     # treatment-tb, as tests/conftest.py runs it
-TABLES = {"table2": run_table2, "table3": run_table3}   # summary CSV only
-# scenario name -> run, whose summary CSV alone is golden: their trajectory
-# files are large, and the summary holds every asserted number
-SUMMARIES = {
-    "dfe-stability": run_dfe_stability,
-    "syndemic-stability": run_syndemic_stability,
-    **{f"treatment-{family}-deaths-{deaths}": functools.partial(
-        run_treatment_impact, family=family, deaths=deaths)
-       for family in ("aids", "coinfection") for deaths in TREATMENT_DEATHS},
-}
+TREATMENT_DEATHS = ("on", "off")     # treatment-tb, every file golden
+# summary CSV only, as the run writes it
+TABLES = {name: SCENARIOS[name] for name in ("table2", "table3")}
+# runs whose summary CSV alone is golden: their trajectory files are large,
+# and the summary holds every asserted number
+SUMMARIES = {name: SCENARIOS[name] for name in (
+    "dfe-stability", "syndemic-stability",
+    *(f"treatment-{family}-deaths-{deaths}"
+      for family in ("aids", "coinfection") for deaths in TREATMENT_DEATHS))}
 
 
 def render(argv) -> str:
@@ -86,10 +81,10 @@ if __name__ == "__main__":
                 os.chdir(home)
     for deaths in TREATMENT_DEATHS:
         written += write_scenario_csv(
-            run_treatment_impact(family="tb", deaths=deaths), HERE)
+            SCENARIOS[f"treatment-tb-deaths-{deaths}"](None), HERE)
     for run in TABLES.values():
-        written += write_scenario_csv(run(), HERE)
+        written += write_scenario_csv(run(None), HERE)
     for run in SUMMARIES.values():
         written += write_scenario_csv(
-            dataclasses.replace(run(), trajectories={}), HERE)
+            dataclasses.replace(run(None), trajectories={}), HERE)
     print(f"wrote {len(written)} files to {HERE}")

@@ -441,7 +441,7 @@ def test_scenario_exit_codes(tmp_path):
 
 @pytest.mark.parametrize("name,summary,code", [
     ("table3", "table3__summary.csv", 1),
-    ("treatment-aids", "treatment-aids-deaths-on__summary.csv", 0)])
+    ("treatment-aids-deaths-on", "treatment-aids-deaths-on__summary.csv", 0)])
 def test_scenario_prints_the_summary_rows(name, summary, code, tmp_path,
                                           capsys):
     # one line per summary row, in order, then the files line; an info row
@@ -457,20 +457,41 @@ def test_scenario_prints_the_summary_rows(name, summary, code, tmp_path,
     assert not [line for line in lines if "nan" in line]
 
 
-@pytest.mark.parametrize("name,deaths,code", [
-    ("table2", "off", 2), ("table3", "on", 2), ("dfe-stability", "off", 2),
-    ("syndemic-stability", "on", 2), ("treatment-aids", "off", 0)])
-def test_deaths_flag_applies_to_treatment_scenarios_only(name, deaths, code,
-                                                         tmp_path, capsys):
+def test_death_setting_is_part_of_the_scenario_name(tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["scenario", "--name", name, "--deaths", deaths,
-                 "--out", str(out)]) == code
-    if code == 2:
-        assert capsys.readouterr().err == (
-            "error: --deaths applies to the treatment scenarios only\n")
-        assert not out.exists()
-    else:
-        assert (out / f"{name}-deaths-{deaths}__summary.csv").exists()
+    assert main(["scenario", "--name", "treatment-aids-deaths-off",
+                 "--out", str(out)]) == 0
+    assert (out / "treatment-aids-deaths-off__summary.csv").exists()
+    capsys.readouterr()
+    # the former switch is no option any more: argparse rejects it
+    assert main(["scenario", "--name", "treatment-aids-deaths-off",
+                 "--deaths", "off", "--out", str(tmp_path / "again")]) == 2
+    assert "unrecognized arguments: --deaths off" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
+
+
+@pytest.mark.parametrize("config,named", [
+    (BASELINE_CONFIG + "horizon = 5\nrel_tol = 1e-3\nn_ref = 1\n",
+     "horizon, rel_tol, n_ref, init.*"),
+    ("abs_tol = 1e-6\nn_ref = dfe\n", "abs_tol, n_ref")],
+    ids=["with-census", "without-census"])
+def test_scenario_rejects_run_options_it_does_not_read(config, named, tmp_path,
+                                                       monkeypatch, capsys):
+    # each experiment fixes its own horizon, tolerances, denominator and
+    # census; a config that sets them is an input error, not a silent no-op
+    monkeypatch.delenv("SYNDEMIC_OUT_DIR", raising=False)
+    argv = ["scenario", "--name", "treatment-tb-deaths-on", "--config",
+            str(tmp_path / "run.cfg"), "--beta1", "13", "--beta2", "0.06"]
+    (tmp_path / "run.cfg").write_text(config)
+    assert main(argv + ["--out", str(tmp_path / "rejected")]) == 2
+    assert capsys.readouterr().err == f"error: scenario does not read {named}\n"
+    assert not (tmp_path / "rejected").exists()
+    # parameter keys and out alone still run
+    (tmp_path / "run.cfg").write_text(
+        BASELINE_CONFIG.split("# Starting state")[0]
+        + f"out = {tmp_path / 'accepted'}\n")
+    assert main(argv) == 0
+    assert (tmp_path / "accepted" / "treatment-tb-deaths-on__summary.csv").exists()
 
 
 @pytest.mark.parametrize("solver,error,argv", [

@@ -98,17 +98,10 @@ def test_table_summaries_match_golden_files(table, request, tmp_path):
     assert written[0].read_bytes() == (GOLDEN / written[0].name).read_bytes()
 
 
-def _fixture(name: str) -> str:
-    # the session fixture of tests/conftest.py that holds the scenario's run
-    if name.startswith("treatment-"):
-        return name.replace("-deaths", "").replace("-", "_")
-    return name.replace("-", "_") + "_result"
-
-
 @pytest.mark.parametrize("name", sorted(golden.SUMMARIES))
-def test_scenario_summaries_match_golden_files(name, request, tmp_path):
-    result = request.getfixturevalue(_fixture(name))
-    written = write_scenario_csv(dataclasses.replace(result, trajectories={}),
-                                 tmp_path)
+def test_scenario_summaries_match_golden_files(name, scenario_results,
+                                               tmp_path):
+    written = write_scenario_csv(
+        dataclasses.replace(scenario_results(name), trajectories={}), tmp_path)
     assert [path.name for path in written] == [f"{name}__summary.csv"]
     assert written[0].read_bytes() == (GOLDEN / written[0].name).read_bytes()

@@ -135,20 +135,28 @@ def test_treatment_coinfection_crossover(treatment_coinfection_off):
 def test_scenario_registry_names():
     assert list(SCENARIOS) == [
         "table2", "table3", "dfe-stability", "syndemic-stability",
-        "treatment-tb", "treatment-aids", "treatment-coinfection"]
+        "treatment-tb-deaths-on", "treatment-tb-deaths-off",
+        "treatment-aids-deaths-on", "treatment-aids-deaths-off",
+        "treatment-coinfection-deaths-on", "treatment-coinfection-deaths-off"]
 
 
-@pytest.mark.parametrize("fixture,name,deaths", [
-    ("dfe_stability_result", "dfe-stability", "on"),
-    ("syndemic_stability_result", "syndemic-stability", "on"),
-    ("treatment_tb_on", "treatment-tb", "on"),
-    ("treatment_tb_off", "treatment-tb", "off"),
-    ("treatment_aids_on", "treatment-aids", "on"),
-    ("treatment_aids_off", "treatment-aids", "off"),
-    ("treatment_coinfection_on", "treatment-coinfection", "on"),
-    ("treatment_coinfection_off", "treatment-coinfection", "off"),
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_scenario_result_is_named_by_its_registry_key(name, scenario_results):
+    # the name a run is listed under is the prefix of the files it writes
+    assert scenario_results(name).spec.name == name
+
+
+@pytest.mark.parametrize("fixture,name", [
+    ("dfe_stability_result", "dfe-stability"),
+    ("syndemic_stability_result", "syndemic-stability"),
+    ("treatment_tb_on", "treatment-tb-deaths-on"),
+    ("treatment_tb_off", "treatment-tb-deaths-off"),
+    ("treatment_aids_on", "treatment-aids-deaths-on"),
+    ("treatment_aids_off", "treatment-aids-deaths-off"),
+    ("treatment_coinfection_on", "treatment-coinfection-deaths-on"),
+    ("treatment_coinfection_off", "treatment-coinfection-deaths-off"),
 ])
-def test_halved_tolerance_keeps_pass_status(fixture, name, deaths, request,
+def test_halved_tolerance_keeps_pass_status(fixture, name, request,
                                             monkeypatch):
     # The verdicts come from the model, not from the solver's tolerance.
     default = request.getfixturevalue(fixture)
@@ -160,8 +168,8 @@ def test_halved_tolerance_keeps_pass_status(fixture, name, deaths, request,
         return integrate(*args, rel_tol=rel_tol / 2, **kwargs)
 
     monkeypatch.setattr(syndemic.scenarios, "integrate", halved)
-    tight = SCENARIOS[name](None, deaths)
-    assert tight.spec.name == default.spec.name
+    tight = SCENARIOS[name](None)
+    assert tight.spec.name == name
     assert tolerances == [rel_tol / 2] * len(default.trajectories)
     assert ([(a.name, a.status) for a in tight.assertions]
             == [(a.name, a.status) for a in default.assertions])

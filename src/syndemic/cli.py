@@ -38,8 +38,7 @@ _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
 
 # the run options: config key -> type of its value; a flag of the same
 # dest (--horizon, --nref, --out) is merged over the key
-RUN_OPTIONS = {"horizon": float, "rel_tol": float, "abs_tol": float,
-               "n_ref": str, "out": str}
+RUN_OPTIONS = {"horizon": float, "rel_tol": float, "n_ref": str, "out": str}
 
 
 class ConfigError(ValueError):
@@ -53,7 +52,6 @@ class RunConfig:
     init_total: Optional[float] = None     # set: init_values are fractions
     horizon: float = 20.0
     rel_tol: float = 1e-8
-    abs_tol: Optional[float] = None
     n_ref: Optional[str] = None            # raw token: dfe | N0 | number
     out: Optional[str] = None
 
@@ -251,7 +249,7 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
     n_ref = cfg.resolve_n_ref()
     traj = integrate(lambda t, y, out: full_rhs(y, params, n_ref, out),
                      cfg.initial_state(), 0.0, horizon,
-                     rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+                     rel_tol=cfg.rel_tol,
                      report_times=np.linspace(0.0, horizon, 241))
     out = _out_dir(cfg)
     atomic_write(out / "trajectory.csv", trajectory_csv(traj, ".8g", "\n"))
@@ -335,7 +333,7 @@ def _cmd_stability(args, cfg: RunConfig) -> int:
 def _cmd_scenario(args, cfg: RunConfig) -> int:
     # without a config file, only --beta1 and --beta2 assign parameters
     params = cfg.parameters() if args.config or cfg.assignments else None
-    # each experiment fixes its own horizon, tolerances, denominator and census
+    # each experiment fixes its own horizon, tolerance, denominator and census
     unread = [key for key in RUN_OPTIONS if key != "out"
               and getattr(cfg, key) != getattr(RunConfig(), key)]
     unread += ["init.*"] if cfg.init_values is not None else []

@@ -72,7 +72,6 @@ def integrate(rhs: Callable[[float, np.ndarray, np.ndarray], object],
               t0: float,
               t1: float,
               rel_tol: float = 1e-8,
-              abs_tol: Optional[float] = None,
               report_times: Optional[Sequence[float]] = None) -> Trajectory:
     """Integrate y' = f(t, y) from t0 to t1 adaptively.
 
@@ -92,15 +91,17 @@ def integrate(rhs: Callable[[float, np.ndarray, np.ndarray], object],
     steps whose shallow dip was clamped to zero.
 
     The fifth-order solution is the last stage's state, and that stage's
-    derivative starts the next step (first-same-as-last). One minimum over
-    the new state decides both dips: a component in (-abs_tol, 0) is
-    clamped to zero, after which the next step evaluates rhs afresh; a dip
-    at or below -abs_tol rejects the step outright and halves it (a drop
-    that large is solver failure, not roundoff), and so do a trial stage
-    at which rhs raises DomainError and a NaN error norm.
-    Raises DomainError unless the times are finite and the tolerances
-    finite and positive, and IntegrationError with the last good time and
-    state if the step size underflows.
+    derivative starts the next step (first-same-as-last). The absolute
+    tolerance abs_tol = rel_tol * max(1, N0), N0 the initial state's sum,
+    is both the floor of the mixed error test and the bound of a dip. One
+    minimum over the new state decides both dips: a component in
+    (-abs_tol, 0) is clamped to zero, after which the next step evaluates
+    rhs afresh; a dip at or below -abs_tol rejects the step outright and
+    halves it (a drop that large is solver failure, not roundoff), and so
+    do a trial stage at which rhs raises DomainError and a NaN error norm.
+    Raises DomainError unless the times are finite and rel_tol finite and
+    positive, and IntegrationError with the last good time and state if
+    the step size underflows.
     """
     y = np.asarray(state0, dtype=float).copy()
     rep = np.asarray([] if report_times is None else report_times, dtype=float)
@@ -110,10 +111,9 @@ def integrate(rhs: Callable[[float, np.ndarray, np.ndarray], object],
         raise DomainError("t1 must exceed t0")
     if np.any(y < 0):
         raise DomainError("initial state must be nonnegative")
-    if not (0 < rel_tol < math.inf and (abs_tol is None or 0 < abs_tol < math.inf)):
-        raise DomainError("tolerances must be finite and positive")
-    if abs_tol is None:
-        abs_tol = 1e-8 * max(1.0, float(np.abs(y).sum()))
+    if not 0 < rel_tol < math.inf:
+        raise DomainError("rel_tol must be finite and positive")
+    abs_tol = rel_tol * max(1.0, float(np.abs(y).sum()))
     if np.any(rep < t0) or np.any(rep > t1):
         raise DomainError("report times must lie within [t0, t1]")
     checkpoints = sorted(set(rep.tolist()) | {float(t1)})
@@ -253,9 +253,6 @@ def steady_state_by_integration(params: Parameters,
         full_rhs(y, params, n_ref, out)
 
     y = np.asarray(state0, dtype=float).copy()
-    # keep integration noise well below the settle target, else the
-    # derivative norm floors out above it and never settles
-    abs_tol = 0.01 * _SETTLE_TOL * max(1.0, float(np.abs(y).sum()))
 
     def settled(y):
         n = float(y.sum())
@@ -269,7 +266,9 @@ def steady_state_by_integration(params: Parameters,
     t = 0.0
     while t < horizon:
         step = min(_CHUNK, horizon - t)
-        y = integrate(rhs, y, t, t + step, abs_tol=abs_tol).final
+        # keep integration noise well below the settle target, else the
+        # derivative norm floors out above it and never settles
+        y = integrate(rhs, y, t, t + step, rel_tol=0.01 * _SETTLE_TOL).final
         t += step
         if settled(y):
             return y, True

@@ -108,7 +108,9 @@ def test_round_trip_of_numpy_floats(init_total):
     cfg.init_values = tuple(fractions if init_total is not None
                             else fractions * 50000.0)    # counts
     cfg.init_total = init_total
-    cfg.horizon, cfg.rel_tol, cfg.abs_tol = np.float64([35.5, 1e-9, 1e-6])
+    horizon, rel_tol = np.float64([35.5, 1e-9])
+    # replace, unlike setting an attribute, raises on a field RunConfig lacks
+    cfg = dataclasses.replace(cfg, horizon=horizon, rel_tol=rel_tol)
     text = format_config(cfg)
     assert "np." not in text
     assert parse_config(text) == cfg
@@ -473,11 +475,11 @@ def test_death_setting_is_part_of_the_scenario_name(tmp_path, capsys):
 @pytest.mark.parametrize("config,named", [
     (BASELINE_CONFIG + "horizon = 5\nrel_tol = 1e-3\nn_ref = 1\n",
      "horizon, rel_tol, n_ref, init.*"),
-    ("abs_tol = 1e-6\nn_ref = dfe\n", "abs_tol, n_ref")],
+    ("rel_tol = 1e-6\nn_ref = dfe\n", "rel_tol, n_ref")],
     ids=["with-census", "without-census"])
 def test_scenario_rejects_run_options_it_does_not_read(config, named, tmp_path,
                                                        monkeypatch, capsys):
-    # each experiment fixes its own horizon, tolerances, denominator and
+    # each experiment fixes its own horizon, tolerance, denominator and
     # census; a config that sets them is an input error, not a silent no-op
     monkeypatch.delenv("SYNDEMIC_OUT_DIR", raising=False)
     argv = ["scenario", "--name", "treatment-tb-deaths-on", "--config",
@@ -659,6 +661,10 @@ def test_simulate_rejects_non_finite_horizon_and_tolerances(argv, config,
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
     assert not out.exists()
+    if config.startswith("abs_tol"):
+        # no option any more: rel_tol sets the integrator's absolute floor
+        line = len((BASELINE_CONFIG + config).splitlines())
+        assert captured.err == f"error: line {line}: unknown key 'abs_tol'\n"
 
 
 @pytest.mark.parametrize("horizon", ["0", "-1"])

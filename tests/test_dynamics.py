@@ -18,13 +18,13 @@ START = INITIAL_FRACTIONS * INITIAL_POPULATION
 
 def test_exponential_decay():
     traj = integrate(lambda t, y, out: np.negative(y, out=out),
-                     np.array([1.0]), 0.0, 5.0, rel_tol=1e-10, abs_tol=1e-12)
+                     np.array([1.0]), 0.0, 5.0, rel_tol=1e-12)
     assert traj.final[0] == pytest.approx(math.exp(-5.0), abs=1e-9)
 
 
 def test_logistic_growth_closed_form():
     traj = integrate(lambda t, y, out: np.multiply(y, 1.0 - y, out=out),
-                     np.array([0.1]), 0.0, 5.0, rel_tol=1e-10, abs_tol=1e-12)
+                     np.array([0.1]), 0.0, 5.0, rel_tol=1e-12)
     expected = 0.1 * math.exp(5.0) / (1.0 + 0.1 * (math.exp(5.0) - 1.0))
     assert traj.final[0] == pytest.approx(expected, abs=1e-9)
 
@@ -76,13 +76,22 @@ def test_report_grid_states_match_library_integrator(arm, n_ref):
          }[arm]
     rhs = lambda t, y, out=None: full_rhs(y, p, n_ref, out=out)
     grid = np.linspace(0.0, 20.0, 241)
-    mine = integrate(rhs, START, 0.0, 20.0, report_times=grid)
     ref = solve_ivp(rhs, (0.0, 20.0), START, method="DOP853", rtol=1e-12,
                     atol=1e-9, t_eval=grid)
     assert ref.success
-    assert np.array_equal(mine.times, ref.t)
-    dev = np.abs(mine.states - ref.y.T) / np.maximum(np.abs(ref.y.T), 1.0)
-    assert np.max(dev) < 1e-6
+
+    def worst(rel_tol):
+        mine = integrate(rhs, START, 0.0, 20.0, rel_tol, report_times=grid)
+        assert np.array_equal(mine.times, ref.t)
+        dev = np.abs(mine.states - ref.y.T) / np.maximum(np.abs(ref.y.T), 1.0)
+        return np.max(dev)
+
+    default = worst(1e-8)
+    assert default < 1e-6
+    # rel_tol scales the absolute floor too, so tightening it tenfold moves
+    # every arm closer; the treated arm's deviation at least halves
+    # (measured 5.2x pinned and 2.75x self-consistent)
+    assert worst(1e-9) < default / (2.0 if arm == "with-treatment" else 1.0)
 
 
 def test_report_times_outside_span_rejected():
@@ -107,7 +116,6 @@ def test_invalid_setup_rejected():
     {"t0": math.nan}, {"t0": -math.inf}, {"t1": math.inf}, {"t1": math.nan},
     {"report_times": [0.5, math.nan]}, {"report_times": [math.inf]},
     {"rel_tol": math.nan}, {"rel_tol": math.inf},
-    {"abs_tol": math.nan}, {"abs_tol": math.inf},
 ])
 def test_non_finite_times_and_tolerances_rejected(setup):
     kwargs = {"t0": 0.0, "t1": 1.0, **setup}
@@ -246,8 +254,7 @@ def test_out_of_domain_stage_rejects_the_step():
             raise DomainError("outside the domain")
         np.multiply(y, -5.0, out=out)
 
-    traj = integrate(rhs, np.array([1.0]), 0.0, 20.0, rel_tol=1e-8,
-                     abs_tol=1e-12)
+    traj = integrate(rhs, np.array([1.0]), 0.0, 20.0, rel_tol=1e-12)
     assert traj.stats["rejected"] > 0
     assert 0.0 < traj.final[0] < 1e-40
 

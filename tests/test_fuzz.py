@@ -53,7 +53,6 @@ def run_configs(draw):
         init_total=init_total,
         horizon=draw(finite),
         rel_tol=draw(finite),
-        abs_tol=draw(st.none() | finite),
         n_ref=draw(n_ref_tokens),
         out=draw(st.none() | out_tokens))
 

@@ -108,7 +108,7 @@ def test_integrate_under_people_scaling():
     # Lambda and y0 -> 2^k times themselves scale every stored state by 2^k,
     # bit for bit, with the same steps. Checked one k at a time over
     # [-15, 999], tested here at its ends and between: below -15 the
-    # population drops under the 1-person floor of abs_tol = 1e-8 max(1, N)
+    # population drops under the 1-person floor of abs_tol = rel_tol max(1, N)
     p = Parameters(beta1=6.0, beta2=0.1)
     y0 = initial_state()
     base = _twenty_years(p, y0)

@@ -159,6 +159,9 @@ def test_scenario_result_is_named_by_its_registry_key(name, scenario_results):
 def test_halved_tolerance_keeps_pass_status(fixture, name, request,
                                             monkeypatch):
     # The verdicts come from the model, not from the solver's tolerance.
+    # Halving rel_tol halves the absolute floor too, so every step moves:
+    # a 500-year syndemic start takes 785 steps, not 747. A report-grid
+    # arm can take fewer (537 -> 525), as its landings set most steps.
     default = request.getfixturevalue(fixture)
     rel_tol = inspect.signature(integrate).parameters["rel_tol"].default
     tolerances = []
